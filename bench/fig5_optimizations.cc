@@ -49,19 +49,20 @@ int main(int argc, char** argv) {
                    bench::fmt("%.2f", r.seconds / row.paper_s),
                    bench::fmt("%.2f", r.compute_busy_s),
                    bench::fmt("%.2f", r.mic_busy_s)});
-    if (r.spe_stalls.empty()) {
+    const std::vector<core::SpeStalls> stalls = core::spe_stalls(r);
+    if (stalls.empty()) {
       // PPE-only stages have no SPEs to break down.
       breakdown.add_row({core::stage_name(row.stage), "-", "-", "-", "-",
                          "-", "-"});
     } else {
       double busy = 0, dma = 0, sync = 0, idle = 0;
-      for (const core::SpeStallSummary& st : r.spe_stalls) {
+      for (const core::SpeStalls& st : stalls) {
         busy += st.busy_s;
         dma += st.dma_wait_s;
         sync += st.sync_wait_s;
         idle += st.idle_s;
       }
-      const double n = static_cast<double>(r.spe_stalls.size());
+      const double n = static_cast<double>(stalls.size());
       breakdown.add_row(
           {core::stage_name(row.stage), bench::fmt("%.2f", busy / n),
            bench::fmt("%.2f", dma / n), bench::fmt("%.2f", sync / n),

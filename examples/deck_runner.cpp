@@ -46,11 +46,14 @@ using namespace cellsweep;
 
 namespace {
 
+/// The --stage names; throws util::CliError on anything else.
 core::OptimizationStage stage_from_name(const std::string& name) {
   if (name == "ppe") return core::OptimizationStage::kPpeXlc;
   if (name == "initial") return core::OptimizationStage::kSpeInitial;
   if (name == "simd") return core::OptimizationStage::kSpeSimd;
-  return core::OptimizationStage::kSpeLsPoke;
+  if (name == "final") return core::OptimizationStage::kSpeLsPoke;
+  throw util::CliError("unknown stage '" + name +
+                       "' (valid: ppe | initial | simd | final)");
 }
 
 /// `deck_runner [--workload=...] lint <file>...`: statically validate
@@ -107,7 +110,8 @@ int emit_report(const core::RunReport& rep, core::OptimizationStage stage,
             << util::format_flops(rep.achieved_flops_per_s) << "\n";
 
   // Per-SPE stall breakdown: where the simulated time went.
-  if (!rep.spe_stalls.empty()) {
+  const std::vector<core::SpeStalls> stalls = core::spe_stalls(rep);
+  if (!stalls.empty()) {
     util::TextTable table(
         {"SPE", "busy [s]", "DMA wait [s]", "sync wait [s]", "idle [s]"});
     char buf[32];
@@ -115,8 +119,8 @@ int emit_report(const core::RunReport& rep, core::OptimizationStage stage,
       std::snprintf(buf, sizeof buf, "%.3f", v);
       return std::string(buf);
     };
-    for (std::size_t s = 0; s < rep.spe_stalls.size(); ++s) {
-      const core::SpeStallSummary& st = rep.spe_stalls[s];
+    for (std::size_t s = 0; s < stalls.size(); ++s) {
+      const core::SpeStalls& st = stalls[s];
       table.add_row({"SPE" + std::to_string(s), f(st.busy_s),
                      f(st.dma_wait_s), f(st.sync_wait_s), f(st.idle_s)});
     }
@@ -127,15 +131,17 @@ int emit_report(const core::RunReport& rep, core::OptimizationStage stage,
   }
 
   // --faults: what the injector actually did to this run.
-  if (rep.faults.enabled) {
-    std::cout << "Faults: " << rep.faults.spes_disabled
-              << " SPE(s) disabled, " << rep.faults.spes_failed
-              << " failed mid-sweep, " << rep.faults.redispatched_chunks
-              << " chunk(s) re-dispatched; " << rep.faults.dma_retries
-              << " DMA retries, " << rep.faults.tag_timeouts
-              << " tag timeouts, " << rep.faults.dropped_messages
-              << " dropped messages, " << rep.faults.mic_throttled
-              << " throttled MIC requests\n";
+  if (const sim::CounterSet* f = rep.counters.find_child("faults")) {
+    const auto n = [f](const char* counter) {
+      return static_cast<std::uint64_t>(f->value(counter));
+    };
+    std::cout << "Faults: " << n("spes_disabled") << " SPE(s) disabled, "
+              << n("spes_failed") << " failed mid-sweep, "
+              << n("redispatched_chunks") << " chunk(s) re-dispatched; "
+              << n("dma_retry_attempts") << " DMA retries, "
+              << n("tag_timeouts") << " tag timeouts, "
+              << n("dropped_messages") << " dropped messages, "
+              << n("mic_throttled_requests") << " throttled MIC requests\n";
   }
 
   // --counters: the aggregate hardware-counter summary plus the profile
@@ -597,21 +603,18 @@ int main(int argc, char** argv) {
     return cli.help_requested() ? 0 : 1;
   }
 
-  const std::string workload = [&] {
-    try {
-      const std::string w = cli.get_string("workload");
-      if (w != "sweep" && w != "stencil")
-        throw util::CliError("unknown workload '" + w +
-                             "' (valid: sweep, stencil)");
-      return w;
-    } catch (const util::CliError& e) {
-      std::cerr << "deck_runner: " << e.what() << "\n";
-      std::exit(1);
-    }
-  }();
-
-  const core::OptimizationStage stage =
-      stage_from_name(cli.get_string("stage"));
+  std::string workload;
+  core::OptimizationStage stage{};
+  try {
+    workload = cli.get_string("workload");
+    if (workload != "sweep" && workload != "stencil")
+      throw util::CliError("unknown workload '" + workload +
+                           "' (valid: sweep, stencil)");
+    stage = stage_from_name(cli.get_string("stage"));
+  } catch (const util::CliError& e) {
+    std::cerr << "deck_runner: " << e.what() << "\n";
+    return 1;
+  }
 
   if (cli.positional()[0] == "lint") {
     std::vector<std::string> paths(cli.positional().begin() + 1,

@@ -4,68 +4,42 @@
 #include <stdexcept>
 #include <string>
 
+#include "cellsim/local_store.h"
 #include "cellsim/mfc.h"
+#include "core/orchestrator.h"
 #include "core/workload.h"
 #include "sweep/kernel_simd.h"
 #include "sweep/quadrature.h"
-#include "util/aligned.h"
 #include "workloads/stencil/stencil.h"
 
 namespace cellsweep::analysis {
 
 namespace {
 
-/// Mirrors TimingEngine's request construction for one transfer class,
-/// so Mfc::validate judges exactly the commands the run would submit.
-cell::DmaRequest lint_request(const core::CellSweepConfig& cfg,
-                              const core::TransferPlan& plan,
-                              cell::DmaDir dir, std::size_t bytes_total) {
-  cell::DmaRequest req;
-  req.dir = dir;
-  req.alignment = cfg.aligned_rows ? 128 : 16;
-  req.banks_touched =
-      cfg.bank_offsets ? cfg.chip.memory_banks : cfg.chip.banks_without_offsets;
-  req.total_bytes =
-      util::round_up(std::max<std::size_t>(bytes_total, 16), 16);
-  if (!cfg.dma_lists) {
-    req.as_list = false;
-    req.element_bytes = plan.row_bytes;
-  } else {
-    req.as_list = true;
-    // At least one row, at most the 16 KB command cap; when a row
-    // itself exceeds the cap, keep the row size so Mfc::validate
-    // rejects the shape instead of silently shrinking it.
-    req.element_bytes = util::round_up(
-        std::max(std::min<std::size_t>(cfg.dma_granularity,
-                                       cfg.chip.dma_max_bytes),
-                 plan.row_bytes),
-        16);
-  }
-  return req;
-}
-
 /// The workload-independent machine checks, shared by lint_deck and
-/// lint_stencil: the LS budget of @p plan's staging buffer under the
-/// configured buffer count (plus @p resident_bytes of workload
-/// constants and the code reserve), the MFC tag budget of the buffer
-/// rotation, and the DMA legality of the three transfer classes the
-/// StreamingPipeline would submit.
+/// lint_stencil: the LS budget of the workload's @p placement under
+/// the configured buffer count (plus the code reserve), the MFC tag
+/// budget of the buffer rotation, and the DMA legality of the three
+/// transfer classes the StreamingPipeline would submit for @p plan.
 void lint_machine(Diagnostics& diags, const core::CellSweepConfig& cfg,
-                  const core::TransferPlan& plan, std::size_t resident_bytes,
+                  const core::TransferPlan& plan,
+                  const core::LsPlacement& placement,
                   const std::string& ls_where) {
   const int buffers = std::max(cfg.buffers, 1);
-  const std::size_t code_reserve = 48 * 1024;
-  const std::size_t per_buffer = util::round_up(plan.ls_buffer_bytes, 128);
-  const std::size_t need = code_reserve + resident_bytes +
-                           static_cast<std::size_t>(buffers) * per_buffer;
-  if (need > cfg.chip.local_store_bytes)
+  const std::size_t need =
+      cell::kLsCodeReserveBytes + placement.footprint(buffers);
+  if (need > cfg.chip.local_store_bytes) {
+    const std::size_t per_buffer =
+        cell::LocalStore::padded(placement.buffer_bytes);
+    const std::size_t resident =
+        need - static_cast<std::size_t>(buffers) * per_buffer;
     diags.error("ls-budget", ls_where,
                 std::to_string(buffers) + " staging buffer(s) of " +
                     std::to_string(per_buffer) + " bytes plus " +
-                    std::to_string(code_reserve + resident_bytes) +
-                    " resident bytes need " + std::to_string(need) +
-                    " bytes; the local store holds " +
+                    std::to_string(resident) + " resident bytes need " +
+                    std::to_string(need) + " bytes; the local store holds " +
                     std::to_string(cfg.chip.local_store_bytes));
+  }
 
   // MFC tag budget: gets use tags [0, buffers), puts [buffers,
   // 2*buffers) -- the rotation must fit the CBEA's tag-group space.
@@ -95,7 +69,7 @@ void lint_machine(Diagnostics& diags, const core::CellSweepConfig& cfg,
   };
   for (const auto& c : classes) {
     try {
-      mfc.validate(lint_request(cfg, plan, c.dir, c.bytes));
+      mfc.validate(core::make_dma_request(cfg, plan, c.dir, c.bytes));
     } catch (const cell::DmaError& e) {
       diags.error("dma-shape", std::string(c.name), e.what());
     }
@@ -155,11 +129,11 @@ Diagnostics lint_deck(const sweep::Deck& deck,
   // buffer count, plus the resident constants and the code reserve,
   // must fit in one SPE's local store -- the budget the paper's port
   // had to respect by hand (Section 2: 256 KB for code AND data).
-  const std::size_t real_bytes =
-      cfg.precision == core::Precision::kDouble ? 8 : 4;
+  const std::size_t real_bytes = core::real_bytes_of(cfg.precision);
   const core::TransferPlan plan = core::plan_chunk(core::ChunkShape{
       sweep::kBundleLines, grid.it, nm, real_bytes, cfg.aligned_rows});
-  lint_machine(diags, cfg, plan, 4 * 1024, "it " + std::to_string(grid.it));
+  lint_machine(diags, cfg, plan, core::sweep_placement(cfg, grid.it, nm),
+               "it " + std::to_string(grid.it));
 
   return diags;
 }
@@ -180,11 +154,10 @@ Diagnostics lint_stencil(const stencil::StencilSpec& spec,
 
   // Machine fit of one block's working set, judged on the exact
   // transfer plan the stencil runner would stream.
-  const std::size_t real_bytes =
-      cfg.precision == core::Precision::kDouble ? 8 : 4;
+  const std::size_t real_bytes = core::real_bytes_of(cfg.precision);
   const core::TransferPlan plan =
       stencil::plan_block(spec, real_bytes, cfg.aligned_rows);
-  lint_machine(diags, cfg, plan, 1024,
+  lint_machine(diags, cfg, plan, stencil::block_placement(plan),
                "bx " + std::to_string(spec.bx) + " by " +
                    std::to_string(spec.by) + " bz " +
                    std::to_string(spec.bz));

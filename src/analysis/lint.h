@@ -6,8 +6,10 @@
 // grid/quadrature, DMA element shapes that violate the CBEA command
 // rules the paper quotes in Section 2, or a buffer rotation that runs
 // out of MFC tag groups. Reuses the real planners and validators
-// (core::plan_chunk, cell::Mfc::validate, sweep::SweepConfig::validate)
-// so lint and runtime can never disagree about what is legal.
+// (core::plan_chunk, the workloads' LS placements, the pipeline's
+// core::make_dma_request, cell::Mfc::validate,
+// sweep::SweepConfig::validate) so lint and runtime can never disagree
+// about what is legal.
 #pragma once
 
 #include "analysis/diagnostics.h"

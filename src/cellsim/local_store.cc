@@ -7,7 +7,7 @@ namespace cellsweep::cell {
 LocalStore::LocalStore(std::size_t capacity_bytes,
                        std::size_t code_reserve_bytes)
     : capacity_(capacity_bytes),
-      code_reserve_(util::round_up(code_reserve_bytes, util::kCacheLineBytes)),
+      code_reserve_(padded(code_reserve_bytes)),
       top_(code_reserve_),
       high_water_(code_reserve_) {
   if (code_reserve_ > capacity_)
@@ -16,17 +16,17 @@ LocalStore::LocalStore(std::size_t capacity_bytes,
 }
 
 std::size_t LocalStore::allocate(const std::string& name, std::size_t bytes) {
-  const std::size_t padded = util::round_up(bytes, util::kCacheLineBytes);
-  if (top_ + padded > capacity_) {
+  const std::size_t size = padded(bytes);
+  if (top_ + size > capacity_) {
     std::ostringstream os;
-    os << "local store overflow allocating '" << name << "' (" << padded
+    os << "local store overflow allocating '" << name << "' (" << size
        << " B): " << top_ << "/" << capacity_ << " B already in use";
     throw LocalStoreOverflow(os.str());
   }
   const std::size_t offset = top_;
-  top_ += padded;
+  top_ += size;
   if (top_ > high_water_) high_water_ = top_;
-  regions_.push_back(Region{name, offset, padded});
+  regions_.push_back(Region{name, offset, size});
   return offset;
 }
 

@@ -18,6 +18,11 @@
 
 namespace cellsweep::cell {
 
+/// LS bytes reserved for SPU code and stack before any data region --
+/// the one copy of this budget, shared by every LocalStore and the
+/// static linter.
+inline constexpr std::size_t kLsCodeReserveBytes = 48 * 1024;
+
 /// Thrown when a working set exceeds the 256 KB local store.
 class LocalStoreOverflow : public std::runtime_error {
  public:
@@ -35,10 +40,15 @@ class LocalStore {
   };
 
   explicit LocalStore(std::size_t capacity_bytes,
-                      std::size_t code_reserve_bytes = 48 * 1024);
+                      std::size_t code_reserve_bytes = kLsCodeReserveBytes);
 
-  /// Reserves @p bytes (rounded up to 128 B) under @p name. Returns the
-  /// LS offset. Throws LocalStoreOverflow if it does not fit.
+  /// LS bytes an allocation of @p bytes occupies (rounded up to 128 B).
+  static constexpr std::size_t padded(std::size_t bytes) {
+    return util::round_up(bytes, util::kCacheLineBytes);
+  }
+
+  /// Reserves padded(@p bytes) under @p name. Returns the LS offset.
+  /// Throws LocalStoreOverflow if it does not fit.
   std::size_t allocate(const std::string& name, std::size_t bytes);
 
   /// Releases everything allocated after construction (the code

@@ -82,7 +82,7 @@ ClusterReport simulate_cluster(const sweep::Grid& global,
     });
   }
 
-  const std::size_t rb = chip.precision == Precision::kDouble ? 8 : 4;
+  const std::size_t rb = real_bytes_of(chip.precision);
   const double bytes_i =
       static_cast<double>(chip.sweep.mmi) * chip.sweep.mk * tile.jt * rb;
   const double bytes_j =

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <ostream>
+#include <string>
 
 #include "core/orchestrator.h"
 #include "sim/counters.h"
@@ -81,6 +82,22 @@ void write_timeseries_json(std::ostream& os, const sim::Profile& p,
   os << "]}";
 }
 
+std::vector<SpeStalls> spe_stalls(const RunReport& r) {
+  const auto seconds = [](const sim::CounterSet& spe, const char* bucket) {
+    return sim::seconds_from_ticks(static_cast<sim::Tick>(spe.value(bucket)));
+  };
+  std::vector<SpeStalls> out;
+  for (int s = 0;; ++s) {
+    const sim::CounterSet* spe =
+        r.counters.find_child("spe" + std::to_string(s));
+    if (spe == nullptr) return out;
+    out.push_back(SpeStalls{seconds(*spe, "busy_ticks"),
+                            seconds(*spe, "dma_wait_ticks"),
+                            seconds(*spe, "sync_wait_ticks"),
+                            seconds(*spe, "idle_ticks")});
+  }
+}
+
 void write_metrics_json(std::ostream& os, const RunReport& r) {
   os << "{\n  \"schema\": \"" << kMetricsSchema << "\",\n  \"seconds\": ";
   num(os, r.seconds);
@@ -111,8 +128,9 @@ void write_metrics_json(std::ostream& os, const RunReport& r) {
   // Aggregate moments across SPEs per bucket; for PPE-only runs these
   // accumulators stay empty and serialize their NaN moments as null.
   util::RunningStats busy, dma, sync, idle;
-  for (std::size_t s = 0; s < r.spe_stalls.size(); ++s) {
-    const SpeStallSummary& st = r.spe_stalls[s];
+  const std::vector<SpeStalls> stalls = spe_stalls(r);
+  for (std::size_t s = 0; s < stalls.size(); ++s) {
+    const SpeStalls& st = stalls[s];
     busy.add(st.busy_s);
     dma.add(st.dma_wait_s);
     sync.add(st.sync_wait_s);
@@ -148,16 +166,19 @@ void write_metrics_json(std::ostream& os, const RunReport& r) {
     write_timeseries_json(os, r.timeseries, 2);
   }
   os << ",\n  \"faults\": ";
-  if (!r.faults.enabled) {
-    os << "null";
+  if (const sim::CounterSet* f = r.counters.find_child("faults")) {
+    const auto n = [f](const char* counter) {
+      return static_cast<std::uint64_t>(f->value(counter));
+    };
+    os << "{\"spes_disabled\": " << n("spes_disabled")
+       << ", \"spes_failed\": " << n("spes_failed")
+       << ", \"redispatched_chunks\": " << n("redispatched_chunks")
+       << ",\n    \"dma_retries\": " << n("dma_retry_attempts")
+       << ", \"tag_timeouts\": " << n("tag_timeouts")
+       << ", \"dropped_messages\": " << n("dropped_messages")
+       << ", \"mic_throttled\": " << n("mic_throttled_requests") << "}";
   } else {
-    os << "{\"spes_disabled\": " << r.faults.spes_disabled
-       << ", \"spes_failed\": " << r.faults.spes_failed
-       << ", \"redispatched_chunks\": " << r.faults.redispatched_chunks
-       << ",\n    \"dma_retries\": " << r.faults.dma_retries
-       << ", \"tag_timeouts\": " << r.faults.tag_timeouts
-       << ", \"dropped_messages\": " << r.faults.dropped_messages
-       << ", \"mic_throttled\": " << r.faults.mic_throttled << "}";
+    os << "null";
   }
   // Solo runs have no server; the serve path writes its own document
   // (write_server_metrics_json) with this key populated.

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <vector>
 
 namespace cellsweep::sim {
 class CounterSet;
@@ -33,6 +34,23 @@ inline constexpr const char* kMetricsSchema = "cellsweep-metrics-v4";
 
 /// Writes @p r as one JSON object to @p os.
 void write_metrics_json(std::ostream& os, const RunReport& r);
+
+/// Where one SPE's simulated time went, in seconds. The four buckets
+/// partition the run: busy (kernel cycles) + dma_wait (SPU stalled on
+/// its own gets/puts) + sync_wait (stalled on wavefront dependencies,
+/// dispatch grants and barriers) + idle (no work assigned) = seconds.
+struct SpeStalls {
+  double busy_s = 0;
+  double dma_wait_s = 0;
+  double sync_wait_s = 0;
+  double idle_s = 0;
+};
+
+/// The stall view of RunReport::counters, the one store of these
+/// numbers: each "spe<N>" child's {busy,dma_wait,sync_wait,idle}_ticks
+/// in seconds, one entry per SPE in order (empty for PPE runs). Every
+/// console table, JSON writer and bench reads the stalls through it.
+std::vector<SpeStalls> spe_stalls(const RunReport& r);
 
 /// Writes @p c as {"name": ..., "values": {...}, "children": [...]}
 /// (children only when present). @p indent is the column the object

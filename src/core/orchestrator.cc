@@ -8,26 +8,6 @@
 namespace cellsweep::core {
 namespace {
 
-std::size_t real_bytes_of(Precision p) {
-  return p == Precision::kDouble ? 8 : 4;
-}
-
-/// Local-store placement of the sweep: 4 KB of resident per-angle
-/// constants plus one staging buffer per rotation slot, sized for the
-/// largest chunk's working set. The pipeline validates the budget --
-/// buffers x working set (plus the constants) must fit in every SPE's
-/// 256 KB -- and throws cell::LocalStoreOverflow otherwise.
-LsPlacement sweep_placement(const CellSweepConfig& cfg,
-                            const sweep::Grid& grid, int nm) {
-  LsPlacement p;
-  p.resident.emplace_back("angle-constants", 4 * 1024);
-  p.buffer_bytes =
-      plan_chunk(ChunkShape{sweep::kBundleLines, grid.it, nm,
-                            real_bytes_of(cfg.precision), cfg.aligned_rows})
-          .ls_buffer_bytes;
-  return p;
-}
-
 /// Wavefront dependency of one diagonal's chunk c on the previous
 /// diagonal: the lines of chunk c sit one diagonal step from lines
 /// covered by the previous diagonal's chunks c-1..c+1; the diagonal
@@ -47,13 +27,23 @@ sim::Tick sweep_dependency(const UpstreamView& u, int c) {
 
 }  // namespace
 
+LsPlacement sweep_placement(const CellSweepConfig& cfg, int it, int nm) {
+  LsPlacement p;
+  p.resident.emplace_back("angle-constants", 4 * 1024);
+  p.buffer_bytes =
+      plan_chunk(ChunkShape{sweep::kBundleLines, it, nm,
+                            real_bytes_of(cfg.precision), cfg.aligned_rows})
+          .ls_buffer_bytes;
+  return p;
+}
+
 TimingEngine::TimingEngine(const CellSweepConfig& cfg,
                            const sweep::Grid& grid, int nm)
     : cfg_(cfg),
       grid_(grid),
       nm_(nm),
       kernels_(cfg.chip),
-      pipeline_(cfg.stream(), sweep_placement(cfg, grid, nm)) {
+      pipeline_(cfg, sweep_placement(cfg, grid.it, nm)) {
   // Plan-cache hint: start from an already calibrated cost model (the
   // trace-scheduled chunk costs are the expensive part) instead of a
   // cold cache. Pure memoization -- the cached costs are deterministic

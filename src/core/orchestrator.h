@@ -41,6 +41,13 @@
 
 namespace cellsweep::core {
 
+/// Local-store placement of a sweep over I-lines of @p it cells with
+/// @p nm flux moments: 4 KB of resident per-angle constants plus one
+/// staging buffer per rotation slot, sized for the largest chunk's
+/// working set. The timing engine, lint_deck and solve server
+/// admission all size the LS footprint from it.
+LsPlacement sweep_placement(const CellSweepConfig& cfg, int it, int nm);
+
 /// Timing engine: consumes DiagonalWork events in sweep order and
 /// re-hosts them on the workload-agnostic StreamingPipeline.
 class TimingEngine {
@@ -57,11 +64,7 @@ class TimingEngine {
   /// throws analysis::HazardError when protocol violations were found.
   RunReport finish() { return pipeline_.finish(); }
 
-  /// Current completion horizon (simulated seconds); monotone across
-  /// diagonals. Exposed for tests and pipeline diagnostics.
-  double horizon_seconds() const noexcept {
-    return pipeline_.horizon_seconds();
-  }
+  /// Current completion horizon; monotone across diagonals.
   sim::Tick horizon() const noexcept { return pipeline_.horizon(); }
 
   /// External gate: no work fed after this call may start before
@@ -72,7 +75,6 @@ class TimingEngine {
   const cell::CellProcessor& machine() const noexcept {
     return pipeline_.machine();
   }
-  KernelCostModel& kernels() noexcept { return kernels_; }
 
  private:
   CellSweepConfig cfg_;

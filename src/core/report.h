@@ -18,32 +18,6 @@ namespace cellsweep::core {
 /// How the workload stream is produced.
 enum class RunMode : std::uint8_t { kFunctional, kTraceDriven };
 
-/// Where one SPE's simulated time went, in seconds. The four buckets
-/// partition the run: busy (kernel cycles) + dma_wait (SPU stalled on
-/// its own gets/puts) + sync_wait (stalled on wavefront dependencies,
-/// dispatch grants and barriers) + idle (no work assigned) = seconds.
-struct SpeStallSummary {
-  double busy_s = 0;
-  double dma_wait_s = 0;
-  double sync_wait_s = 0;
-  double idle_s = 0;
-};
-
-/// What the fault injector did to a run (all zero / disabled unless a
-/// fault plan was armed via CellSweepConfig::faults). The same numbers
-/// appear under the "faults" subtree of RunReport::counters and in the
-/// metrics JSON.
-struct FaultReport {
-  bool enabled = false;
-  int spes_disabled = 0;   ///< dead from boot (the 7-of-8 yield case)
-  int spes_failed = 0;     ///< died mid-sweep
-  std::uint64_t redispatched_chunks = 0;  ///< re-run on a surviving SPE
-  std::uint64_t dma_retries = 0;     ///< failed DMA attempts, all MFCs
-  std::uint64_t tag_timeouts = 0;    ///< tag waits that missed the event
-  std::uint64_t dropped_messages = 0;  ///< dispatch messages resent
-  std::uint64_t mic_throttled = 0;   ///< bank-throttled MIC requests
-};
-
 /// Everything a run reports; the benches print from this.
 struct RunReport {
   // --- timing ---------------------------------------------------------
@@ -64,8 +38,7 @@ struct RunReport {
   double memory_bound_s = 0;    ///< Section 6 traffic bound
   double compute_bound_s = 0;   ///< Section 6 compute bound
   std::size_t ls_high_water = 0;  ///< LS bytes used per SPE
-  // --- stall accounting (SPE stages only; empty for PPE runs) ----------
-  std::vector<SpeStallSummary> spe_stalls;  ///< one entry per SPE
+  // --- queueing (SPE stages only; empty for PPE runs) ------------------
   /// Aggregate MFC queue-occupancy histogram: [k] counts DMA commands
   /// that entered their MFC queue behind k outstanding commands.
   std::vector<std::uint64_t> mfc_queue_occupancy;
@@ -75,14 +48,14 @@ struct RunReport {
   /// The machine's counter tree: per-SPE engine buckets (busy /
   /// dma_wait / sync_wait / idle ticks -- they exactly partition
   /// run_ticks per SPE), SPU-pipeline and MFC counters under "spe<N>",
-  /// a "spe_total" hierarchical aggregate, and the shared MIC / EIB /
-  /// dispatch units.
+  /// a "spe_total" hierarchical aggregate, the shared MIC / EIB /
+  /// dispatch units, and -- only when a fault plan was armed -- a
+  /// "faults" subtree. The one store of these numbers: the per-SPE
+  /// stall view is core::spe_stalls (core/metrics.h).
   sim::CounterSet counters;
   /// Utilization-over-time series (empty unless a
   /// sim::TimeSlicedProfiler was attached via CellSweepConfig).
   sim::Profile timeseries;
-  /// Fault-injection summary (enabled only when a plan was armed).
-  FaultReport faults;
   // --- functional results (kFunctional only) ---------------------------
   std::optional<sweep::SolveResult> solve;
   double absorption = 0;

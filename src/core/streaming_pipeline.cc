@@ -11,6 +11,9 @@
 namespace cellsweep::core {
 namespace {
 
+/// Fewest SPEs an allocator tenant may be squeezed to under pressure.
+constexpr int kMinSpes = 1;
+
 /// Publishes one SPE's folded pipeline schedules (the Section 5.1
 /// counters) into @p out.
 void publish_pipeline(const cell::PipelineStats& p, sim::CounterSet& out) {
@@ -27,6 +30,40 @@ void publish_pipeline(const cell::PipelineStats& p, sim::CounterSet& out) {
 }
 
 }  // namespace
+
+std::size_t LsPlacement::footprint(int buffers) const {
+  std::size_t bytes = 0;
+  for (const auto& region : resident)
+    bytes += cell::LocalStore::padded(region.second);
+  return bytes + static_cast<std::size_t>(std::max(buffers, 1)) *
+                     cell::LocalStore::padded(buffer_bytes);
+}
+
+cell::DmaRequest make_dma_request(const StreamConfig& cfg,
+                                  const TransferPlan& plan, cell::DmaDir dir,
+                                  std::size_t bytes_total) {
+  cell::DmaRequest req;
+  req.dir = dir;
+  req.alignment = cfg.aligned_rows ? 128 : 16;
+  req.banks_touched =
+      cfg.bank_offsets ? cfg.chip.memory_banks : cfg.chip.banks_without_offsets;
+  req.total_bytes =
+      util::round_up(std::max<std::size_t>(bytes_total, 16), 16);
+  if (!cfg.dma_lists) {
+    // One MFC command per row (the pre-"DMA lists" implementation).
+    req.as_list = false;
+    req.element_bytes = plan.row_bytes;
+  } else {
+    // One DMA-list command; element size is the configured
+    // granularity (512-byte rows shipped; Fig. 10 raises it).
+    req.as_list = true;
+    req.element_bytes = util::round_up(
+        std::max(std::min(cfg.dma_granularity, cfg.chip.dma_max_bytes),
+                 plan.row_bytes),
+        16);
+  }
+  return req;
+}
 
 StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
                                      const LsPlacement& placement)
@@ -77,7 +114,7 @@ StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
   }
 
   // Multi-tenant mode: claim SPEs from the shared allocator (blocking
-  // until min_spes are free). A solo tenant gets the whole chip and --
+  // until one is free). A solo tenant gets the whole chip and --
   // since yielding only happens under pressure -- keeps it, so its
   // timing stays byte-identical to the allocator-free build.
   claimed_.assign(spes_.size(), 1);
@@ -85,8 +122,7 @@ StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
     if (cfg_.spe_allocator->num_spes() != machine_.num_spes())
       throw std::invalid_argument(
           "StreamingPipeline: SpeAllocator width != chip.num_spes");
-    min_spes_ = std::clamp(cfg_.min_spes, 1, machine_.num_spes());
-    claim_ = cfg_.spe_allocator->claim(min_spes_, machine_.num_spes(),
+    claim_ = cfg_.spe_allocator->claim(kMinSpes, machine_.num_spes(),
                                        cfg_.claim_weight, cfg_.claim_quota);
     claimed_.assign(spes_.size(), 0);
     for (const int id : claim_.ids)
@@ -146,12 +182,12 @@ void StreamingPipeline::rebalance(std::size_t batch_chunks) {
       static_cast<int>((batch_chunks + static_cast<std::size_t>(cfg_.buffers) -
                         1) /
                        static_cast<std::size_t>(cfg_.buffers)),
-      min_spes_, machine_.num_spes());
+      kMinSpes, machine_.num_spes());
   // The NOVA yield, pressure check and target computation in one
   // critical section inside the allocator: the old pressure() /
   // fair_share() / shrink() sequence could act on a waiter that had
   // already been served, or miss one arriving between the calls.
-  if (alloc.shrink_to_fair_share(claim_, need, min_spes_)) {
+  if (alloc.shrink_to_fair_share(claim_, need, kMinSpes)) {
     ++rebalance_shrinks_;
   } else if (claim_.count() < need) {
     // Slack returned: regrow opportunistically (denied under pressure).
@@ -260,34 +296,6 @@ void StreamingPipeline::trace_dma(int spe_index, const char* name,
   sink_->span(to_memory ? mic_track_ : eib_track_, name, "dma", c.start,
               c.done);
   if (c.retries > 0) sink_->instant(t, "dma-retry", "fault", c.done);
-}
-
-cell::DmaRequest StreamingPipeline::make_request(const TransferPlan& plan,
-                                                 cell::DmaDir dir,
-                                                 std::size_t bytes_total)
-    const {
-  const cell::CellSpec& spec = machine_.spec();
-  cell::DmaRequest req;
-  req.dir = dir;
-  req.alignment = cfg_.aligned_rows ? 128 : 16;
-  req.banks_touched =
-      cfg_.bank_offsets ? spec.memory_banks : spec.banks_without_offsets;
-  req.total_bytes =
-      util::round_up(std::max<std::size_t>(bytes_total, 16), 16);
-  if (!cfg_.dma_lists) {
-    // One MFC command per row (the pre-"DMA lists" implementation).
-    req.as_list = false;
-    req.element_bytes = plan.row_bytes;
-  } else {
-    // One DMA-list command; element size is the configured
-    // granularity (512-byte rows shipped; Fig. 10 raises it).
-    req.as_list = true;
-    req.element_bytes = util::round_up(
-        std::clamp<std::size_t>(cfg_.dma_granularity, plan.row_bytes,
-                                spec.dma_max_bytes),
-        16);
-  }
-  return req;
 }
 
 void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
@@ -402,8 +410,8 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
           static_cast<int>(
               (rest + static_cast<std::size_t>(cfg_.buffers) - 1) /
               static_cast<std::size_t>(cfg_.buffers)),
-          min_spes_, machine_.num_spes());
-      if (cfg_.spe_allocator->shrink_to_fair_share(claim_, need, min_spes_)) {
+          kMinSpes, machine_.num_spes());
+      if (cfg_.spe_allocator->shrink_to_fair_share(claim_, need, kMinSpes)) {
         ++preempt_yields_;
         claimed_.assign(claimed_.size(), 0);
         for (const int id : claim_.ids)
@@ -475,7 +483,8 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
         const sim::Tick bulk_from = mfc.wait_tag(spe.request_at, put_tag);
         if (observer_) observer_->on_tag_wait(c.spe, put_tag, bulk_from);
         cell::DmaRequest bulk_req =
-            make_request(tplan, cell::DmaDir::kGet, tplan.bulk_get_bytes());
+            make_dma_request(cfg_, tplan, cell::DmaDir::kGet,
+                             tplan.bulk_get_bytes());
         bulk_req.tag = get_tag;
         bulk_req.ls_offset = buf_off;
         bulk_req.ls_bytes = bulk_req.total_bytes;
@@ -484,7 +493,8 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
         if (observer_)
           observer_->on_dma(c.spe, bulk_req, bulk_from, bulk, c.token);
         cell::DmaRequest face_req =
-            make_request(tplan, cell::DmaDir::kGet, tplan.face_get_bytes());
+            make_dma_request(cfg_, tplan, cell::DmaDir::kGet,
+                             tplan.face_get_bytes());
         face_req.ls_to_ls = !centralized;  // SPE-to-SPE face forwarding
         face_req.tag = get_tag;
         face_req.ls_offset = buf_off + bulk_req.total_bytes;
@@ -506,7 +516,8 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
             mfc.wait_tag(std::max(grant, dep), put_tag);
         if (observer_) observer_->on_tag_wait(c.spe, put_tag, get_from);
         cell::DmaRequest get_req =
-            make_request(tplan, cell::DmaDir::kGet, tplan.get_bytes());
+            make_dma_request(cfg_, tplan, cell::DmaDir::kGet,
+                             tplan.get_bytes());
         get_req.tag = get_tag;
         get_req.ls_offset = buf_off;
         get_req.ls_bytes = get_req.total_bytes;
@@ -584,8 +595,8 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
       SpeClock& spe = spes_[c.spe];
       const TransferPlan& tplan = c.spec->plan;
       const unsigned put_tag = static_cast<unsigned>(cfg_.buffers + c.buf);
-      cell::DmaRequest put_req =
-          make_request(tplan, cell::DmaDir::kPut, tplan.put_bytes());
+      cell::DmaRequest put_req = make_dma_request(
+          cfg_, tplan, cell::DmaDir::kPut, tplan.put_bytes());
       put_req.tag = put_tag;
       put_req.ls_offset = buffer_offsets_[static_cast<std::size_t>(c.buf)];
       put_req.ls_bytes = put_req.total_bytes;
@@ -649,26 +660,11 @@ RunReport StreamingPipeline::finish() {
 
   double busy = 0;
   std::uint64_t cmds = 0, xfers = 0;
-  r.spe_stalls.resize(machine_.num_spes());
   r.mfc_queue_occupancy.assign(machine_.spec().mfc_queue_depth, 0);
   for (int s = 0; s < machine_.num_spes(); ++s) {
-    const sim::Tick spe_busy = machine_.spe(s).busy_ticks();
-    busy += sim::seconds_from_ticks(spe_busy);
+    busy += sim::seconds_from_ticks(machine_.spe(s).busy_ticks());
     cmds += machine_.spe(s).mfc().commands();
     xfers += machine_.spe(s).mfc().transfers();
-
-    // Stall breakdown: what the accounting didn't classify as compute,
-    // DMA wait or sync wait is idle (no work assigned to this SPE yet,
-    // or the run's tail after its last chunk).
-    SpeStallSummary& st = r.spe_stalls[s];
-    st.busy_s = sim::seconds_from_ticks(spe_busy);
-    st.dma_wait_s = sim::seconds_from_ticks(spes_[s].dma_wait);
-    st.sync_wait_s = sim::seconds_from_ticks(spes_[s].sync_wait);
-    const sim::Tick accounted = spe_busy + spes_[s].dma_wait +
-                                spes_[s].sync_wait;
-    st.idle_s = accounted < end ? sim::seconds_from_ticks(end - accounted)
-                                : 0.0;
-
     const auto& hist = machine_.spe(s).mfc().occupancy_histogram();
     for (std::size_t k = 0; k < r.mfc_queue_occupancy.size(); ++k)
       r.mfc_queue_occupancy[k] += hist[k];
@@ -685,7 +681,9 @@ RunReport StreamingPipeline::finish() {
   }
 
   // Counter tree: per-SPE engine buckets (which exactly partition `end`
-  // per SPE -- tick arithmetic below 2^53 is exact in doubles), the
+  // per SPE -- tick arithmetic below 2^53 is exact in doubles; what the
+  // accounting didn't classify as compute, DMA wait or sync wait is
+  // idle: no work assigned yet, or the tail after the last chunk), the
   // SPU-pipeline and MFC counters under each "spe<N>", a "spe_total"
   // hierarchical aggregate, and the chip-shared units.
   r.counters = sim::CounterSet("machine");
@@ -718,7 +716,7 @@ RunReport StreamingPipeline::finish() {
   machine_.eib().publish_counters(r.counters.child("eib"));
   machine_.dispatch().publish_counters(r.counters.child("dispatch"));
 
-  // Fault subtree + report: only present when a plan was armed, so the
+  // Fault subtree: only present when a plan was armed, so the
   // fault-free counter tree (and its JSON) is byte-identical to the
   // pre-fault-injection build.
   if (fault_plan_.enabled()) {
@@ -750,14 +748,6 @@ RunReport StreamingPipeline::finish() {
           static_cast<double>(machine_.mic().throttled_requests()));
     f.set("mic_throttle_ticks",
           static_cast<double>(machine_.mic().throttle_ticks()));
-    r.faults.enabled = true;
-    r.faults.spes_disabled = spes_disabled_;
-    r.faults.spes_failed = spes_failed_;
-    r.faults.redispatched_chunks = redispatched_chunks_;
-    r.faults.dma_retries = retry_attempts;
-    r.faults.tag_timeouts = timeouts;
-    r.faults.dropped_messages = machine_.dispatch().dropped_messages();
-    r.faults.mic_throttled = machine_.mic().throttled_requests();
   }
 
   // Allocator subtree + release: only present when a shared allocator

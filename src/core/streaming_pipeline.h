@@ -66,14 +66,33 @@ class RunCancelled : public std::runtime_error {
 
 /// Local-store placement policy of one workload: named resident
 /// regions (constants, tables) allocated once per SPE, then
-/// StreamConfig::buffers staging buffers of @p buffer_bytes each. The
-/// pipeline performs the allocations on every SPE at construction and
-/// throws cell::LocalStoreOverflow when the budget does not fit --
-/// the same check the deck/spec linters run statically.
+/// StreamConfig::buffers staging buffers of @p buffer_bytes each. Each
+/// workload builds it in one function (core::sweep_placement,
+/// stencil::block_placement) that the runner, the linter and solve
+/// server admission all call. The pipeline performs the allocations on
+/// every SPE at construction and throws cell::LocalStoreOverflow when
+/// the budget does not fit; the linters flag the same case statically
+/// from footprint().
 struct LsPlacement {
   std::vector<std::pair<std::string, std::size_t>> resident;
   std::size_t buffer_bytes = 0;
+
+  /// Per-SPE LS bytes of the resident regions plus @p buffers staging
+  /// buffers (buffers < 1 count as 1, as the pipeline runs them), each
+  /// region padded as cell::LocalStore::allocate pads it. The code
+  /// reserve (cell::kLsCodeReserveBytes) comes on top.
+  std::size_t footprint(int buffers) const;
 };
+
+/// The MFC request the pipeline submits for one transfer class of
+/// @p plan moving @p bytes_total bytes under @p cfg: one command per
+/// row, or one DMA list whose elements are the configured granularity
+/// clamped to [row, chip.dma_max_bytes]. A row above the cap keeps its
+/// size, so cell::Mfc::validate rejects the shape instead of it being
+/// silently shrunk. The linter validates exactly these requests.
+cell::DmaRequest make_dma_request(const StreamConfig& cfg,
+                                  const TransferPlan& plan, cell::DmaDir dir,
+                                  std::size_t bytes_total);
 
 /// One chunk of streaming work, as the workload describes it: the DMA
 /// transfer plan (what must be staged and written back) plus the
@@ -136,7 +155,7 @@ class StreamingPipeline {
   /// cell::LocalStoreOverflow when the placement exceeds the local
   /// store and sim::FaultError when the fault plan disables every SPE.
   /// With cfg.spe_allocator set, additionally claims SPEs from the
-  /// shared allocator (blocking until at least cfg.min_spes are free);
+  /// shared allocator (blocking until at least one is free);
   /// the allocator's width must match cfg.chip.num_spes
   /// (std::invalid_argument otherwise).
   StreamingPipeline(const StreamConfig& cfg, const LsPlacement& placement);
@@ -175,9 +194,6 @@ class StreamingPipeline {
 
   /// Current completion horizon; monotone across batches.
   sim::Tick horizon() const noexcept { return next_barrier_; }
-  double horizon_seconds() const noexcept {
-    return sim::seconds_from_ticks(next_barrier_);
-  }
 
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
@@ -223,14 +239,10 @@ class StreamingPipeline {
   /// Emits issue/queue/transfer spans for one DMA command.
   void trace_dma(int spe_index, const char* name, sim::Tick submitted,
                  const cell::DmaCompletion& c, bool to_memory);
-  /// Builds one MFC request for a transfer class of @p plan (per-row
-  /// commands or one DMA list at the configured granularity).
-  cell::DmaRequest make_request(const TransferPlan& plan, cell::DmaDir dir,
-                                std::size_t bytes_total) const;
   /// Batch-boundary claim adjustment (allocator tenants only): under
   /// pressure yields down to min(need, fair share), with slack regrows
   /// toward `need` = ceil(batch chunks / buffers) clamped to
-  /// [min_spes, chip width]. Rebuilds claimed_.
+  /// [1, chip width]. Rebuilds claimed_.
   void rebalance(std::size_t batch_chunks);
 
   /// A pipeline is confined to its tenant thread: the simulated clocks
@@ -299,7 +311,6 @@ class StreamingPipeline {
   // SPE, byte-identical to the single-tenant build).
   SpeAllocator::Claim claim_;
   std::vector<char> claimed_;  ///< one flag per SPE: ours right now
-  int min_spes_ = 1;
   int min_claimed_ = 0;  ///< smallest claim the run ever held
   int max_claimed_ = 0;  ///< largest claim the run ever held
   std::uint64_t rebalance_shrinks_ = 0;

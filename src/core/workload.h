@@ -69,12 +69,6 @@ struct TransferPlan {
 /// Computes the transfer plan for a chunk under the given config.
 TransferPlan plan_chunk(const ChunkShape& shape);
 
-/// Chunks per diagonal, delegating to the shared plan layer (bundles
-/// of kBundleLines, remainder last). Kept as a convenience alias.
-inline int chunks_for_lines(int nlines) {
-  return sweep::ChunkPlan::chunk_count(nlines);
-}
-
 /// Replays the sweep() loop structure -- octants, angle blocks, K-plane
 /// blocks, JK-diagonals -- emitting the same DiagonalWork stream as
 /// SweepState::sweep, without field data. One call covers one sweep

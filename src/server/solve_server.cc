@@ -21,10 +21,6 @@ using util::MutexLock;
 
 namespace {
 
-std::size_t real_bytes_of(Precision p) {
-  return p == Precision::kDouble ? 8 : 4;
-}
-
 std::string tenant_label(int tenant) {
   return "tenant=\"" + std::to_string(tenant) + "\"";
 }
@@ -32,9 +28,10 @@ std::string tenant_label(int tenant) {
 /// A run needed the fault machinery's failover path: SPEs were dead at
 /// boot or died mid-run, or chunks had to be redispatched.
 bool saw_failover(const RunReport& r) {
-  return r.faults.enabled &&
-         (r.faults.spes_disabled > 0 || r.faults.spes_failed > 0 ||
-          r.faults.redispatched_chunks > 0);
+  const sim::CounterSet* f = r.counters.find_child("faults");
+  return f != nullptr && (f->value("spes_disabled") > 0 ||
+                          f->value("spes_failed") > 0 ||
+                          f->value("redispatched_chunks") > 0);
 }
 
 }  // namespace
@@ -204,7 +201,6 @@ void SolveServer::admit(Job& job) const {
   CellSweepConfig cfg = base_;
   long long cells = 0;
   std::size_t ls_bytes = 0;
-  const std::size_t rb = real_bytes_of(cfg.precision);
   if (job.req.kind == JobKind::kSweep) {
     try {
       job.deck = sweep::parse_deck_string(job.req.text);
@@ -221,11 +217,7 @@ void SolveServer::admit(Job& job) const {
     const sweep::SnQuadrature quad(job.deck->sn_order);
     const int nm =
         sweep::MomentTable(quad, 2, job.deck->nm_cap).nm();
-    ls_bytes = 4 * 1024 +
-               static_cast<std::size_t>(std::max(1, cfg.buffers)) *
-                   plan_chunk(ChunkShape{sweep::kBundleLines, g.it, nm, rb,
-                                         cfg.aligned_rows})
-                       .ls_buffer_bytes;
+    ls_bytes = sweep_placement(cfg, g.it, nm).footprint(cfg.buffers);
   } else {
     stencil::StencilSpec spec;
     try {
@@ -238,10 +230,10 @@ void SolveServer::admit(Job& job) const {
       throw AdmissionError(AdmissionError::Reason::kLint,
                            "spec rejected by lint:\n" + diags.summary());
     cells = spec.cells();
-    ls_bytes = 1024 +
-               static_cast<std::size_t>(std::max(1, cfg.buffers)) *
-                   stencil::plan_block(spec, rb, cfg.aligned_rows)
-                       .ls_buffer_bytes;
+    ls_bytes = stencil::block_placement(
+                   stencil::plan_block(spec, real_bytes_of(cfg.precision),
+                                       cfg.aligned_rows))
+                   .footprint(cfg.buffers);
     job.spec = std::make_shared<const stencil::StencilSpec>(std::move(spec));
   }
   if (cfg_.grid_cell_budget > 0 && cells > cfg_.grid_cell_budget)
@@ -425,14 +417,16 @@ void SolveServer::worker_loop(int tenant) {
                                ? "name=" + job.req.name
                                : "name=" + job.req.name +
                                      " error=" + res.error);
-    if (failover)
-      recorder_.record(
-          clock_.now_s(), "failover", job.id, tenant,
-          "spes_disabled=" + std::to_string(res.report.faults.spes_disabled) +
-              " spes_failed=" +
-              std::to_string(res.report.faults.spes_failed) +
-              " redispatched=" +
-              std::to_string(res.report.faults.redispatched_chunks));
+    if (failover) {
+      const sim::CounterSet& f = *res.report.counters.find_child("faults");
+      const auto count = [&f](const char* counter) {
+        return std::to_string(static_cast<std::uint64_t>(f.value(counter)));
+      };
+      recorder_.record(clock_.now_s(), "failover", job.id, tenant,
+                       "spes_disabled=" + count("spes_disabled") +
+                           " spes_failed=" + count("spes_failed") +
+                           " redispatched=" + count("redispatched_chunks"));
+    }
 
     // Dump before publishing: a client woken by its result must be
     // able to see the post-mortem file already on disk.
@@ -522,17 +516,21 @@ std::shared_ptr<const CachedPlan> SolveServer::plan_for_sweep(
   return cache_.insert(key, std::move(built));
 }
 
-JobResult SolveServer::run_sweep(Job& job) {
-  sweep::Deck& deck = *job.deck;
+CellSweepConfig SolveServer::job_config(const Job& job) {
   CellSweepConfig cfg = base_;
-  cfg.sweep = deck.sweep;
-  cfg.sweep.kernel = cfg.kernel;
-  cfg.sweep.pool = &pool_;
   cfg.spe_allocator = &alloc_;
-  cfg.min_spes = cfg_.min_spes;
   cfg.claim_weight = tenant_weight(job.trace.tenant);
   cfg.claim_quota = tenant_quota(job.trace.tenant);
   cfg.cancel = job.cancel_flag.get();
+  return cfg;
+}
+
+JobResult SolveServer::run_sweep(Job& job) {
+  sweep::Deck& deck = *job.deck;
+  CellSweepConfig cfg = job_config(job);
+  cfg.sweep = deck.sweep;
+  cfg.sweep.kernel = cfg.kernel;
+  cfg.sweep.pool = &pool_;
 
   const std::uint64_t key = PlanCache::fingerprint(
       job_kind_name(JobKind::kSweep), cfg_.stage, job.req.text);
@@ -562,12 +560,7 @@ JobResult SolveServer::run_sweep(Job& job) {
 }
 
 JobResult SolveServer::run_stencil(Job& job) {
-  CellSweepConfig cfg = base_;
-  cfg.spe_allocator = &alloc_;
-  cfg.min_spes = cfg_.min_spes;
-  cfg.claim_weight = tenant_weight(job.trace.tenant);
-  cfg.claim_quota = tenant_quota(job.trace.tenant);
-  cfg.cancel = job.cancel_flag.get();
+  const CellSweepConfig cfg = job_config(job);
 
   const std::uint64_t key = PlanCache::fingerprint(
       job_kind_name(JobKind::kStencil), cfg_.stage, job.req.text);

@@ -89,17 +89,17 @@ struct ServerConfig {
   OptimizationStage stage = OptimizationStage::kSpeLsPoke;
   /// Pending jobs admitted before submit() rejects with kQueueFull.
   std::size_t queue_limit = 64;
-  /// Admission budget on the per-SPE simulated-LS footprint (resident
-  /// regions + buffers x staging buffer) in bytes. 0 = no extra budget
-  /// beyond the linter's 256 KB capacity check.
+  /// Admission budget on the per-SPE simulated-LS footprint in bytes:
+  /// the workload's LsPlacement::footprint (resident regions + buffers
+  /// x staging buffer, the same placement the run allocates; code
+  /// reserve excluded). 0 = no extra budget beyond the linter's 256 KB
+  /// capacity check.
   std::size_t ls_budget_bytes = 0;
   /// Admission budget on grid cells; 0 = unlimited.
   long long grid_cell_budget = 0;
   /// Width of the shared host pool (functional kernels; clamped >= 1).
   /// Purely host-side: results are bitwise identical for any value.
   int host_threads = 1;
-  /// Fewest SPEs a tenant may be squeezed to under pressure.
-  int min_spes = 1;
   /// Per-tenant QoS weights, indexed by tenant worker id; tenants past
   /// the end (or with entries < 1) run at the default weight 1. A
   /// weight-w tenant's SPE fair share under pressure scales with w
@@ -289,6 +289,9 @@ class SolveServer {
   /// Runs one job to completion. mu_ is never held here: a solve may
   /// take seconds and claims SPEs / the host pool on its own locks.
   JobResult run_job(Job& job) EXCLUDES(mu_);
+  /// base_ plus the job's SPE claim: the shared allocator, its
+  /// tenant's QoS weight and quota, and its cancel flag.
+  CellSweepConfig job_config(const Job& job);
   JobResult run_sweep(Job& job);
   JobResult run_stencil(Job& job);
   /// The cached plan for @p deck (building + inserting on miss).

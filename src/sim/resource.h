@@ -1,4 +1,4 @@
-// Shared-resource models for the discrete-event simulator.
+// Shared-resource models of the machine's simulated clocks.
 //
 // Two kinds cover everything the Cell model needs:
 //   * BandwidthResource -- a store-and-forward link serving requests

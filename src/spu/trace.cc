@@ -34,8 +34,6 @@ std::uint64_t Trace::count(Op op) const noexcept {
   return n;
 }
 
-thread_local TraceRecorder* TraceRecorder::active_ = nullptr;
-
 TraceRecorder::TraceRecorder() {
   if (active_ != nullptr)
     throw std::logic_error("TraceRecorder: another recorder is active");

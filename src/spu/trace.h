@@ -104,7 +104,9 @@ class TraceRecorder {
   Trace take_trace() noexcept;
 
  private:
-  static thread_local TraceRecorder* active_;
+  // Defined inline so every emulated op reads the pointer directly; an
+  // out-of-line thread_local routes each read through a TLS-init call.
+  static inline thread_local TraceRecorder* active_ = nullptr;
   Trace trace_;
   ValueId next_value_ = 1;
 };

@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/streaming_pipeline.h"
 #include "util/aligned.h"
 #include "util/thread_pool.h"
 
 namespace cellsweep::stencil {
 namespace {
-
-std::size_t real_bytes_of(core::Precision p) {
-  return p == core::Precision::kDouble ? 8 : 4;
-}
 
 /// Values of one parity in the index range [first, first + count).
 std::uint64_t parity_count(int first, int count, int parity) {
@@ -156,6 +151,13 @@ core::TransferPlan plan_block(const StencilSpec& spec,
   return plan;
 }
 
+core::LsPlacement block_placement(const core::TransferPlan& plan) {
+  core::LsPlacement placement;
+  placement.resident.emplace_back("stencil-constants", 1024);
+  placement.buffer_bytes = plan.ls_buffer_bytes;
+  return placement;
+}
+
 BlockCost block_cost(const StencilSpec& spec, int bi, int bj, int bk,
                      int color, const cell::CellSpec& chip,
                      core::Precision precision) {
@@ -205,18 +207,13 @@ CellStencil::CellStencil(const StencilSpec& spec,
 StencilReport CellStencil::run(core::RunMode mode, int threads,
                                util::ThreadPool* pool) {
   StencilReport rep;
-  const std::size_t rb = real_bytes_of(cfg_.precision);
+  const std::size_t rb = core::real_bytes_of(cfg_.precision);
 
-  // LS placement: 1 KB of resident kernel constants plus the rotating
-  // block staging buffers. The pipeline throws LocalStoreOverflow when
-  // the budget does not fit -- the same check lint_stencil runs
-  // statically.
+  // The pipeline throws LocalStoreOverflow when the placement does not
+  // fit -- the same footprint lint_stencil checks statically.
   const core::TransferPlan tplan =
       plan_block(spec_, rb, cfg_.aligned_rows);
-  core::LsPlacement placement;
-  placement.resident.emplace_back("stencil-constants", 1024);
-  placement.buffer_bytes = tplan.ls_buffer_bytes;
-  core::StreamingPipeline pipeline(cfg_.stream(), placement);
+  core::StreamingPipeline pipeline(cfg_, block_placement(tplan));
 
   // Dependency policy: a block of this color phase reads the previous
   // phase's values of itself and its six face neighbors.

@@ -22,9 +22,10 @@
 //   * StencilState  -- functional host reference (double precision,
 //     bitwise deterministic for any thread count: a color update reads
 //     only the frozen opposite color).
-//   * plan_block / block_cost -- the workload policies: the DMA
-//     transfer plan of one block and the priced kernel of one
-//     block-color phase (used by the runner AND the spec linter).
+//   * plan_block / block_placement / block_cost -- the workload
+//     policies: the DMA transfer plan and LS placement of one block
+//     and the priced kernel of one block-color phase (used by the
+//     runner AND the spec linter).
 //   * CellStencil   -- the machine runner: feeds per-color batches of
 //     StreamChunkSpecs to a StreamingPipeline under the standard
 //     CellSweepConfig machine switches (sync protocol, buffers, DMA
@@ -38,6 +39,7 @@
 #include "cellsim/spu_pipeline.h"
 #include "core/config.h"
 #include "core/report.h"
+#include "core/streaming_pipeline.h"
 #include "core/workload.h"
 #include "workloads/stencil/spec.h"
 
@@ -88,6 +90,12 @@ std::uint64_t block_color_updates(const StencilSpec& spec, int bi, int bj,
 /// color phase), and the updated u block writes back.
 core::TransferPlan plan_block(const StencilSpec& spec,
                               std::size_t real_bytes, bool aligned_rows);
+
+/// Local-store placement of a stencil run: 1 KB of resident kernel
+/// constants plus one block staging buffer (@p plan's working set) per
+/// rotation slot. CellStencil, lint_stencil and solve server admission
+/// all size the LS footprint from it.
+core::LsPlacement block_placement(const core::TransferPlan& plan);
 
 /// Priced kernel of one block-color phase on the SPU pipeline model.
 /// DP updates pay the partially pipelined DP issue block

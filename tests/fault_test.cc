@@ -8,6 +8,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/metrics.h"
 #include "core/orchestrator.h"
@@ -42,8 +43,15 @@ std::string metrics_of(const RunReport& r) {
   return os.str();
 }
 
+/// Counter @p name of the run's "faults" subtree (0 when no plan was
+/// armed).
+double fault(const RunReport& r, const char* name) {
+  const sim::CounterSet* f = r.counters.find_child("faults");
+  return f != nullptr ? f->value(name) : 0.0;
+}
+
 void expect_stall_buckets_partition(const RunReport& r) {
-  for (const SpeStallSummary& st : r.spe_stalls) {
+  for (const SpeStalls& st : spe_stalls(r)) {
     const double sum = st.busy_s + st.dma_wait_s + st.sync_wait_s + st.idle_s;
     EXPECT_NEAR(sum, r.seconds, 1e-9 * (1.0 + r.seconds));
   }
@@ -190,8 +198,8 @@ TEST(FaultRun, DisabledPlanIsByteIdenticalToNoPlan) {
   // fault-free code paths: identical metrics JSON, byte for byte.
   const RunReport plain = run_with("");
   const RunReport disabled = run_with("seed=12345");
-  EXPECT_FALSE(plain.faults.enabled);
-  EXPECT_FALSE(disabled.faults.enabled);
+  EXPECT_EQ(plain.counters.find_child("faults"), nullptr);
+  EXPECT_EQ(disabled.counters.find_child("faults"), nullptr);
   EXPECT_EQ(metrics_of(plain), metrics_of(disabled));
 }
 
@@ -211,7 +219,7 @@ TEST(FaultRun, SameSeedSameMetricsAcrossRepeatedRuns) {
   const RunReport a = run_with(spec);
   const RunReport b = run_with(spec);
   EXPECT_EQ(metrics_of(a), metrics_of(b));
-  EXPECT_GT(a.faults.dma_retries, 0u);
+  EXPECT_GT(fault(a, "dma_retry_attempts"), 0.0);
 }
 
 TEST(FaultRun, SameSeedSameMetricsAcrossThreadCounts) {
@@ -237,14 +245,16 @@ TEST(FaultRun, FunctionalAndTraceDrivenTimingIdenticalUnderFaults) {
   const RunReport trace = a.run(RunMode::kTraceDriven);
   const RunReport func = b.run(RunMode::kFunctional);
   EXPECT_DOUBLE_EQ(trace.seconds, func.seconds);
-  EXPECT_EQ(trace.faults.dma_retries, func.faults.dma_retries);
+  EXPECT_EQ(fault(trace, "dma_retry_attempts"),
+            fault(func, "dma_retry_attempts"));
 }
 
 TEST(FaultRun, DifferentSeedsGiveDifferentRuns) {
   const RunReport a = run_with("seed=1,dma=0.02");
   const RunReport b = run_with("seed=2,dma=0.02");
   EXPECT_TRUE(a.seconds != b.seconds ||
-              a.faults.dma_retries != b.faults.dma_retries);
+              fault(a, "dma_retry_attempts") !=
+                  fault(b, "dma_retry_attempts"));
 }
 
 // ---------------------------------------------------------------------
@@ -254,7 +264,7 @@ TEST(FaultRun, DifferentSeedsGiveDifferentRuns) {
 TEST(FaultRun, DmaFaultsCostTimeAndAreCounted) {
   const RunReport healthy = run_with("");
   const RunReport faulted = run_with("seed=42,dma=0.02");
-  EXPECT_GT(faulted.faults.dma_retries, 0u);
+  EXPECT_GT(fault(faulted, "dma_retry_attempts"), 0.0);
   EXPECT_GT(faulted.seconds, healthy.seconds);
   // Physics-side workload is untouched: same chunks, same flops.
   EXPECT_EQ(faulted.chunks, healthy.chunks);
@@ -291,19 +301,21 @@ TEST(FaultRun, SevenOfEightSpesCompletesWithIdenticalPhysics) {
   // the re-distribution is fully visible in the stall buckets -- the
   // survivors absorb SPE 7's kernels, ticking up their busy time.
   EXPECT_GE(degraded.seconds, healthy.seconds);
-  EXPECT_EQ(degraded.faults.spes_disabled, 1);
-  EXPECT_EQ(degraded.faults.spes_failed, 0);
-  ASSERT_EQ(degraded.spe_stalls.size(), 8u);
-  ASSERT_EQ(healthy.spe_stalls.size(), 8u);
+  EXPECT_EQ(fault(degraded, "spes_disabled"), 1.0);
+  EXPECT_EQ(fault(degraded, "spes_failed"), 0.0);
+  const std::vector<SpeStalls> hs = spe_stalls(healthy);
+  const std::vector<SpeStalls> ds = spe_stalls(degraded);
+  ASSERT_EQ(ds.size(), 8u);
+  ASSERT_EQ(hs.size(), 8u);
   double healthy_busy = 0.0, degraded_busy = 0.0;
   for (int s = 0; s < 8; ++s) {
-    healthy_busy += healthy.spe_stalls[s].busy_s;
-    degraded_busy += degraded.spe_stalls[s].busy_s;
+    healthy_busy += hs[s].busy_s;
+    degraded_busy += ds[s].busy_s;
   }
   EXPECT_NEAR(degraded_busy, healthy_busy, 1e-9 * (1.0 + healthy_busy));
-  EXPECT_GT(degraded.spe_stalls[0].busy_s, healthy.spe_stalls[0].busy_s);
-  EXPECT_DOUBLE_EQ(degraded.spe_stalls[7].busy_s, 0.0);
-  EXPECT_NEAR(degraded.spe_stalls[7].idle_s, degraded.seconds,
+  EXPECT_GT(ds[0].busy_s, hs[0].busy_s);
+  EXPECT_DOUBLE_EQ(ds[7].busy_s, 0.0);
+  EXPECT_NEAR(ds[7].idle_s, degraded.seconds,
               1e-9 * (1.0 + degraded.seconds));
   expect_stall_buckets_partition(degraded);
   const sim::CounterSet* f = degraded.counters.find_child("faults");
@@ -314,8 +326,8 @@ TEST(FaultRun, SevenOfEightSpesCompletesWithIdenticalPhysics) {
 TEST(FaultRun, MidSweepFailureRedispatchesToSurvivors) {
   const RunReport healthy = run_with("");
   const RunReport r = run_with("seed=42,spe=3:after:20");
-  EXPECT_EQ(r.faults.spes_failed, 1);
-  EXPECT_GE(r.faults.redispatched_chunks, 1u);
+  EXPECT_EQ(fault(r, "spes_failed"), 1.0);
+  EXPECT_GE(fault(r, "redispatched_chunks"), 1.0);
   EXPECT_GT(r.seconds, healthy.seconds);
   // Every chunk still ran (on a survivor): workload is conserved.
   EXPECT_EQ(r.chunks, healthy.chunks);
@@ -332,8 +344,8 @@ TEST(FaultRun, SlowSpeStretchesRun) {
   const RunReport r = run_with("spe=0:slow:4");
   EXPECT_GT(r.seconds, healthy.seconds);
   EXPECT_EQ(r.flops, healthy.flops);
-  ASSERT_EQ(r.spe_stalls.size(), 8u);
-  EXPECT_GT(r.spe_stalls[0].busy_s, healthy.spe_stalls[0].busy_s);
+  ASSERT_EQ(spe_stalls(r).size(), 8u);
+  EXPECT_GT(spe_stalls(r)[0].busy_s, spe_stalls(healthy)[0].busy_s);
   expect_stall_buckets_partition(r);
 }
 
@@ -341,7 +353,7 @@ TEST(FaultRun, TagTimeoutsDropsAndThrottlesAreCountedAndCost) {
   const RunReport healthy = run_with("");
 
   const RunReport timeouts = run_with("seed=9,timeout=0.05");
-  EXPECT_GT(timeouts.faults.tag_timeouts, 0u);
+  EXPECT_GT(fault(timeouts, "tag_timeouts"), 0.0);
   EXPECT_GT(timeouts.seconds, healthy.seconds);
 
   // Message drops need a centralized protocol with real messages.
@@ -354,12 +366,12 @@ TEST(FaultRun, TagTimeoutsDropsAndThrottlesAreCountedAndCost) {
     CellSweep3D faulted(p, cfg), base(p, base_cfg);
     const RunReport rd = faulted.run(RunMode::kTraceDriven);
     const RunReport rb = base.run(RunMode::kTraceDriven);
-    EXPECT_GT(rd.faults.dropped_messages, 0u);
+    EXPECT_GT(fault(rd, "dropped_messages"), 0.0);
     EXPECT_GT(rd.seconds, rb.seconds);
   }
 
   const RunReport throttled = run_with("seed=9,throttle=0.2:0.25");
-  EXPECT_GT(throttled.faults.mic_throttled, 0u);
+  EXPECT_GT(fault(throttled, "mic_throttled_requests"), 0.0);
   EXPECT_GT(throttled.seconds, healthy.seconds);
 }
 
@@ -378,7 +390,7 @@ TEST(FaultRun, RetryCapBoundsWorstCase) {
   // Even at rate 1.0 every command completes after max_dma_retries
   // failed attempts; the run terminates and counts honestly.
   const RunReport r = run_with("seed=1,dma=1.0,retries=2", 8);
-  EXPECT_GT(r.faults.dma_retries, 0u);
+  EXPECT_GT(fault(r, "dma_retry_attempts"), 0.0);
   const sim::CounterSet* f = r.counters.find_child("faults");
   ASSERT_NE(f, nullptr);
   // Every command failed exactly twice (the cap).

@@ -1,11 +1,8 @@
-// Unit tests for the discrete-event core: time conversion, event
-// ordering/determinism, and the shared-resource models.
+// Unit tests for the simulated-time core: time conversion and the
+// shared-resource models.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "sim/resource.h"
-#include "sim/simulator.h"
 #include "sim/time.h"
 
 namespace cellsweep::sim {
@@ -25,59 +22,6 @@ TEST(Time, CellCycleIsExact) {
 TEST(Time, BytesOverLink) {
   // 25.6 GB/s moving 25.6 GB takes one second.
   EXPECT_EQ(ticks_for_bytes(25.6e9, 25.6e9), kTicksPerSecond);
-}
-
-TEST(Simulator, RunsInTimeOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.schedule(30, [&] { order.push_back(3); });
-  sim.schedule(10, [&] { order.push_back(1); });
-  sim.schedule(20, [&] { order.push_back(2); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.now(), 30u);
-  EXPECT_EQ(sim.events_executed(), 3u);
-}
-
-TEST(Simulator, SimultaneousEventsFifo) {
-  Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i)
-    sim.schedule(100, [&order, i] { order.push_back(i); });
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Simulator, EventsCanScheduleEvents) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(10, [&] {
-    ++fired;
-    sim.schedule(5, [&] { ++fired; });
-  });
-  sim.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(sim.now(), 15u);
-}
-
-TEST(Simulator, RunUntilStopsAtDeadline) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(10, [&] { ++fired; });
-  sim.schedule(100, [&] { ++fired; });
-  sim.run_until(50);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.now(), 50u);
-  sim.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, RejectsPastScheduling) {
-  Simulator sim;
-  sim.schedule(10, [&] {
-    EXPECT_THROW(sim.schedule_at(5, [] {}), std::logic_error);
-  });
-  sim.run();
 }
 
 TEST(BandwidthResource, SingleTransfer) {

@@ -129,9 +129,12 @@ TEST(StencilMachine, FaultPlanDeterministicForSameSeed) {
       stencil::CellStencil(spec, cfg).run(core::RunMode::kTraceDriven);
   const stencil::StencilReport b =
       stencil::CellStencil(spec, cfg).run(core::RunMode::kTraceDriven);
-  EXPECT_TRUE(a.run.faults.enabled);
+  const sim::CounterSet* fa = a.run.counters.find_child("faults");
+  const sim::CounterSet* fb = b.run.counters.find_child("faults");
+  ASSERT_NE(fa, nullptr);
+  ASSERT_NE(fb, nullptr);
   EXPECT_EQ(a.run.seconds, b.run.seconds);
-  EXPECT_EQ(a.run.faults.dma_retries, b.run.faults.dma_retries);
+  EXPECT_EQ(fa->value("dma_retry_attempts"), fb->value("dma_retry_attempts"));
 }
 
 TEST(StencilMachine, DegradedSevenSpeRunKeepsPhysicsIdentical) {
@@ -148,7 +151,9 @@ TEST(StencilMachine, DegradedSevenSpeRunKeepsPhysicsIdentical) {
   cfg.faults = sim::parse_fault_spec("seed=7,spe=6:down");
   const stencil::StencilReport degraded =
       stencil::CellStencil(spec, cfg).run(core::RunMode::kFunctional);
-  EXPECT_EQ(degraded.run.faults.spes_disabled, 1);
+  const sim::CounterSet* f = degraded.run.counters.find_child("faults");
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->value("spes_disabled"), 1.0);
   // The fault plan degrades only the machine; the physics is bitwise
   // unchanged on the seven survivors.
   EXPECT_EQ(degraded.checksum, healthy.checksum);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/metrics.h"
 #include "core/orchestrator.h"
@@ -124,9 +125,10 @@ TEST(Trace, SinkDoesNotPerturbSimulatedTime) {
 
 TEST(Trace, StallBucketsPartitionTheRun) {
   const core::RunReport r = run_cube(12, nullptr);
-  ASSERT_FALSE(r.spe_stalls.empty());
-  for (std::size_t s = 0; s < r.spe_stalls.size(); ++s) {
-    const core::SpeStallSummary& st = r.spe_stalls[s];
+  const std::vector<core::SpeStalls> stalls = core::spe_stalls(r);
+  ASSERT_EQ(stalls.size(), 8u);
+  for (std::size_t s = 0; s < stalls.size(); ++s) {
+    const core::SpeStalls& st = stalls[s];
     EXPECT_GE(st.busy_s, 0.0) << s;
     EXPECT_GE(st.dma_wait_s, 0.0) << s;
     EXPECT_GE(st.sync_wait_s, 0.0) << s;
@@ -152,7 +154,7 @@ TEST(Trace, OccupancyHistogramCountsEveryCommand) {
 TEST(Trace, PpeRunsHaveNoSpeStalls) {
   const core::RunReport r =
       run_cube(12, nullptr, core::OptimizationStage::kPpeXlc);
-  EXPECT_TRUE(r.spe_stalls.empty());
+  EXPECT_TRUE(core::spe_stalls(r).empty());
 }
 
 TEST(Metrics, JsonIsWellFormed) {

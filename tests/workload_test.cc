@@ -44,10 +44,10 @@ TEST(TransferPlan, SinglePrecisionHalvesRows) {
 }
 
 TEST(ChunkSplitting, MatchesBundleSize) {
-  EXPECT_EQ(chunks_for_lines(1), 1);
-  EXPECT_EQ(chunks_for_lines(4), 1);
-  EXPECT_EQ(chunks_for_lines(5), 2);
-  EXPECT_EQ(chunks_for_lines(60), 15);
+  EXPECT_EQ(sweep::ChunkPlan::chunk_count(1), 1);
+  EXPECT_EQ(sweep::ChunkPlan::chunk_count(4), 1);
+  EXPECT_EQ(sweep::ChunkPlan::chunk_count(5), 2);
+  EXPECT_EQ(sweep::ChunkPlan::chunk_count(60), 15);
 }
 
 TEST(Enumerator, MatchesFunctionalSweeperStream) {
