@@ -1,46 +1,49 @@
 // Deck runner: the classic Sweep3D workflow -- point the binary at an
 // input deck, get the solve and the simulated Cell performance report.
-// --workload=stencil swaps the input grammar and runner for the
-// red-black stencil workload on the same machine model.
+// A ".stencil" file selects the red-black stencil workload on the same
+// machine model instead. Every input, solo or served, goes through
+// core::JobInput: one parse, lint and run path for deck_runner and
+// core::SolveServer alike.
 //
 //   $ ./deck_runner examples/decks/benchmark50.deck
 //   $ ./deck_runner examples/decks/shield_reflected.deck --stage=simd
-//   $ ./deck_runner examples/decks/benchmark50.deck --trace trace.json \
+//   $ ./deck_runner examples/decks/benchmark50.deck --trace trace.json
 //         --metrics metrics.json     # chrome://tracing + JSON metrics
 //   $ ./deck_runner examples/decks/benchmark50.deck --check   # hazard check
-//   $ ./deck_runner lint examples/decks/*.deck                # static lint
-//   $ ./deck_runner --workload=stencil examples/decks/heat32.stencil
-//   $ ./deck_runner --workload=stencil lint examples/decks/*.stencil
+//   $ ./deck_runner examples/decks/heat32.stencil
+//   $ ./deck_runner lint examples/decks/*.deck examples/decks/*.stencil
 //   $ ./deck_runner serve --tenants=2 a.deck b.deck heat32.stencil
-//   $ ./deck_runner serve --metrics-out=prom.txt --metrics-interval=200 \
-//         --trace jobs.json --metrics server.json \
+//   $ ./deck_runner serve --metrics-out=prom.txt --metrics-interval=200
+//         --trace jobs.json --metrics server.json
 //         --flight-recorder=flightrec a.deck b.deck   # server telemetry
+//
+// The subcommand is the first argument (lint, serve, or an input file
+// for a run), and each subcommand accepts only its own flags.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "analysis/diagnostics.h"
 #include "analysis/hazard.h"
-#include "analysis/lint.h"
 #include "core/arrival.h"
 #include "core/job_trace.h"
 #include "core/metrics.h"
 #include "core/metrics_registry.h"
-#include "core/orchestrator.h"
 #include "server/arrival_driver.h"
 #include "server/solve_server.h"
 #include "sim/counters.h"
 #include "sim/trace.h"
-#include "sweep/deck.h"
 #include "util/cli.h"
 #include "util/table.h"
 #include "util/units.h"
-#include "workloads/stencil/stencil.h"
 
 using namespace cellsweep;
 
@@ -56,44 +59,114 @@ core::OptimizationStage stage_from_name(const std::string& name) {
                        "' (valid: ppe | initial | simd | final)");
 }
 
-/// `deck_runner [--workload=...] lint <file>...`: statically validate
-/// inputs (chunk/block shape vs. LS budget, grammar consistency, DMA
-/// legality) without running any simulation. Exit code is the number
-/// of failing files.
+/// --name as a count >= 1; throws util::CliError otherwise.
+int positive_flag(const util::CliParser& cli, const std::string& name) {
+  const long v = cli.get_int(name);
+  if (v < 1 || v > std::numeric_limits<int>::max())
+    throw util::CliError("flag --" + name + ": '" + cli.get_string(name) +
+                         "' is not a positive integer");
+  return static_cast<int>(v);
+}
+
+/// --faults as a fault plan (empty = none); throws util::CliError.
+sim::FaultSpec faults_flag(const util::CliParser& cli) {
+  const std::string arg = cli.get_string("faults");
+  if (arg.empty()) return {};
+  try {
+    return sim::parse_fault_spec(arg);
+  } catch (const sim::FaultSpecError& e) {
+    throw util::CliError(std::string("--faults: ") + e.what());
+  }
+}
+
+/// --name as comma-separated integers (empty = none); throws
+/// util::CliError on a token that is not an integer.
+std::vector<int> int_list_flag(const util::CliParser& cli,
+                               const std::string& name) {
+  const std::string text = cli.get_string(name);
+  std::vector<int> out;
+  for (std::size_t from = 0; !text.empty() && from <= text.size();) {
+    const std::size_t at = std::min(text.find(',', from), text.size());
+    const std::string tok = text.substr(from, at - from);
+    try {
+      std::size_t used = 0;
+      out.push_back(std::stoi(tok, &used));
+      if (used != tok.size()) throw std::invalid_argument(tok);
+    } catch (const std::exception&) {
+      throw util::CliError("--" + name + ": '" + tok +
+                           "' is not an integer");
+    }
+    from = at + 1;
+  }
+  return out;
+}
+
+/// --functional as a run mode.
+core::RunMode mode_flag(const util::CliParser& cli) {
+  return cli.get_bool("functional") ? core::RunMode::kFunctional
+                                    : core::RunMode::kTraceDriven;
+}
+
+/// The text of file @p path, or nullopt (reported on stderr) when it
+/// cannot be read.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream is(path);
+  if (!is) {
+    std::cerr << path << ": error[io]: cannot open file\n";
+    return std::nullopt;
+  }
+  std::ostringstream text;
+  text << is.rdbuf();
+  return text.str();
+}
+
+/// File @p path parsed in the grammar its suffix selects, or nullopt
+/// (reported on stderr) when it cannot be read or parsed.
+std::optional<core::JobInput> load_input(const std::string& path) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) return std::nullopt;
+  try {
+    return core::JobInput(core::JobInput::kind_for(path), *text, path);
+  } catch (const core::AdmissionError& e) {
+    std::cerr << path << ": error[parse]: " << e.what() << "\n";
+    return std::nullopt;
+  }
+}
+
+/// `deck_runner lint <file>...`: statically validate inputs
+/// (chunk/block shape vs. LS budget, grammar consistency, DMA legality)
+/// without running any simulation. Exit code is the number of failing
+/// files.
 int run_lint(const std::vector<std::string>& paths,
-             core::OptimizationStage stage, const std::string& workload) {
+             core::OptimizationStage stage) {
   int failed = 0;
   for (const std::string& path : paths) {
-    try {
-      core::CellSweepConfig cfg = core::CellSweepConfig::from_stage(stage);
-      analysis::Diagnostics diags;
-      std::string source = path;
-      if (workload == "stencil") {
-        const stencil::StencilSpec spec = stencil::load_spec(path);
-        source = spec.origin;
-        diags = analysis::lint_stencil(spec, cfg);
-      } else {
-        const sweep::Deck deck = sweep::load_deck(path);
-        source = deck.source;
-        cfg.sweep = deck.sweep;
-        diags = analysis::lint_deck(deck, cfg);
-      }
-      for (const analysis::Diagnostic& d : diags.entries())
-        std::cerr << source << ": " << d.to_string() << "\n";
-      if (diags.has_errors()) {
-        ++failed;
-      } else {
-        std::cout << source << ": ok\n";
-      }
-    } catch (const sweep::DeckError& e) {
-      std::cerr << path << ": error[parse]: " << e.what() << "\n";
+    const std::optional<core::JobInput> input = load_input(path);
+    if (!input) {
       ++failed;
-    } catch (const stencil::StencilError& e) {
-      std::cerr << path << ": error[parse]: " << e.what() << "\n";
+      continue;
+    }
+    const analysis::Diagnostics diags =
+        input->lint(core::CellSweepConfig::from_stage(stage));
+    for (const analysis::Diagnostic& d : diags.entries())
+      std::cerr << input->source() << ": " << d.to_string() << "\n";
+    if (diags.has_errors()) {
       ++failed;
+    } else {
+      std::cout << input->source() << ": ok\n";
     }
   }
   return failed;
+}
+
+/// Output file @p path, opened for writing; a failed stream (reported
+/// on stderr) when it cannot be.
+std::ofstream open_output(const std::string& path, const char* what) {
+  std::ofstream os(path);
+  if (!os)
+    std::cerr << "deck_runner: cannot write " << what << " file " << path
+              << "\n";
+  return os;
 }
 
 /// The machine-side report both workloads share: headline timing, the
@@ -183,27 +256,120 @@ int emit_report(const core::RunReport& rep, core::OptimizationStage stage,
   }
 
   if (!trace_path.empty()) {
-    std::ofstream os(trace_path);
-    if (!os) {
-      std::cerr << "deck_runner: cannot write trace file " << trace_path
-                << "\n";
-      return 1;
-    }
+    std::ofstream os = open_output(trace_path, "trace");
+    if (!os) return 1;
     writer.write(os);
     std::cout << "Trace: " << writer.event_count() << " events on "
               << writer.track_count() << " tracks -> " << trace_path << "\n";
   }
   if (!metrics_path.empty()) {
-    std::ofstream os(metrics_path);
-    if (!os) {
-      std::cerr << "deck_runner: cannot write metrics file " << metrics_path
-                << "\n";
-      return 1;
-    }
+    std::ofstream os = open_output(metrics_path, "metrics");
+    if (!os) return 1;
     core::write_metrics_json(os, rep);
     std::cout << "Metrics -> " << metrics_path << "\n";
   }
   return 0;
+}
+
+/// `deck_runner <file> [flags]`: one solo run of a deck or stencil
+/// spec, through the JobInput::run a served job of the same file makes.
+int run_solo(const util::CliParser& cli, core::OptimizationStage stage) {
+  std::string trace_path, metrics_path;
+  core::CellSweepConfig cfg = core::CellSweepConfig::from_stage(stage);
+  int threads = 1;
+  std::size_t profile_windows = 0;  // 0: profiler off
+  try {
+    threads = positive_flag(cli, "threads");
+    trace_path = cli.get_string("trace");
+    metrics_path = cli.get_string("metrics");
+    cfg.faults = faults_flag(cli);
+    const std::string counters = cli.get_string("counters");
+    if (counters == "true") {
+      profile_windows = 96;
+    } else if (counters != "false") {
+      const long n = cli.get_int("counters");
+      if (n < 2)
+        throw util::CliError("--counters wants a window count >= 2, got '" +
+                             counters + "'");
+      profile_windows = static_cast<std::size_t>(n);
+    }
+  } catch (const util::CliError& e) {
+    std::cerr << "deck_runner: " << e.what() << "\n";
+    return 1;
+  }
+
+  const std::optional<core::JobInput> input =
+      load_input(cli.positional()[0]);
+  if (!input) return 1;
+  if (const sweep::Deck* deck = input->deck()) {
+    const auto& g = deck->problem.grid();
+    std::cout << "Deck: " << g.it << "x" << g.jt << "x" << g.kt << ", "
+              << deck->problem.materials().size() << " material(s), S"
+              << deck->sn_order << ", " << deck->nm_cap << " moments, MK="
+              << deck->sweep.mk << " MMI=" << deck->sweep.mmi << "\n";
+  } else {
+    const stencil::StencilSpec& spec = *input->spec();
+    std::cout << "Stencil: " << spec.nx << "x" << spec.ny << "x" << spec.nz
+              << ", blocks " << spec.bx << "x" << spec.by << "x" << spec.bz
+              << " (" << spec.blocks() << "), " << spec.iterations
+              << " iteration(s)\n";
+  }
+
+  // The profiler outlives the writer's final write() below: the counter
+  // events it emits reference its track names by pointer.
+  sim::TimeSlicedProfiler profiler(profile_windows == 0 ? 96
+                                                        : profile_windows);
+  sim::ChromeTraceWriter writer;
+  if (!trace_path.empty()) cfg.trace_sink = &writer;
+  if (profile_windows != 0) cfg.profiler = &profiler;
+
+  // --check: lint the input, then observe the run with the hazard
+  // checker; any finding is a hard error.
+  const bool check = cli.get_bool("check");
+  analysis::Diagnostics diags;
+  analysis::HazardChecker checker(&diags, cfg.chip);
+  if (check) {
+    const analysis::Diagnostics lint = input->lint(cfg);
+    for (const analysis::Diagnostic& d : lint.entries())
+      std::cerr << input->source() << ": " << d.to_string() << "\n";
+    if (lint.has_errors()) return 1;
+    cfg.hazard = &checker;
+  }
+
+  const core::RunMode mode = mode_flag(cli);
+  core::JobResult res;
+  try {
+    res = input->run(cfg, mode, threads);
+  } catch (const sim::FaultError& e) {
+    std::cerr << "deck_runner: " << e.what() << "\n";
+    return 1;
+  }
+  if (mode == core::RunMode::kFunctional) {
+    const core::RunReport& rep = res.report;
+    if (input->deck()) {
+      std::cout << "Solve: " << rep.solve->iterations << " iterations, change "
+                << rep.solve->final_change
+                << (rep.solve->converged ? " (converged)" : "")
+                << "; absorption " << rep.absorption << ", leakage "
+                << rep.leakage.total() << ", fixup cells "
+                << rep.solve->totals.fixup_cells << "\n";
+    } else {
+      std::cout << "Solve: " << rep.cell_solves << " updates, checksum "
+                << res.checksum << ", residual " << res.residual << "\n";
+    }
+  }
+  if (check) {
+    for (const analysis::Diagnostic& d : diags.entries())
+      std::cerr << input->source() << ": " << d.to_string() << "\n";
+    if (diags.has_errors()) {
+      std::cerr << "deck_runner: hazard check failed with "
+                << diags.error_count() << " error(s)\n";
+      return 1;
+    }
+    std::cout << "Hazard check: clean\n";
+  }
+  return emit_report(res.report, stage, profile_windows, trace_path,
+                     metrics_path, writer);
 }
 
 /// `deck_runner serve [flags] <file>...`: run every input through one
@@ -211,92 +377,67 @@ int emit_report(const core::RunReport& rep, core::OptimizationStage stage,
 /// stencil jobs, everything else a sweep deck. Exit code is the number
 /// of rejected plus failed jobs.
 int run_serve(const util::CliParser& cli, core::OptimizationStage stage) {
-  const std::vector<std::string> paths(cli.positional().begin() + 1,
-                                       cli.positional().end());
-  if (paths.empty()) {
-    std::cerr << "deck_runner serve: no input files given\n";
-    return 1;
-  }
-
   core::ServerConfig scfg;
   scfg.stage = stage;
-  std::string metrics_out, metrics_path, trace_path, faults_arg;
-  std::string arrivals_arg, weights_arg, quotas_arg;
+  std::string metrics_out, metrics_path, trace_path;
+  core::ArrivalPlan arrival_plan;
   double arrival_time_scale = 0.0;
   long interval_ms = 0;
   try {
-    scfg.tenants = static_cast<int>(cli.get_int("tenants"));
-    scfg.queue_limit = static_cast<std::size_t>(
-        std::max(1L, cli.get_int("queue")));
+    scfg.tenants = positive_flag(cli, "tenants");
+    scfg.queue_limit = static_cast<std::size_t>(positive_flag(cli, "queue"));
+    scfg.host_threads = positive_flag(cli, "threads");
     scfg.ls_budget_bytes =
         static_cast<std::size_t>(std::max(0L, cli.get_int("ls-budget")));
     scfg.grid_cell_budget = cli.get_int("grid-budget");
-    scfg.host_threads = static_cast<int>(cli.get_int("threads"));
     scfg.flight_recorder_path = cli.get_string("flight-recorder");
+    scfg.faults = faults_flag(cli);
+    // --weights / --quotas: per-tenant QoS knobs, indexed by tenant
+    // worker id (see ServerConfig).
+    scfg.tenant_weights = int_list_flag(cli, "weights");
+    scfg.tenant_quotas = int_list_flag(cli, "quotas");
     metrics_out = cli.get_string("metrics-out");
     interval_ms = std::max(0L, cli.get_int("metrics-interval"));
     metrics_path = cli.get_string("metrics");
     trace_path = cli.get_string("trace");
-    faults_arg = cli.get_string("faults");
-    arrivals_arg = cli.get_string("arrivals");
     arrival_time_scale = cli.get_double("arrival-time-scale");
-    weights_arg = cli.get_string("weights");
-    quotas_arg = cli.get_string("quotas");
+    if (const std::string arg = cli.get_string("arrivals"); !arg.empty()) {
+      try {
+        arrival_plan = core::ArrivalPlan(core::parse_arrival_spec(arg));
+      } catch (const core::ArrivalSpecError& e) {
+        throw util::CliError(std::string("--arrivals: ") + e.what());
+      }
+    }
   } catch (const util::CliError& e) {
     std::cerr << "deck_runner serve: " << e.what() << "\n";
     return 1;
   }
-  if (!faults_arg.empty()) {
-    try {
-      scfg.faults = sim::parse_fault_spec(faults_arg);
-    } catch (const sim::FaultSpecError& e) {
-      std::cerr << "deck_runner serve: --faults: " << e.what() << "\n";
-      return 1;
+  const core::RunMode mode = mode_flag(cli);
+  const std::vector<std::string>& paths = cli.positional();
+
+  // Load every readable input up front; the arrivals replay reuses them
+  // in a cycle, the default path submits each exactly once.
+  std::vector<core::JobRequest> inputs;
+  int rejected = 0;
+  for (const std::string& path : paths) {
+    std::optional<std::string> text = read_file(path);
+    if (!text) {
+      ++rejected;
+      continue;
     }
+    core::JobRequest req;
+    req.name = path;
+    req.kind = core::JobInput::kind_for(path);
+    req.text = std::move(*text);
+    req.mode = mode;
+    inputs.push_back(std::move(req));
   }
-  // --weights / --quotas: comma-separated per-tenant QoS knobs, indexed
-  // by tenant worker id (see ServerConfig).
-  const auto parse_int_list = [](const std::string& flag,
-                                 const std::string& text,
-                                 std::vector<int>& out) {
-    std::size_t from = 0;
-    while (from <= text.size()) {
-      const std::size_t at = text.find(',', from);
-      const std::string tok =
-          text.substr(from, at == std::string::npos ? at : at - from);
-      try {
-        std::size_t used = 0;
-        const int v = std::stoi(tok, &used);
-        if (used != tok.size()) throw std::invalid_argument(tok);
-        out.push_back(v);
-      } catch (const std::exception&) {
-        std::cerr << "deck_runner serve: --" << flag << ": '" << tok
-                  << "' is not an integer\n";
-        return false;
-      }
-      if (at == std::string::npos) break;
-      from = at + 1;
-    }
-    return true;
-  };
-  if (!weights_arg.empty() &&
-      !parse_int_list("weights", weights_arg, scfg.tenant_weights))
+
+  if (arrival_plan.enabled() && inputs.empty()) {
+    std::cerr << "deck_runner serve: --arrivals needs at least one "
+                 "readable input file\n";
     return 1;
-  if (!quotas_arg.empty() &&
-      !parse_int_list("quotas", quotas_arg, scfg.tenant_quotas))
-    return 1;
-  core::ArrivalPlan arrival_plan;
-  if (!arrivals_arg.empty()) {
-    try {
-      arrival_plan = core::ArrivalPlan(core::parse_arrival_spec(arrivals_arg));
-    } catch (const core::ArrivalSpecError& e) {
-      std::cerr << "deck_runner serve: --arrivals: " << e.what() << "\n";
-      return 1;
-    }
   }
-  const core::RunMode mode = cli.get_bool("functional")
-                                 ? core::RunMode::kFunctional
-                                 : core::RunMode::kTraceDriven;
 
   core::SolveServer server(scfg);
   std::cout << "Serving " << paths.size() << " job(s) on " << scfg.tenants
@@ -322,65 +463,23 @@ int run_serve(const util::CliParser& cli, core::OptimizationStage stage) {
     });
   }
 
-  // Load every input up front; the arrivals replay reuses them in a
-  // cycle, the default path submits each exactly once.
-  struct Input {
-    std::string path;
-    core::JobKind kind = core::JobKind::kSweep;
-    std::string text;
-    bool ok = false;
-  };
-  std::vector<Input> inputs;
-  int rejected = 0;
-  for (const std::string& path : paths) {
-    Input in;
-    in.path = path;
-    in.kind = path.size() >= 8 &&
-                      path.compare(path.size() - 8, 8, ".stencil") == 0
-                  ? core::JobKind::kStencil
-                  : core::JobKind::kSweep;
-    std::ifstream is(path);
-    if (is) {
-      std::ostringstream text;
-      text << is.rdbuf();
-      in.text = text.str();
-      in.ok = true;
-    } else {
-      std::cerr << path << ": error[io]: cannot open file\n";
-      ++rejected;
-    }
-    inputs.push_back(std::move(in));
-  }
-
   if (arrival_plan.enabled()) {
     // Open-system mode: replay the seeded arrival schedule, cycling
     // through the (readable) input files. --arrival-time-scale
     // stretches the schedule onto the wall clock; 0 replays flat-out
     // (deterministic submission order either way -- the plan's).
-    std::vector<const Input*> usable;
-    for (const Input& in : inputs)
-      if (in.ok) usable.push_back(&in);
-    if (usable.empty()) {
-      std::cerr << "deck_runner serve: --arrivals needs at least one "
-                   "readable input file\n";
-      return 1;
-    }
     core::ArrivalDriver driver(
         server, arrival_plan,
-        [&usable, mode](const core::Arrival& a, std::uint64_t k) {
-          const Input& in = *usable[static_cast<std::size_t>(k) %
-                                    usable.size()];
-          core::JobRequest req;
-          req.kind = in.kind;
-          req.text = in.text;
-          req.mode = mode;
-          req.name = in.path + "#" + std::to_string(k) + "-t" +
-                     std::to_string(a.tenant);
+        [&inputs](const core::Arrival& a, std::uint64_t k) {
+          core::JobRequest req =
+              inputs[static_cast<std::size_t>(k) % inputs.size()];
+          req.name += "#" + std::to_string(k) + "-t" +
+                      std::to_string(a.tenant);
           return req;
         },
         arrival_time_scale);
     std::cout << "Replaying " << arrival_plan.total()
-              << " arrival(s) over " << usable.size() << " input file(s)\n";
+              << " arrival(s) over " << inputs.size() << " input file(s)\n";
     driver.start();
     driver.join();
     const core::ArrivalDriver::Stats ds = driver.stats();
@@ -389,17 +488,11 @@ int run_serve(const util::CliParser& cli, core::OptimizationStage stage) {
       std::cerr << ds.rejected << " arrival(s) rejected at admission "
                 << "(open-system loss)\n";
   } else {
-    for (const Input& in : inputs) {
-      if (!in.ok) continue;
-      core::JobRequest req;
-      req.name = in.path;
-      req.mode = mode;
-      req.kind = in.kind;
-      req.text = in.text;
+    for (const core::JobRequest& req : inputs) {
       try {
         server.submit(req);
       } catch (const core::AdmissionError& e) {
-        std::cerr << in.path << ": rejected["
+        std::cerr << req.name << ": rejected["
                   << core::admission_reason_name(e.reason()) << "]: "
                   << e.what() << "\n";
         ++rejected;
@@ -440,12 +533,8 @@ int run_serve(const util::CliParser& cli, core::OptimizationStage stage) {
   if (!trace_path.empty()) {
     sim::ChromeTraceWriter writer;
     core::write_job_trace_events(writer, server.traced_jobs());
-    std::ofstream os(trace_path);
-    if (!os) {
-      std::cerr << "deck_runner serve: cannot write trace file " << trace_path
-                << "\n";
-      return 1;
-    }
+    std::ofstream os = open_output(trace_path, "trace");
+    if (!os) return 1;
     writer.write(os);
     std::cout << "Job trace: " << writer.event_count() << " events on "
               << writer.track_count() << " tracks -> " << trace_path << "\n";
@@ -454,12 +543,8 @@ int run_serve(const util::CliParser& cli, core::OptimizationStage stage) {
   // --metrics in serve mode: the server telemetry document (schema v4
   // with the "server" section populated).
   if (!metrics_path.empty()) {
-    std::ofstream os(metrics_path);
-    if (!os) {
-      std::cerr << "deck_runner serve: cannot write metrics file "
-                << metrics_path << "\n";
-      return 1;
-    }
+    std::ofstream os = open_output(metrics_path, "metrics");
+    if (!os) return 1;
     core::write_server_metrics_json(os, server);
     std::cout << "Server metrics -> " << metrics_path << "\n";
   }
@@ -523,280 +608,110 @@ int run_serve(const util::CliParser& cli, core::OptimizationStage stage) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  util::CliParser cli("Run a CellSweep input deck");
-  cli.add_flag("workload", "sweep",
-               "input workload: sweep (Sweep3D decks) | stencil "
-               "(red-black stencil specs)");
+  // The subcommand is argv[1]; each one registers only its own flags,
+  // so a flag of another subcommand is an unknown flag (exit 1).
+  const std::string sub = argc > 1 ? argv[1] : "";
+  const bool lint = sub == "lint", serve = sub == "serve";
+  util::CliParser cli(lint    ? "Lint CellSweep decks and stencil specs"
+                      : serve ? "Serve CellSweep inputs on a multi-tenant "
+                                "solve server"
+                              : "Run a CellSweep deck or stencil spec");
   cli.add_flag("stage", "final",
                "optimization stage: ppe | initial | simd | final");
-  cli.add_flag("check", "false",
-               "attach the machine-model hazard checker; protocol "
-               "violations become hard errors");
-  cli.add_flag("functional", "true",
-               "solve the physics (false: timing only)");
-  cli.add_flag("threads", "1",
-               "host threads for the functional solve (results are "
-               "bitwise identical for any value)");
-  cli.add_flag("trace", "",
-               "write a Chrome trace-event JSON of the simulated run "
-               "(load in chrome://tracing or ui.perfetto.dev); in serve "
-               "mode: the host-time job-lifecycle timeline instead");
-  cli.add_flag("metrics", "",
-               "write run metrics (timing, stall breakdown, DMA "
-               "histograms) as JSON; in serve mode: the server "
-               "telemetry document");
-  cli.add_flag("counters", "false",
-               "attach the time-sliced profiler and print a hardware "
-               "counter summary; --counters=N sets the profile window "
-               "count (default 96). Counters and the utilization "
-               "timeseries also land in --metrics and --trace output");
-  cli.add_flag("tenants", "2",
-               "serve: concurrent tenant workers sharing the chip");
-  cli.add_flag("queue", "64",
-               "serve: pending jobs admitted before submit rejects");
-  cli.add_flag("ls-budget", "0",
-               "serve: admission budget on the per-SPE simulated-LS "
-               "footprint in bytes (0 = linter capacity check only)");
-  cli.add_flag("grid-budget", "0",
-               "serve: admission budget on grid cells (0 = unlimited)");
-  cli.add_flag("metrics-out", "",
-               "serve: write Prometheus text-exposition snapshots of the "
-               "server metrics to this file");
-  cli.add_flag("metrics-interval", "0",
-               "serve: overwrite --metrics-out every N milliseconds while "
-               "jobs run (0 = final snapshot only)");
-  cli.add_flag("flight-recorder", "",
-               "serve: dump the event ring to <prefix>-<ms>-<n>.json on "
-               "job failure, queue-full or fault failover");
-  cli.add_flag("faults", "",
-               "seeded fault injection, e.g. "
-               "--faults=seed=42,dma=0.001,spe=7:down (keys: seed, dma, "
-               "timeout, drop, throttle, retries, spe). The run degrades "
-               "gracefully and reports the cost; same seed => identical "
-               "schedule");
-  cli.add_flag("arrivals", "",
-               "serve: replay a seeded open-system arrival schedule "
-               "instead of submitting each input once, cycling through "
-               "the input files, e.g. --arrivals=seed=42,tenant=0:rate:"
-               "8:24,tenant=1:burst:6 (kinds: rate | burst | trace; same "
-               "seed => identical schedule)");
-  cli.add_flag("arrival-time-scale", "0",
-               "serve: seconds of wall clock per scheduled second of "
-               "--arrivals (0 = replay flat-out)");
-  cli.add_flag("weights", "",
-               "serve: comma-separated per-tenant QoS weights (fair SPE "
-               "share scales with weight; running lower-weight jobs "
-               "yield at chunk granularity). Empty = all equal");
-  cli.add_flag("quotas", "",
-               "serve: comma-separated per-tenant SPE caps (<= 0 = "
-               "uncapped)");
-  if (!cli.parse(argc, argv)) {
-    std::cerr << cli.error() << "\n" << cli.usage(argv[0]);
+  if (!lint) {
+    cli.add_flag("functional", "true",
+                 "solve the physics (false: timing only)");
+    cli.add_flag("threads", "1",
+                 serve ? "width of the host pool every tenant's functional "
+                         "solve shares (results are bitwise identical for "
+                         "any value)"
+                       : "host threads for the functional solve (results "
+                         "are bitwise identical for any value)");
+    cli.add_flag("trace", "",
+                 serve ? "write the host-time job-lifecycle timeline as a "
+                         "Chrome trace-event JSON"
+                       : "write a Chrome trace-event JSON of the simulated "
+                         "run (load in chrome://tracing or ui.perfetto.dev)");
+    cli.add_flag("metrics", "",
+                 serve ? "write the server telemetry document as JSON"
+                       : "write run metrics (timing, stall breakdown, DMA "
+                         "histograms) as JSON");
+    cli.add_flag("faults", "",
+                 "seeded fault injection, e.g. "
+                 "--faults=seed=42,dma=0.001,spe=7:down (keys: seed, dma, "
+                 "timeout, drop, throttle, retries, spe). The run degrades "
+                 "gracefully and reports the cost; same seed => identical "
+                 "schedule");
+  }
+  if (!lint && !serve) {
+    cli.add_flag("check", "false",
+                 "lint the input, then attach the machine-model hazard "
+                 "checker; protocol violations become hard errors");
+    cli.add_flag("counters", "false",
+                 "attach the time-sliced profiler and print a hardware "
+                 "counter summary; --counters=N sets the profile window "
+                 "count (default 96). Counters and the utilization "
+                 "timeseries also land in --metrics and --trace output");
+  }
+  if (serve) {
+    cli.add_flag("tenants", "2",
+                 "concurrent tenant workers sharing the chip");
+    cli.add_flag("queue", "64",
+                 "pending jobs admitted before submit rejects");
+    cli.add_flag("ls-budget", "0",
+                 "admission budget on the per-SPE simulated-LS footprint "
+                 "in bytes (0 = linter capacity check only)");
+    cli.add_flag("grid-budget", "0",
+                 "admission budget on grid cells (0 = unlimited)");
+    cli.add_flag("metrics-out", "",
+                 "write Prometheus text-exposition snapshots of the server "
+                 "metrics to this file");
+    cli.add_flag("metrics-interval", "0",
+                 "overwrite --metrics-out every N milliseconds while jobs "
+                 "run (0 = final snapshot only)");
+    cli.add_flag("flight-recorder", "",
+                 "dump the event ring to <prefix>-<ms>-<n>.json on job "
+                 "failure, queue-full or fault failover");
+    cli.add_flag("arrivals", "",
+                 "replay a seeded open-system arrival schedule instead of "
+                 "submitting each input once, cycling through the input "
+                 "files, e.g. --arrivals=seed=42,tenant=0:rate:8:24,"
+                 "tenant=1:burst:6 (kinds: rate | burst | trace; same seed "
+                 "=> identical schedule)");
+    cli.add_flag("arrival-time-scale", "0",
+                 "seconds of wall clock per scheduled second of --arrivals "
+                 "(0 = replay flat-out)");
+    cli.add_flag("weights", "",
+                 "comma-separated per-tenant QoS weights (fair SPE share "
+                 "scales with weight; running lower-weight jobs yield at "
+                 "chunk granularity). Empty = all equal");
+    cli.add_flag("quotas", "",
+                 "comma-separated per-tenant SPE caps (<= 0 = uncapped)");
+  }
+
+  const std::string prog =
+      std::string(argv[0]) + (lint || serve ? " " + sub : "");
+  const int skip = lint || serve ? 1 : 0;
+  if (!cli.parse(argc - skip, argv + skip)) {
+    std::cerr << cli.error() << "\n" << cli.usage(prog);
     return 1;
   }
   if (cli.help_requested() || cli.positional().empty()) {
-    std::cout << cli.usage(argv[0]) << "\nUsage: " << argv[0]
-              << " <deck file> [flags]\n       " << argv[0]
-              << " lint <deck file>...\n       " << argv[0]
-              << " serve <deck/spec file>... [--tenants=N]\n       "
-              << argv[0] << " --workload=stencil <spec file> [flags]\n";
+    std::cout << cli.usage(prog) << "\nUsage: " << argv[0]
+              << " <deck or .stencil file> [flags]\n       " << argv[0]
+              << " lint <file>... [--stage]\n       " << argv[0]
+              << " serve <file>... [flags]\n";
     return cli.help_requested() ? 0 : 1;
   }
 
-  std::string workload;
   core::OptimizationStage stage{};
   try {
-    workload = cli.get_string("workload");
-    if (workload != "sweep" && workload != "stencil")
-      throw util::CliError("unknown workload '" + workload +
-                           "' (valid: sweep, stencil)");
     stage = stage_from_name(cli.get_string("stage"));
   } catch (const util::CliError& e) {
     std::cerr << "deck_runner: " << e.what() << "\n";
     return 1;
   }
-
-  if (cli.positional()[0] == "lint") {
-    std::vector<std::string> paths(cli.positional().begin() + 1,
-                                   cli.positional().end());
-    if (paths.empty()) {
-      std::cerr << "deck_runner lint: no input files given\n";
-      return 1;
-    }
-    return run_lint(paths, stage, workload);
-  }
-
-  if (cli.positional()[0] == "serve") return run_serve(cli, stage);
-
-  std::string trace_path, metrics_path, counters_arg, faults_arg;
-  int threads = 1;
-  try {
-    threads = static_cast<int>(cli.get_int("threads"));
-    trace_path = cli.get_string("trace");
-    metrics_path = cli.get_string("metrics");
-    counters_arg = cli.get_string("counters");
-    faults_arg = cli.get_string("faults");
-  } catch (const util::CliError& e) {
-    std::cerr << "deck_runner: " << e.what() << "\n" << cli.usage(argv[0]);
-    return 1;
-  }
-  if (threads < 1) {
-    std::cerr << "deck_runner: --threads must be a positive integer\n";
-    return 1;
-  }
-  std::size_t profile_windows = 0;  // 0: profiler off
-  if (counters_arg != "false") {
-    if (counters_arg == "true") {
-      profile_windows = 96;
-    } else {
-      char* rest = nullptr;
-      const unsigned long n = std::strtoul(counters_arg.c_str(), &rest, 10);
-      if (rest == nullptr || *rest != '\0' || n < 2) {
-        std::cerr << "deck_runner: --counters wants a window count >= 2, "
-                     "got '" << counters_arg << "'\n";
-        return 1;
-      }
-      profile_windows = static_cast<std::size_t>(n);
-    }
-  }
-
-  // The profiler outlives the writer's final write() below: the counter
-  // events it emits reference its track names by pointer.
-  sim::TimeSlicedProfiler profiler(profile_windows == 0 ? 96
-                                                        : profile_windows);
-  sim::ChromeTraceWriter writer;
-  core::CellSweepConfig cfg = core::CellSweepConfig::from_stage(stage);
-  if (!trace_path.empty()) cfg.trace_sink = &writer;
-  if (profile_windows != 0) cfg.profiler = &profiler;
-  if (!faults_arg.empty()) {
-    try {
-      cfg.faults = sim::parse_fault_spec(faults_arg);
-    } catch (const sim::FaultSpecError& e) {
-      std::cerr << "deck_runner: --faults: " << e.what() << "\n";
-      return 1;
-    }
-  }
-  const bool check = cli.get_bool("check");
-  analysis::Diagnostics diags;
-  analysis::HazardChecker checker(&diags, cfg.chip);
-
-  if (workload == "stencil") {
-    const stencil::StencilSpec spec = [&] {
-      try {
-        return stencil::load_spec(cli.positional()[0]);
-      } catch (const stencil::StencilError& e) {
-        std::cerr << e.what() << "\n";
-        std::exit(1);
-      }
-    }();
-    std::cout << "Stencil: " << spec.nx << "x" << spec.ny << "x" << spec.nz
-              << ", blocks " << spec.bx << "x" << spec.by << "x" << spec.bz
-              << " (" << spec.blocks() << "), " << spec.iterations
-              << " iteration(s)\n";
-
-    // --check: lint the spec, then observe the run with the hazard
-    // checker; any finding is a hard error.
-    if (check) {
-      const analysis::Diagnostics lint = analysis::lint_stencil(spec, cfg);
-      for (const analysis::Diagnostic& d : lint.entries())
-        std::cerr << spec.origin << ": " << d.to_string() << "\n";
-      if (lint.has_errors()) return 1;
-      cfg.hazard = &checker;
-    }
-
-    stencil::CellStencil runner(spec, cfg);
-    const core::RunMode mode = cli.get_bool("functional")
-                                   ? core::RunMode::kFunctional
-                                   : core::RunMode::kTraceDriven;
-    const stencil::StencilReport rep = [&] {
-      try {
-        return runner.run(mode, threads);
-      } catch (const sim::FaultError& e) {
-        std::cerr << "deck_runner: " << e.what() << "\n";
-        std::exit(1);
-      }
-    }();
-    if (mode == core::RunMode::kFunctional) {
-      std::cout << "Solve: " << rep.updates << " updates, checksum "
-                << rep.checksum << ", residual " << rep.residual << "\n";
-    }
-    if (check) {
-      for (const analysis::Diagnostic& d : diags.entries())
-        std::cerr << spec.origin << ": " << d.to_string() << "\n";
-      if (diags.has_errors()) {
-        std::cerr << "deck_runner: hazard check failed with "
-                  << diags.error_count() << " error(s)\n";
-        return 1;
-      }
-      std::cout << "Hazard check: clean\n";
-    }
-    return emit_report(rep.run, stage, profile_windows, trace_path,
-                       metrics_path, writer);
-  }
-
-  sweep::Deck deck = [&] {
-    try {
-      return sweep::load_deck(cli.positional()[0]);
-    } catch (const sweep::DeckError& e) {
-      std::cerr << e.what() << "\n";
-      std::exit(1);
-    }
-  }();
-
-  const auto& g = deck.problem.grid();
-  std::cout << "Deck: " << g.it << "x" << g.jt << "x" << g.kt << ", "
-            << deck.problem.materials().size() << " material(s), S"
-            << deck.sn_order << ", " << deck.nm_cap << " moments, MK="
-            << deck.sweep.mk << " MMI=" << deck.sweep.mmi << "\n";
-
-  deck.sweep.threads = threads;
-
-  if (deck.problem.any_reflective() || cli.get_bool("functional")) {
-    // Reflective decks need the functional solver for physics.
-    sweep::SnQuadrature quad(deck.sn_order);
-    sweep::SweepState<double> state(deck.problem, quad, 2, deck.nm_cap);
-    const sweep::SolveResult r =
-        sweep::solve_source_iteration(state, deck.sweep);
-    std::cout << "Solve: " << r.iterations << " iterations, change "
-              << r.final_change << (r.converged ? " (converged)" : "")
-              << "; absorption " << state.absorption_rate() << ", leakage "
-              << state.leakage().total() << ", fixup cells "
-              << r.totals.fixup_cells << "\n";
-  }
-
-  cfg.sweep = deck.sweep;
-  cfg.sweep.kernel = cfg.kernel;
-  cfg.sweep.epsilon = 0.0;  // the timing model replays a fixed count
-
-  // --check: lint the deck, then observe the run with the hazard
-  // checker; any finding is a hard error.
-  if (check) {
-    const analysis::Diagnostics lint = analysis::lint_deck(deck, cfg);
-    for (const analysis::Diagnostic& d : lint.entries())
-      std::cerr << deck.source << ": " << d.to_string() << "\n";
-    if (lint.has_errors()) return 1;
-    cfg.hazard = &checker;
-  }
-
-  core::CellSweep3D runner(deck.problem, cfg, deck.sn_order, 2, deck.nm_cap);
-  const core::RunReport rep = [&] {
-    try {
-      return runner.run(core::RunMode::kTraceDriven);
-    } catch (const sim::FaultError& e) {
-      std::cerr << "deck_runner: " << e.what() << "\n";
-      std::exit(1);
-    }
-  }();
-  if (check) {
-    for (const analysis::Diagnostic& d : diags.entries())
-      std::cerr << deck.source << ": " << d.to_string() << "\n";
-    if (diags.has_errors()) {
-      std::cerr << "deck_runner: hazard check failed with "
-                << diags.error_count() << " error(s)\n";
-      return 1;
-    }
-    std::cout << "Hazard check: clean\n";
-  }
-  return emit_report(rep, stage, profile_windows, trace_path, metrics_path,
-                     writer);
+  if (lint) return run_lint(cli.positional(), stage);
+  if (serve) return run_serve(cli, stage);
+  return run_solo(cli, stage);
 }

@@ -145,15 +145,22 @@ void CellSweep3D::run_functional(RunReport& report,
 }
 
 RunReport CellSweep3D::run_on_ppe(RunMode mode) {
+  RunReport r;
+  // Price the iterations the solve ran, as the SPE stages do: a
+  // converging solve stops before max_iterations. The PPE stages always
+  // compute in double precision (the original unported code).
+  CellSweepConfig priced = cfg_;
+  if (mode == RunMode::kFunctional) {
+    run_functional<double>(r, {});
+    priced.sweep.max_iterations = r.solve->iterations;
+  }
   std::optional<sweep::SnQuadrature> own;
   const sweep::SnQuadrature& quad = quadrature(own);
-  const int nm = nm_;
   const WorkloadTotals totals =
-      audit_workload(problem_->grid(), quad.angles_per_octant(), cfg_, nm);
+      audit_workload(problem_->grid(), quad.angles_per_octant(), priced, nm_);
 
   const perf::ProcessorModel ppe =
       cfg_.xlc ? perf::ppe_xlc() : perf::ppe_gcc();
-  RunReport r;
   r.seconds = ppe.seconds(totals.cell_solves, totals.flops);
   r.flops = totals.flops;
   r.cell_solves = totals.cell_solves;
@@ -162,12 +169,6 @@ RunReport CellSweep3D::run_on_ppe(RunMode mode) {
       static_cast<double>(totals.cell_solves) * ppe.bytes_per_solve;
   r.achieved_flops_per_s = static_cast<double>(r.flops) / r.seconds;
   r.grind_seconds = r.seconds / static_cast<double>(r.cell_solves);
-
-  if (mode == RunMode::kFunctional) {
-    // The PPE stages always compute in double precision (the original
-    // unported code).
-    run_functional<double>(r, {});
-  }
   return r;
 }
 

@@ -31,13 +31,13 @@
 #include "util/lock_ranks.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "workloads/stencil/spec.h"
 
 namespace cellsweep::core {
 
-/// One cached plan. Sweep decks fill quadrature/kernels/nm; stencil
-/// specs fill spec (their block plans and costs are cheap arithmetic
-/// the runner derives per run -- the entry mostly pins the key space).
+/// One cached plan (built by JobInput::plan). Sweep decks fill both
+/// members; stencil specs leave them null (their block plans and costs
+/// are cheap arithmetic the runner derives per run -- the entry only
+/// pins the key space).
 struct CachedPlan {
   /// Prebuilt LQn tables of the deck's sn order.
   std::shared_ptr<const sweep::SnQuadrature> quadrature;
@@ -45,10 +45,6 @@ struct CachedPlan {
   /// shape the deck can produce (nlines 1..kBundleLines x fixup
   /// on/off).
   std::shared_ptr<const KernelCostModel> kernels;
-  /// Moment count of the deck (MomentTable is folded into nm).
-  int nm = 0;
-  /// Parsed + validated stencil spec.
-  std::shared_ptr<const stencil::StencilSpec> spec;
 };
 
 class PlanCache {

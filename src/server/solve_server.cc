@@ -34,6 +34,29 @@ bool saw_failover(const RunReport& r) {
                           f->value("redispatched_chunks") > 0);
 }
 
+std::variant<sweep::Deck, stencil::StencilSpec> parse_input(
+    JobKind kind, const std::string& text, const std::string& source) {
+  try {
+    if (kind == JobKind::kSweep) {
+      sweep::Deck deck = sweep::parse_deck_string(text);
+      deck.source = source;
+      return deck;
+    }
+    stencil::StencilSpec spec = stencil::parse_spec_string(text);
+    spec.origin = source;
+    return spec;
+  } catch (const sweep::DeckError& e) {
+    throw AdmissionError(AdmissionError::Reason::kParse, e.what());
+  } catch (const stencil::StencilError& e) {
+    throw AdmissionError(AdmissionError::Reason::kParse, e.what());
+  }
+}
+
+/// Flux moments a deck's run carries (P2 scattering, capped).
+int deck_moments(const sweep::Deck& deck, const sweep::SnQuadrature& quad) {
+  return sweep::MomentTable(quad, 2, deck.nm_cap).nm();
+}
+
 }  // namespace
 
 const char* job_kind_name(JobKind k) {
@@ -50,6 +73,83 @@ const char* admission_reason_name(AdmissionError::Reason r) {
     case AdmissionError::Reason::kShutdown: return "shutdown";
   }
   return "unknown";
+}
+
+JobInput::JobInput(JobKind kind, const std::string& text,
+                   const std::string& source)
+    : input_(parse_input(kind, text, source)) {}
+
+const std::string& JobInput::source() const noexcept {
+  return deck() ? deck()->source : spec()->origin;
+}
+
+analysis::Diagnostics JobInput::lint(CellSweepConfig cfg) const {
+  if (const sweep::Deck* d = deck()) {
+    cfg.sweep = d->sweep;
+    return analysis::lint_deck(*d, cfg);
+  }
+  return analysis::lint_stencil(*spec(), cfg);
+}
+
+long long JobInput::cells() const {
+  return deck() ? deck()->problem.grid().cells() : spec()->cells();
+}
+
+std::size_t JobInput::ls_footprint(const CellSweepConfig& cfg) const {
+  if (const sweep::Deck* d = deck())
+    return sweep_placement(cfg, d->problem.grid().it,
+                           deck_moments(*d, sweep::SnQuadrature(d->sn_order)))
+        .footprint(cfg.buffers);
+  return stencil::block_placement(
+             stencil::plan_block(*spec(), real_bytes_of(cfg.precision),
+                                 cfg.aligned_rows))
+      .footprint(cfg.buffers);
+}
+
+std::shared_ptr<const CachedPlan> JobInput::plan(
+    const CellSweepConfig& cfg) const {
+  auto built = std::make_shared<CachedPlan>();
+  const sweep::Deck* d = deck();
+  if (d == nullptr) return built;
+  auto quad = std::make_shared<sweep::SnQuadrature>(d->sn_order);
+  if (cfg.use_spes) {
+    // Warm the chunk-cost cache for every shape this deck can produce:
+    // diagonals bundle into chunks of 1..kBundleLines lines, and the
+    // fixup iterations price differently. The trace recording here is
+    // exactly the work a cold run would do lazily.
+    auto kernels = std::make_shared<KernelCostModel>(cfg.chip);
+    const int nm = deck_moments(*d, *quad);
+    for (int fixup = 0; fixup < 2; ++fixup)
+      for (int nlines = 1; nlines <= sweep::kBundleLines; ++nlines)
+        kernels->chunk_cost(cfg.kernel, cfg.precision, nlines,
+                            d->problem.grid().it, nm, fixup != 0,
+                            cfg.gotos_eliminated);
+    built->kernels = std::move(kernels);
+  }
+  built->quadrature = std::move(quad);
+  return built;
+}
+
+JobResult JobInput::run(CellSweepConfig cfg, RunMode mode, int threads,
+                        util::ThreadPool* pool) const {
+  JobResult r;
+  if (const sweep::Deck* d = deck()) {
+    cfg.sweep = d->sweep;
+    cfg.sweep.threads = threads;
+    cfg.sweep.pool = pool;
+    r.report =
+        CellSweep3D(d->problem, cfg, d->sn_order, 2, d->nm_cap).run(mode);
+  } else {
+    const stencil::StencilReport rep =
+        stencil::CellStencil(*spec(), cfg).run(mode, threads, pool);
+    // Copied, not moved: the copy drops the report vectors' growth
+    // slack, which a server keeping every result would otherwise hold.
+    r.report = rep.run;
+    r.checksum = rep.checksum;
+    r.residual = rep.residual;
+  }
+  r.ok = true;
+  return r;
 }
 
 SolveServer::SolveServer(const ServerConfig& cfg)
@@ -198,44 +298,14 @@ void SolveServer::admit(Job& job) const {
   // can never be one the runtime would reject -- and a rejected job
   // costs zero simulated (and near-zero host) work. All checks run
   // outside the queue lock.
-  CellSweepConfig cfg = base_;
-  long long cells = 0;
-  std::size_t ls_bytes = 0;
-  if (job.req.kind == JobKind::kSweep) {
-    try {
-      job.deck = sweep::parse_deck_string(job.req.text);
-    } catch (const sweep::DeckError& e) {
-      throw AdmissionError(AdmissionError::Reason::kParse, e.what());
-    }
-    cfg.sweep = job.deck->sweep;
-    const analysis::Diagnostics diags = analysis::lint_deck(*job.deck, cfg);
-    if (diags.has_errors())
-      throw AdmissionError(AdmissionError::Reason::kLint,
-                           "deck rejected by lint:\n" + diags.summary());
-    const sweep::Grid& g = job.deck->problem.grid();
-    cells = g.cells();
-    const sweep::SnQuadrature quad(job.deck->sn_order);
-    const int nm =
-        sweep::MomentTable(quad, 2, job.deck->nm_cap).nm();
-    ls_bytes = sweep_placement(cfg, g.it, nm).footprint(cfg.buffers);
-  } else {
-    stencil::StencilSpec spec;
-    try {
-      spec = stencil::parse_spec_string(job.req.text);
-    } catch (const stencil::StencilError& e) {
-      throw AdmissionError(AdmissionError::Reason::kParse, e.what());
-    }
-    const analysis::Diagnostics diags = analysis::lint_stencil(spec, cfg);
-    if (diags.has_errors())
-      throw AdmissionError(AdmissionError::Reason::kLint,
-                           "spec rejected by lint:\n" + diags.summary());
-    cells = spec.cells();
-    ls_bytes = stencil::block_placement(
-                   stencil::plan_block(spec, real_bytes_of(cfg.precision),
-                                       cfg.aligned_rows))
-                   .footprint(cfg.buffers);
-    job.spec = std::make_shared<const stencil::StencilSpec>(std::move(spec));
-  }
+  job.input.emplace(job.req.kind, job.req.text);
+  const analysis::Diagnostics diags = job.input->lint(base_);
+  if (diags.has_errors())
+    throw AdmissionError(AdmissionError::Reason::kLint,
+                         std::string(job.input->deck() ? "deck" : "spec") +
+                             " rejected by lint:\n" + diags.summary());
+  const long long cells = job.input->cells();
+  const std::size_t ls_bytes = job.input->ls_footprint(base_);
   if (cfg_.grid_cell_budget > 0 && cells > cfg_.grid_cell_budget)
     throw AdmissionError(
         AdmissionError::Reason::kGridBudget,
@@ -448,11 +518,27 @@ void SolveServer::worker_loop(int tenant) {
 }
 
 JobResult SolveServer::run_job(Job& job) {
+  JobResult r;
   try {
-    JobResult r = job.req.kind == JobKind::kSweep ? run_sweep(job)
-                                                  : run_stencil(job);
-    r.trace = job.trace;
-    return r;
+    CellSweepConfig cfg = job_config(job);
+    const std::uint64_t key = PlanCache::fingerprint(
+        job_kind_name(job.req.kind), cfg_.stage, job.req.text);
+    job.trace.plan_start_s = clock_.now_s();
+    std::shared_ptr<const CachedPlan> plan = cache_.find(key);
+    const bool hit = plan != nullptr;
+    if (!hit) plan = cache_.insert(key, job.input->plan(cfg));
+    job.trace.plan_end_s = clock_.now_s();
+    cfg.quadrature = plan->quadrature.get();
+    cfg.warm_kernels = plan->kernels.get();
+
+    // The solver claims SPEs on this thread: the thread-local
+    // accumulator attributes exactly this job's blocked time.
+    SpeAllocator::reset_thread_claim_wait();
+    job.trace.run_start_s = clock_.now_s();
+    r = job.input->run(cfg, job.req.mode, 1, &pool_);
+    job.trace.run_end_s = clock_.now_s();
+    job.trace.claim_wait_s = SpeAllocator::thread_claim_wait_s();
+    r.plan_cache_hit = hit;
   } catch (const RunCancelled& e) {
     // Cooperative mid-run cancellation: the pipeline unwound at a wave
     // boundary and released its SPE claim on the way out. The partial
@@ -461,59 +547,21 @@ JobResult SolveServer::run_job(Job& job) {
         !JobTrace::reached(job.trace.run_end_s))
       job.trace.run_end_s = clock_.now_s();
     job.trace.claim_wait_s = SpeAllocator::thread_claim_wait_s();
-    JobResult r;
-    r.id = job.id;
-    r.name = job.req.name;
-    r.kind = job.req.kind;
-    r.ok = false;
     r.cancelled = true;
     r.error = std::string("cancelled: ") + e.what();
-    r.trace = job.trace;
-    return r;
   } catch (const std::exception& e) {
     // A failing solve (fault plan kills every SPE, hazard escalation)
     // takes down its job, never the server.
     if (JobTrace::reached(job.trace.run_start_s) &&
         !JobTrace::reached(job.trace.run_end_s))
       job.trace.run_end_s = clock_.now_s();
-    JobResult r;
-    r.id = job.id;
-    r.name = job.req.name;
-    r.kind = job.req.kind;
-    r.ok = false;
     r.error = e.what();
-    r.trace = job.trace;
-    return r;
   }
-}
-
-std::shared_ptr<const CachedPlan> SolveServer::plan_for_sweep(
-    const sweep::Deck& deck, const CellSweepConfig& cfg, std::uint64_t key,
-    bool& hit) {
-  std::shared_ptr<const CachedPlan> plan = cache_.find(key);
-  if (plan) {
-    hit = true;
-    return plan;
-  }
-  hit = false;
-  auto built = std::make_shared<CachedPlan>();
-  auto quad = std::make_shared<sweep::SnQuadrature>(deck.sn_order);
-  built->nm = sweep::MomentTable(*quad, 2, deck.nm_cap).nm();
-  if (cfg.use_spes) {
-    // Warm the chunk-cost cache for every shape this deck can produce:
-    // diagonals bundle into chunks of 1..kBundleLines lines, and the
-    // fixup iterations price differently. The trace recording here is
-    // exactly the work a cold run would do lazily.
-    auto kernels = std::make_shared<KernelCostModel>(cfg.chip);
-    const int it = deck.problem.grid().it;
-    for (int fixup = 0; fixup < 2; ++fixup)
-      for (int nlines = 1; nlines <= sweep::kBundleLines; ++nlines)
-        kernels->chunk_cost(cfg.kernel, cfg.precision, nlines, it,
-                            built->nm, fixup != 0, cfg.gotos_eliminated);
-    built->kernels = std::move(kernels);
-  }
-  built->quadrature = std::move(quad);
-  return cache_.insert(key, std::move(built));
+  r.id = job.id;
+  r.name = job.req.name;
+  r.kind = job.req.kind;
+  r.trace = job.trace;
+  return r;
 }
 
 CellSweepConfig SolveServer::job_config(const Job& job) {
@@ -523,76 +571,6 @@ CellSweepConfig SolveServer::job_config(const Job& job) {
   cfg.claim_quota = tenant_quota(job.trace.tenant);
   cfg.cancel = job.cancel_flag.get();
   return cfg;
-}
-
-JobResult SolveServer::run_sweep(Job& job) {
-  sweep::Deck& deck = *job.deck;
-  CellSweepConfig cfg = job_config(job);
-  cfg.sweep = deck.sweep;
-  cfg.sweep.kernel = cfg.kernel;
-  cfg.sweep.pool = &pool_;
-
-  const std::uint64_t key = PlanCache::fingerprint(
-      job_kind_name(JobKind::kSweep), cfg_.stage, job.req.text);
-  bool hit = false;
-  job.trace.plan_start_s = clock_.now_s();
-  const std::shared_ptr<const CachedPlan> plan =
-      plan_for_sweep(deck, cfg, key, hit);
-  job.trace.plan_end_s = clock_.now_s();
-  cfg.quadrature = plan->quadrature.get();
-  cfg.warm_kernels = plan->kernels.get();
-
-  CellSweep3D solver(deck.problem, cfg, deck.sn_order, 2, deck.nm_cap);
-  JobResult r;
-  r.id = job.id;
-  r.name = job.req.name;
-  r.kind = JobKind::kSweep;
-  // The solver claims SPEs on this thread: the thread-local
-  // accumulator attributes exactly this job's blocked time.
-  SpeAllocator::reset_thread_claim_wait();
-  job.trace.run_start_s = clock_.now_s();
-  r.report = solver.run(job.req.mode);
-  job.trace.run_end_s = clock_.now_s();
-  job.trace.claim_wait_s = SpeAllocator::thread_claim_wait_s();
-  r.plan_cache_hit = hit;
-  r.ok = true;
-  return r;
-}
-
-JobResult SolveServer::run_stencil(Job& job) {
-  const CellSweepConfig cfg = job_config(job);
-
-  const std::uint64_t key = PlanCache::fingerprint(
-      job_kind_name(JobKind::kStencil), cfg_.stage, job.req.text);
-  bool hit = false;
-  job.trace.plan_start_s = clock_.now_s();
-  std::shared_ptr<const CachedPlan> plan = cache_.find(key);
-  if (plan) {
-    hit = true;
-  } else {
-    auto built = std::make_shared<CachedPlan>();
-    built->spec = job.spec;
-    plan = cache_.insert(key, std::move(built));
-  }
-  job.trace.plan_end_s = clock_.now_s();
-
-  stencil::CellStencil runner(plan->spec ? *plan->spec : *job.spec, cfg);
-  SpeAllocator::reset_thread_claim_wait();
-  job.trace.run_start_s = clock_.now_s();
-  const stencil::StencilReport rep =
-      runner.run(job.req.mode, pool_.size(), &pool_);
-  job.trace.run_end_s = clock_.now_s();
-  job.trace.claim_wait_s = SpeAllocator::thread_claim_wait_s();
-  JobResult r;
-  r.id = job.id;
-  r.name = job.req.name;
-  r.kind = JobKind::kStencil;
-  r.report = rep.run;
-  r.checksum = rep.checksum;
-  r.residual = rep.residual;
-  r.plan_cache_hit = hit;
-  r.ok = true;
-  return r;
 }
 
 JobResult SolveServer::wait(int id) {

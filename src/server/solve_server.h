@@ -7,7 +7,8 @@
 // server answers it end to end:
 //
 //   * a job queue accepting sweep decks and stencil specs (the two
-//     workload grammars), each solved exactly as deck_runner would;
+//     workload grammars), each parsed, linted and solved by JobInput --
+//     the same code a solo deck_runner run goes through;
 //   * admission control that rejects malformed or over-budget inputs
 //     with a typed AdmissionError *before* anything is scheduled,
 //     reusing the static linters (analysis::lint_deck / lint_stencil)
@@ -36,8 +37,10 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
+#include "analysis/diagnostics.h"
 #include "core/config.h"
 #include "core/flight_recorder.h"
 #include "core/job_trace.h"
@@ -167,6 +170,57 @@ struct JobResult {
   JobTrace trace;
 };
 
+/// One parsed input of either grammar -- a Sweep3D deck or a stencil
+/// spec -- owning every per-workload branch of the job path: parse,
+/// lint, admission sizing, plan build and run. SolveServer admission
+/// and workers and deck_runner's run, lint and serve all go through
+/// it, so a solo run and a served run of one input execute the same
+/// code.
+class JobInput {
+ public:
+  /// Parses @p text in @p kind's grammar; @p source names the input in
+  /// diagnostics. Throws AdmissionError(kParse) on malformed input.
+  JobInput(JobKind kind, const std::string& text,
+           const std::string& source = "<string>");
+  /// The grammar a file name selects: ".stencil" is a stencil spec,
+  /// anything else a Sweep3D deck.
+  static JobKind kind_for(const std::string& path) {
+    return path.ends_with(".stencil") ? JobKind::kStencil : JobKind::kSweep;
+  }
+
+  /// The parsed input: exactly one of the two is non-null.
+  const sweep::Deck* deck() const noexcept {
+    return std::get_if<sweep::Deck>(&input_);
+  }
+  const stencil::StencilSpec* spec() const noexcept {
+    return std::get_if<stencil::StencilSpec>(&input_);
+  }
+  /// Where the input came from: a file path, or "<string>".
+  const std::string& source() const noexcept;
+
+  /// lint_deck (under the deck's own sweep settings) or lint_stencil.
+  analysis::Diagnostics lint(CellSweepConfig cfg) const;
+  /// Grid cells, and the per-SPE simulated-LS footprint under @p cfg
+  /// (the placement the run allocates; code reserve excluded): what
+  /// admission budgets.
+  long long cells() const;
+  std::size_t ls_footprint(const CellSweepConfig& cfg) const;
+  /// The pure planning artifacts the plan cache keeps: a deck's LQn
+  /// tables and a cost model warmed for every chunk shape it can
+  /// produce (nlines 1..kBundleLines x fixup on/off); nothing for a
+  /// stencil spec, whose block plans are cheap per-run arithmetic.
+  std::shared_ptr<const CachedPlan> plan(const CellSweepConfig& cfg) const;
+  /// One CellSweep3D::run (under the deck's sweep settings) or
+  /// CellStencil::run under @p cfg; the functional physics runs on
+  /// @p threads host threads, or on @p pool when one is given. Fills
+  /// report, checksum and residual, and sets ok.
+  JobResult run(CellSweepConfig cfg, RunMode mode, int threads = 1,
+                util::ThreadPool* pool = nullptr) const;
+
+ private:
+  std::variant<sweep::Deck, stencil::StencilSpec> input_;
+};
+
 class SolveServer {
  public:
   struct Stats {
@@ -253,9 +307,7 @@ class SolveServer {
   struct Job {
     int id = 0;
     JobRequest req;
-    // Parsed at admission; exactly one is set.
-    std::optional<sweep::Deck> deck;
-    std::shared_ptr<const stencil::StencilSpec> spec;
+    std::optional<JobInput> input;  ///< parsed at admission
     JobTrace trace;
     /// Cooperative cancellation flag, created at submit() and shared
     /// with the cancel_flags_ registry so cancel() can reach a job the
@@ -263,7 +315,7 @@ class SolveServer {
     std::shared_ptr<std::atomic<bool>> cancel_flag;
   };
 
-  /// Parse + lint + budget checks; fills job.deck / job.spec. Throws
+  /// Parse + lint + budget checks; fills job.input. Throws
   /// AdmissionError. Runs entirely outside mu_: admission work never
   /// blocks the queue.
   void admit(Job& job) const EXCLUDES(mu_);
@@ -286,18 +338,14 @@ class SolveServer {
   /// Drops job @p id's entry from the cancel-flag registry (after its
   /// result is published; cancel() then reports "already finished").
   void unregister_cancel_flag(int id) EXCLUDES(cancel_mu_);
-  /// Runs one job to completion. mu_ is never held here: a solve may
-  /// take seconds and claims SPEs / the host pool on its own locks.
+  /// Runs one job to completion: plan-cache lookup (building and
+  /// inserting on a miss), then JobInput::run on the shared pool. mu_
+  /// is never held here: a solve may take seconds and claims SPEs /
+  /// the host pool on its own locks.
   JobResult run_job(Job& job) EXCLUDES(mu_);
   /// base_ plus the job's SPE claim: the shared allocator, its
   /// tenant's QoS weight and quota, and its cancel flag.
   CellSweepConfig job_config(const Job& job);
-  JobResult run_sweep(Job& job);
-  JobResult run_stencil(Job& job);
-  /// The cached plan for @p deck (building + inserting on miss).
-  std::shared_ptr<const CachedPlan> plan_for_sweep(
-      const sweep::Deck& deck, const CellSweepConfig& cfg,
-      std::uint64_t key, bool& hit);
 
   ServerConfig cfg_;
   CellSweepConfig base_;  ///< from_stage(cfg_.stage), + cfg_.faults

@@ -79,6 +79,32 @@ TEST(Orchestrator, FunctionalAndTraceDrivenTimingIdentical) {
   ASSERT_TRUE(func.solve.has_value());
   EXPECT_EQ(func.solve->iterations, 2);
   EXPECT_GT(func.absorption, 0.0);
+
+  // A solve that converges early is timed over the iterations it ran,
+  // on the PPE as on the SPEs: the same as a trace-driven replay of
+  // exactly that many iterations.
+  using OS = OptimizationStage;
+  for (OS stage : {OS::kPpeXlc, OS::kSpeInitial, OS::kSpeLsPoke}) {
+    CellSweepConfig conv = CellSweepConfig::from_stage(stage);
+    conv.sweep.mk = 5;
+    conv.sweep.max_iterations = 30;
+    conv.sweep.fixup_from_iteration = 1;
+    conv.sweep.epsilon = 1e-3;
+    CellSweep3D c(p, conv);
+    const RunReport early = c.run(RunMode::kFunctional);
+    ASSERT_TRUE(early.solve.has_value()) << stage_name(stage);
+    EXPECT_TRUE(early.solve->converged) << stage_name(stage);
+    ASSERT_LT(early.solve->iterations, conv.sweep.max_iterations)
+        << stage_name(stage);
+
+    conv.sweep.max_iterations = early.solve->iterations;
+    CellSweep3D d(p, conv);
+    const RunReport replay = d.run(RunMode::kTraceDriven);
+    EXPECT_DOUBLE_EQ(replay.seconds, early.seconds) << stage_name(stage);
+    EXPECT_DOUBLE_EQ(replay.traffic_bytes, early.traffic_bytes)
+        << stage_name(stage);
+    EXPECT_EQ(replay.chunks, early.chunks) << stage_name(stage);
+  }
 }
 
 TEST(Orchestrator, TimingIsDeterministic) {

@@ -1,5 +1,8 @@
 // core::SolveServer end to end: multi-tenant solves on one simulated
 // chip. The load-bearing contracts:
+//   * a 1-tenant server equals a solo run (deck_runner's path,
+//     JobInput::run) in timing and physics, even for a deck that
+//     converges early;
 //   * physics is bitwise independent of tenancy -- a deck solved while
 //     another tenant shares the chip produces the same solve, checksum
 //     and residual as a solo run (only host scheduling and the
@@ -32,6 +35,16 @@ const char* const kTinyDeck =
     "mk 4  mmi 3\n"
     "sn 6  moments 6\n"
     "iterations 2  fixup_from 1\n"
+    "material benchmark 1.0 0.5 0.2 0.05 source 1.0\n";
+
+// Stops on epsilon at iteration 5 of 30: the run must be timed over
+// the iterations it solved.
+const char* const kConvergingDeck =
+    "it 8  jt 8  kt 8\n"
+    "dx 0.04  dy 0.04  dz 0.04\n"
+    "mk 4  mmi 3\n"
+    "sn 6  moments 6\n"
+    "iterations 30  fixup_from 1  epsilon 1e-5\n"
     "material benchmark 1.0 0.5 0.2 0.05 source 1.0\n";
 
 const char* const kTinyStencil =
@@ -113,47 +126,78 @@ TEST(SolveServer, RunsAMixedStreamToCompletion) {
   EXPECT_GE(server.allocator_stats().claims, 4u);
 }
 
-TEST(SolveServer, TenancyNeverPerturbsThePhysics) {
-  // Solo reference: one tenant, whole chip, one job at a time.
-  JobResult solo_sweep, solo_stencil;
-  {
-    SolveServer solo(ServerConfig{});
-    solo_sweep = solo.wait(solo.submit(sweep_req("solo")));
-    solo_stencil = solo.wait(solo.submit(stencil_req("solo")));
+// The physics of @p r equals that of @p ref: the solve fields, the
+// absorption and leakage, and the work counts (sweeps); the checksum,
+// residual and flops (stencils).
+void expect_same_physics(const JobResult& r, const JobResult& ref) {
+  if (r.kind == JobKind::kSweep) {
+    ASSERT_TRUE(r.report.solve.has_value()) << r.name;
+    ASSERT_TRUE(ref.report.solve.has_value()) << r.name;
+    EXPECT_EQ(r.report.solve->final_change, ref.report.solve->final_change)
+        << r.name;
+    EXPECT_EQ(r.report.solve->iterations, ref.report.solve->iterations)
+        << r.name;
+    EXPECT_EQ(r.report.solve->converged, ref.report.solve->converged)
+        << r.name;
+    EXPECT_EQ(r.report.solve->totals.fixup_cells,
+              ref.report.solve->totals.fixup_cells)
+        << r.name;
+    EXPECT_EQ(r.report.absorption, ref.report.absorption) << r.name;
+    EXPECT_EQ(r.report.leakage.total(), ref.report.leakage.total())
+        << r.name;
+    EXPECT_EQ(r.report.flops, ref.report.flops) << r.name;
+    EXPECT_EQ(r.report.cell_solves, ref.report.cell_solves) << r.name;
+  } else {
+    EXPECT_EQ(r.checksum, ref.checksum) << r.name;
+    EXPECT_EQ(r.residual, ref.residual) << r.name;
+    EXPECT_EQ(r.report.flops, ref.report.flops) << r.name;
   }
-  ASSERT_TRUE(solo_sweep.ok);
-  ASSERT_TRUE(solo_stencil.ok);
-  ASSERT_TRUE(solo_sweep.report.solve.has_value());
+}
+
+TEST(SolveServer, TenancyNeverPerturbsThePhysics) {
+  JobRequest converging = sweep_req("converging");
+  converging.text = kConvergingDeck;
+  const std::vector<JobRequest> inputs = {sweep_req("sweep"), converging,
+                                          stencil_req("stencil")};
+
+  // Solo reference: deck_runner's path, one JobInput::run on the whole
+  // chip. A 1-tenant server must reproduce it exactly, timing included.
+  ServerConfig one;
+  one.tenants = 1;
+  std::vector<JobResult> solo;
+  {
+    SolveServer server(one);
+    for (const JobRequest& req : inputs) {
+      JobResult ref = JobInput(req.kind, req.text)
+                          .run(CellSweepConfig::from_stage(one.stage),
+                               req.mode);
+      const JobResult served = server.wait(server.submit(req));
+      ASSERT_TRUE(served.ok) << served.name << ": " << served.error;
+      EXPECT_EQ(served.report.seconds, ref.report.seconds) << req.name;
+      EXPECT_EQ(served.report.traffic_bytes, ref.report.traffic_bytes)
+          << req.name;
+      EXPECT_EQ(served.report.chunks, ref.report.chunks) << req.name;
+      expect_same_physics(served, ref);
+      solo.push_back(std::move(ref));
+    }
+  }
+  const auto& early = solo[1].report.solve;
+  ASSERT_TRUE(early.has_value());
+  EXPECT_TRUE(early->converged);
+  EXPECT_LT(early->iterations, 30);
 
   // Contended run: two tenants racing for the same chip and host pool.
   ServerConfig cfg;
   cfg.tenants = 2;
   cfg.host_threads = 2;
   SolveServer server(cfg);
-  for (int i = 0; i < 3; ++i) {
-    server.submit(sweep_req("sweep-" + std::to_string(i)));
-    server.submit(stencil_req("stencil-" + std::to_string(i)));
-  }
-  for (const JobResult& r : server.drain()) {
-    ASSERT_TRUE(r.ok) << r.name << ": " << r.error;
-    if (r.kind == JobKind::kSweep) {
-      ASSERT_TRUE(r.report.solve.has_value()) << r.name;
-      EXPECT_EQ(r.report.solve->final_change,
-                solo_sweep.report.solve->final_change) << r.name;
-      EXPECT_EQ(r.report.solve->iterations,
-                solo_sweep.report.solve->iterations) << r.name;
-      EXPECT_EQ(r.report.absorption, solo_sweep.report.absorption)
-          << r.name;
-      EXPECT_EQ(r.report.leakage.total(), solo_sweep.report.leakage.total())
-          << r.name;
-      EXPECT_EQ(r.report.flops, solo_sweep.report.flops) << r.name;
-      EXPECT_EQ(r.report.cell_solves, solo_sweep.report.cell_solves)
-          << r.name;
-    } else {
-      EXPECT_EQ(r.checksum, solo_stencil.checksum) << r.name;
-      EXPECT_EQ(r.residual, solo_stencil.residual) << r.name;
-      EXPECT_EQ(r.report.flops, solo_stencil.report.flops) << r.name;
-    }
+  for (int i = 0; i < 3; ++i)
+    for (const JobRequest& req : inputs) server.submit(req);
+  const std::vector<JobResult> results = server.drain();
+  ASSERT_EQ(results.size(), 3 * inputs.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok) << results[i].name << ": " << results[i].error;
+    expect_same_physics(results[i], solo[i % inputs.size()]);
   }
 }
 
