@@ -4,10 +4,12 @@
 // Each 128-bit vector value carries a virtual value id so that, when a
 // spu::TraceRecorder is active, the recorded instruction stream has
 // true dataflow dependencies -- exactly what the dual-issue pipeline
-// scheduler needs to reproduce the paper's cycle counts. With no
-// recorder active the id plumbing costs one integer copy per value and
-// the numerics are identical, so production sweeps run at full host
-// speed.
+// scheduler needs to reproduce the paper's cycle counts. The numerics
+// are the same with or without a recorder, but every op still stamps
+// an id and looks up the recorder, which makes the emulated kernel
+// about six times slower per cell-solve than the scalar one
+// (bench/micro_kernels). So only trace recording and tests run it;
+// functional sweeps use the scalar kernel.
 //
 // Only the subset of the SPU ISA that the kernels use is emulated:
 // splats, mul, add, sub, madd (fused multiply-add), nmsub, compare

@@ -16,13 +16,17 @@
 // set-to-zero fixup re-solves the balance with that face's outflow
 // pinned to zero ("do_fixups" in the paper's pseudo-code).
 //
-// Two kernels implement the same math:
+// Two kernels implement the same math, in different roles:
 //   * sweep_line_scalar  -- straight scalar code (the PPE / pre-SIMD
-//     SPE code path);
+//     SPE code path). It computes the flux of every functional solve,
+//     whichever SPE kernel the timing model prices.
 //   * the SIMD bundle kernel in kernel_simd.h -- four "logical
-//     threads" of vectorization over spu:: intrinsics (Figure 7).
-// Both produce bit-identical double-precision results; the test suite
-// enforces this.
+//     threads" of vectorization over emulated spu:: intrinsics
+//     (Figure 7). It runs to record its instruction trace for the SPU
+//     cycle model (core/kernel_timing.cc), and as the reference the
+//     scalar kernel is tested against.
+// Both produce bit-identical results in double and single precision;
+// tests/kernel_test.cc enforces this.
 #pragma once
 
 #include <cstdint>

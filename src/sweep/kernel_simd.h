@@ -15,8 +15,8 @@
 //
 // Every lane performs the same arithmetic, in the same order, as the
 // scalar kernel (and this library builds with -ffp-contract=off), so
-// double-precision results are bit-identical to sweep_line_scalar --
-// enforced by tests/sweep_kernel_test.cc.
+// results are bit-identical to sweep_line_scalar -- enforced by
+// tests/kernel_test.cc.
 #pragma once
 
 #include <array>

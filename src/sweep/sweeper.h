@@ -25,14 +25,18 @@
 
 #include "sweep/field.h"
 #include "sweep/kernel.h"
-#include "sweep/kernel_simd.h"
+#include "sweep/kernel_simd.h"  // kBundleLines, the chunk width
 #include "sweep/problem.h"
 #include "sweep/quadrature.h"
 #include "util/thread_pool.h"
 
 namespace cellsweep::sweep {
 
-/// Which kernel implementation performs the I-line solves.
+/// Which SPE chunk kernel the timing model prices
+/// (DiagonalWork::kernel -> core::KernelCostModel::chunk_cost). The
+/// functional sweep solves with sweep_line_scalar for either kind: the
+/// SIMD bundle kernel gives bit-identical flux, so it runs only where
+/// its instruction trace is recorded.
 enum class KernelKind : std::uint8_t {
   kScalar,  ///< Figure 8 scalar code (PPE / pre-SIMD SPE path)
   kSimd,    ///< Figure 7 four-logical-thread SIMD bundles
@@ -40,7 +44,7 @@ enum class KernelKind : std::uint8_t {
 
 /// Blocking and iteration parameters (Sweep3D input-deck equivalents).
 struct SweepConfig {
-  KernelKind kernel = KernelKind::kSimd;
+  KernelKind kernel = KernelKind::kSimd;  ///< SPE kernel the timing prices
   int mk = 10;   ///< K-planes per pipeline block (must divide kt)
   int mmi = 3;   ///< angles per pipeline block (paper: "MMI is 1 or 3")
   int max_iterations = 12;
@@ -78,7 +82,7 @@ struct DiagonalWork {
   int nlines = 0;
   int it = 0;
   bool fixup = false;
-  KernelKind kernel = KernelKind::kSimd;
+  KernelKind kernel = KernelKind::kSimd;  ///< SPE kernel the timing prices
 };
 
 /// Observer of the work stream (timing models attach here).
@@ -223,13 +227,10 @@ class SweepState {
 
   // Host execution resources, sized at sweep() entry: the shared
   // SweepConfig::pool when one is injected, else an owned pool sized by
-  // SweepConfig::threads. Each worker owns its BundleScratch: SIMD
-  // bundles must never share scratch across threads, and per-worker
-  // KernelStats keep the counters race-free (summed into SweepRunStats
-  // after the sweep).
+  // SweepConfig::threads. Per-worker KernelStats keep the counters
+  // race-free (summed into SweepRunStats after the sweep).
   std::unique_ptr<util::ThreadPool> pool_;  // null when threads == 1
   util::ThreadPool* active_pool_ = nullptr;  // the pool this sweep uses
-  std::vector<std::unique_ptr<BundleScratch<Real>>> scratch_;
   std::vector<KernelStats> worker_stats_;
   std::vector<LineArgs<Real>> diag_args_;  // one diagonal's line args
 };

@@ -112,21 +112,6 @@ TEST(Boundary, HalfReflectiveRaisesFluxOnThatSide) {
   EXPECT_GT(refl.leakage().east, 0.0);
 }
 
-TEST(Boundary, ReflectiveScalarAndSimdAgree) {
-  const Problem p = Problem::infinite_medium(4);
-  SnQuadrature quad(6);
-  SweepState<double> a(p, quad, 2, kBenchmarkMoments);
-  SweepState<double> b(p, quad, 2, kBenchmarkMoments);
-  SweepConfig sc = refl_config(2, 6);
-  sc.kernel = KernelKind::kScalar;
-  solve_source_iteration(a, sc);
-  SweepConfig sv = refl_config(2, 6);
-  sv.kernel = KernelKind::kSimd;
-  solve_source_iteration(b, sv);
-  EXPECT_EQ(MomentField<double>::max_abs_diff_moment0(a.flux(), b.flux()),
-            0.0);
-}
-
 TEST(Boundary, ReflectiveRejectsExternalBoundaryIo) {
   // The MPI decomposition handles I/J faces itself; reflective global
   // faces are only supported by the built-in serial handling.

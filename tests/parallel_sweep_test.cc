@@ -124,7 +124,7 @@ TEST(ParallelSweep, ReflectiveBoundariesBitwiseIdentical) {
 
 TEST(ParallelSweep, ThreadCountChangeMidStateIsSafe) {
   // The same SweepState may sweep with different thread counts; the
-  // pool and per-worker scratch are rebuilt on the fly.
+  // pool and per-worker stats are rebuilt on the fly.
   const Problem p = Problem::benchmark_cube(8);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);

@@ -1,8 +1,11 @@
 // Tests for the full sweep driver: loop-structure correctness,
-// blocking invariance (MK/MMI must not change the answer), kernel
-// equivalence at solver level, particle balance, convergence, symmetry.
+// blocking invariance (MK/MMI must not change the answer), solves
+// pinned to the emulated SIMD kernel's numbers, particle balance,
+// convergence, symmetry.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <tuple>
 
 #include "sweep/problem.h"
@@ -21,6 +24,53 @@ SweepConfig config(int mk, int mmi, KernelKind kernel, int iters = 4,
   cfg.max_iterations = iters;
   cfg.fixup_from_iteration = fixup_from;
   return cfg;
+}
+
+// Bitwise FNV-1a checksum of every flux moment in every cell (the
+// padded row tails excluded).
+std::uint64_t flux_checksum(const SweepState<double>& state) {
+  const Grid& g = state.problem().grid();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (int n = 0; n < state.nm(); ++n)
+    for (int k = 0; k < g.kt; ++k)
+      for (int j = 0; j < g.jt; ++j)
+        for (int i = 0; i < g.it; ++i) {
+          const double v = state.flux().at(n, k, j, i);
+          std::uint64_t bits = 0;
+          std::memcpy(&bits, &v, sizeof bits);
+          for (int b = 0; b < 8; ++b) {
+            h ^= (bits >> (8 * b)) & 0xffu;
+            h *= 0x100000001b3ULL;
+          }
+        }
+  return h;
+}
+
+// Exact results of one solve. The values below were recorded from the
+// emulated SIMD bundle kernel (sweep_bundle_simd), which computed the
+// flux of KernelKind::kSimd solves until the functional sweep switched
+// to sweep_line_scalar for both kinds. Both kinds must still reproduce
+// them bit for bit.
+struct PinnedSolve {
+  double absorption;
+  double final_change;
+  std::uint64_t checksum;
+  std::uint64_t fixup_cells;
+};
+
+void expect_pinned_solve(const Problem& p, int l_max, int nm_cap,
+                         SweepConfig cfg, const PinnedSolve& want) {
+  SnQuadrature quad(6);
+  for (const KernelKind kind : {KernelKind::kScalar, KernelKind::kSimd}) {
+    SCOPED_TRACE(kind == KernelKind::kScalar ? "kScalar" : "kSimd");
+    SweepState<double> state(p, quad, l_max, nm_cap);
+    cfg.kernel = kind;
+    const SolveResult r = solve_source_iteration(state, cfg);
+    EXPECT_EQ(state.absorption_rate(), want.absorption);
+    EXPECT_EQ(r.final_change, want.final_change);
+    EXPECT_EQ(flux_checksum(state), want.checksum);
+    EXPECT_EQ(r.totals.fixup_cells, want.fixup_cells);
+  }
 }
 
 TEST(SweepConfig, Validation) {
@@ -101,15 +151,18 @@ INSTANTIATE_TEST_SUITE_P(
                       BlockingParam{6, 1}, BlockingParam{12, 2},
                       BlockingParam{12, 3}));
 
-TEST(Sweeper, ScalarAndSimdSolversBitIdentical) {
-  const Problem p = Problem::benchmark_cube(10);
-  SnQuadrature quad(6);
-  SweepState<double> a(p, quad, 2, kBenchmarkMoments);
-  SweepState<double> b(p, quad, 2, kBenchmarkMoments);
-  solve_source_iteration(a, config(5, 3, KernelKind::kScalar, 4, 2));
-  solve_source_iteration(b, config(5, 3, KernelKind::kSimd, 4, 2));
-  EXPECT_EQ(MomentField<double>::max_abs_diff_moment0(a.flux(), b.flux()),
-            0.0);
+TEST(Sweeper, BothKernelKindsReproduceEmulatedSolve) {
+  expect_pinned_solve(Problem::benchmark_cube(10), 2, kBenchmarkMoments,
+                      config(5, 3, KernelKind::kSimd, 4, 2),
+                      {2.7082514814162582, 0.012434440824939719,
+                       0xf3800f3290a268e1ULL, 0});
+}
+
+TEST(Sweeper, ReflectiveSolveReproducesEmulatedSolve) {
+  expect_pinned_solve(Problem::infinite_medium(4), 2, kBenchmarkMoments,
+                      config(2, 3, KernelKind::kSimd, 6),
+                      {7.4710640584979942, 0.11873443123910321,
+                       0x0514fa77566af406ULL, 0});
 }
 
 TEST(Sweeper, ParticleBalanceAtConvergence) {
@@ -202,6 +255,11 @@ TEST(Sweeper, FixupsEngageOnShieldProblem) {
     for (int j = 0; j < g.jt; ++j)
       for (int i = 0; i < g.it; ++i)
         ASSERT_GE(state.flux().at(0, k, j, i), 0.0);
+  // The fixup path gives the emulated kernel's numbers too.
+  expect_pinned_solve(p, 2, kBenchmarkMoments,
+                      config(4, 3, KernelKind::kSimd, 4, 0),
+                      {0.77107950347489884, 0.00087298790137735338,
+                       0x29ab19832e7e46d7ULL, 65635});
 }
 
 TEST(Sweeper, ShieldAttenuatesFlux) {
@@ -272,15 +330,10 @@ TEST(Sweeper, P3ScatteringSolves) {
   Material m{"aniso", 1.0, {0.5, 0.25, 0.1, 0.04}, 1.0};
   const Problem p(g, {m}, std::vector<std::uint8_t>(g.cells(), 0));
   SnQuadrature quad(6);
-  SweepState<double> scalar_state(p, quad, 3, 0);
-  SweepState<double> simd_state(p, quad, 3, 0);
-  EXPECT_EQ(scalar_state.nm(), 16);
-  solve_source_iteration(scalar_state, config(3, 3, KernelKind::kScalar, 3));
-  solve_source_iteration(simd_state, config(3, 3, KernelKind::kSimd, 3));
-  EXPECT_EQ(MomentField<double>::max_abs_diff_moment0(scalar_state.flux(),
-                                                      simd_state.flux()),
-            0.0);
-  EXPECT_GT(scalar_state.flux().moment_sum(0), 0.0);
+  EXPECT_EQ(SweepState<double>(p, quad, 3, 0).nm(), 16);
+  expect_pinned_solve(p, 3, 0, config(3, 3, KernelKind::kSimd, 3),
+                      {2.6619817694239574, 0.046237010587541483,
+                       0x5a435a4e2ade4025ULL, 0});
 }
 
 TEST(Sweeper, FullMomentSetAlsoWorks) {
