@@ -10,15 +10,14 @@ Spe::Spe(int index, const CellSpec& spec, Eib* eib, Mic* mic)
 
 sim::Tick Spe::compute(sim::Tick now, double cycles) {
   const sim::Tick dt = spec_.cycles(cycles);
-  busy_ += dt;
+  s_.busy += dt;
   return now + dt;
 }
 
 void Spe::reset() noexcept {
   ls_.reset();
   mfc_.reset();
-  busy_ = 0;
-  work_items_ = 0;
+  s_ = State{};
 }
 
 CellProcessor::CellProcessor(const CellSpec& spec)

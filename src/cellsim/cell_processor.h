@@ -38,9 +38,18 @@ class Spe {
   /// the completion time. Also accumulates per-SPE busy statistics.
   sim::Tick compute(sim::Tick now, double cycles);
 
-  sim::Tick busy_ticks() const noexcept { return busy_; }
-  std::uint64_t work_items() const noexcept { return work_items_; }
-  void count_work_item() noexcept { ++work_items_; }
+  sim::Tick busy_ticks() const noexcept { return s_.busy; }
+  std::uint64_t work_items() const noexcept { return s_.work_items; }
+  void count_work_item() noexcept { ++s_.work_items; }
+
+  /// The SPU's mutable counters (see Mfc::State; the MFC and local
+  /// store keep their own).
+  struct State {
+    sim::Tick busy = 0;
+    std::uint64_t work_items = 0;
+  };
+  const State& state() const noexcept { return s_; }
+  void restore(const State& s) noexcept { s_ = s; }
 
   void reset() noexcept;
 
@@ -49,8 +58,7 @@ class Spe {
   CellSpec spec_;
   LocalStore ls_;
   Mfc mfc_;
-  sim::Tick busy_ = 0;
-  std::uint64_t work_items_ = 0;
+  State s_;
 };
 
 /// Whole-chip model.
@@ -64,9 +72,11 @@ class CellProcessor {
   Spe& spe(int i) { return *spes_.at(i); }
   const Spe& spe(int i) const { return *spes_.at(i); }
   Eib& eib() noexcept { return eib_; }
+  const Eib& eib() const noexcept { return eib_; }
   Mic& mic() noexcept { return mic_; }
   const Mic& mic() const noexcept { return mic_; }
   DispatchFabric& dispatch() noexcept { return dispatch_; }
+  const DispatchFabric& dispatch() const noexcept { return dispatch_; }
   const SpuPipeline& pipeline() const noexcept { return pipeline_; }
 
   /// Total payload bytes the chip moved to/from main memory.

@@ -10,21 +10,24 @@
 
 namespace cellsweep::cell {
 
-Mic::Mic(const CellSpec& spec)
-    : spec_(spec), port_("MIC", spec.mic_bytes_per_s) {}
-
-double Mic::bank_efficiency(int banks_touched) const {
-  if (banks_touched < 1) banks_touched = 1;
-  const int banks = spec_.memory_banks;
-  if (banks_touched >= banks) return 1.0;
+Mic::Mic(const CellSpec& spec) : spec_(spec) {
+  if (spec_.mic_bytes_per_s <= 0.0)
+    throw std::invalid_argument("Mic: rate must be positive");
   // A request striped over k of n banks can use at most k/n of the
   // aggregate DRAM bandwidth, but command interleaving recovers part of
   // the loss; empirically the penalty is roughly the square root of the
   // naive ratio. Floor at the spec's minimum efficiency.
-  const double naive =
-      static_cast<double>(banks_touched) / static_cast<double>(banks);
-  const double eff = std::sqrt(naive);
-  return std::max(eff, spec_.dma_min_efficiency);
+  for (std::size_t k = 0; k < bank_eff_.size(); ++k) {
+    const double naive = static_cast<double>(std::max<std::size_t>(k, 1)) /
+                         static_cast<double>(spec_.memory_banks);
+    bank_eff_[k] = std::max(std::sqrt(naive), spec_.dma_min_efficiency);
+  }
+}
+
+double Mic::bank_efficiency(int banks_touched) const {
+  if (banks_touched >= spec_.memory_banks) return 1.0;
+  const int k = std::clamp(banks_touched, 0, kMaxBanks);
+  return bank_eff_[static_cast<std::size_t>(k)];
 }
 
 sim::Tick Mic::submit(sim::Tick now, double bytes, sim::Tick overhead,
@@ -43,24 +46,29 @@ sim::Tick Mic::submit(sim::Tick now, double bytes, sim::Tick overhead,
   // for the Section 6 traffic audit.
   const double inflated =
       bytes / eff + static_cast<double>(elements) * spec_.dram_gap_bytes;
-  logical_bytes_ += bytes;
+  s_.logical_bytes += bytes;
 
   // Counters (observation only). Elements are attributed round-robin
   // over the touched banks from a rotating cursor -- the deterministic
   // stand-in for the address interleaving the model abstracts away.
-  (is_write ? writes_ : reads_) += 1;
-  auto& per_bank = is_write ? bank_writes_ : bank_reads_;
+  // The touched banks are the two contiguous ranges [cursor, total)
+  // and [0, wrap), walked without a modulo per bank.
+  (is_write ? s_.writes : s_.reads) += 1;
+  auto& per_bank = is_write ? s_.bank_writes : s_.bank_reads;
   const int total_banks = spec_.memory_banks;
   const std::uint64_t each = elements / static_cast<std::uint64_t>(banks);
   const std::uint64_t rem = elements % static_cast<std::uint64_t>(banks);
-  for (int b = 0; b < banks; ++b)
-    per_bank[static_cast<std::size_t>((bank_cursor_ + b) % total_banks)] +=
+  const int head = std::min(banks, total_banks - s_.bank_cursor);
+  for (int b = 0; b < banks; ++b) {
+    const int bank = b < head ? s_.bank_cursor + b : b - head;
+    per_bank[static_cast<std::size_t>(bank)] +=
         each + (static_cast<std::uint64_t>(b) < rem ? 1 : 0);
-  bank_cursor_ = (bank_cursor_ + static_cast<int>(rem % total_banks)) %
-                 total_banks;
+  }
+  s_.bank_cursor = (s_.bank_cursor + static_cast<int>(rem % total_banks)) %
+                   total_banks;
   if (eff < efficiency)
-    conflict_ += sim::ticks_for_bytes(bytes / eff - bytes / efficiency,
-                                      port_.rate());
+    s_.conflict += sim::ticks_for_bytes(bytes / eff - bytes / efficiency,
+                                        spec_.mic_bytes_per_s);
 
   // A throttled request hits a bank mid-refresh (or a degraded bank)
   // and streams at a fraction of its normal efficiency. The decision is
@@ -73,20 +81,21 @@ sim::Tick Mic::submit(sim::Tick now, double bytes, sim::Tick overhead,
     occupancy = bytes / throttled_eff +
                 static_cast<double>(elements) * spec_.dram_gap_bytes;
     ++throttled_requests_;
-    throttle_ += sim::ticks_for_bytes(occupancy - inflated, port_.rate());
+    throttle_ +=
+        sim::ticks_for_bytes(occupancy - inflated, spec_.mic_bytes_per_s);
   }
 
-  return port_.submit(now, occupancy, overhead);
+  return s_.port.submit(spec_.mic_bytes_per_s, now, occupancy, overhead);
 }
 
 void Mic::publish_counters(sim::CounterSet& out) const {
-  out.set("reads", static_cast<double>(reads_));
-  out.set("writes", static_cast<double>(writes_));
-  out.set("logical_bytes", logical_bytes_);
-  out.set("requests", static_cast<double>(port_.requests()));
-  out.set("busy_ticks", static_cast<double>(port_.busy_ticks()));
-  out.set("queue_wait_ticks", static_cast<double>(port_.wait_ticks()));
-  out.set("bank_conflict_ticks", static_cast<double>(conflict_));
+  out.set("reads", static_cast<double>(s_.reads));
+  out.set("writes", static_cast<double>(s_.writes));
+  out.set("logical_bytes", s_.logical_bytes);
+  out.set("requests", static_cast<double>(s_.port.requests));
+  out.set("busy_ticks", static_cast<double>(s_.port.busy));
+  out.set("queue_wait_ticks", static_cast<double>(s_.port.wait));
+  out.set("bank_conflict_ticks", static_cast<double>(s_.conflict));
   if (faults_ != nullptr && faults_->enabled()) {
     out.set("throttled_requests", static_cast<double>(throttled_requests_));
     out.set("throttle_ticks", static_cast<double>(throttle_));
@@ -98,14 +107,15 @@ void Mic::publish_counters(sim::CounterSet& out) const {
   for (int b = 0; b < spec_.memory_banks; ++b) {
     char name[16];
     std::snprintf(name, sizeof name, "bank%02d", b);
-    rd.set(name, static_cast<double>(bank_reads_[static_cast<std::size_t>(b)]));
+    rd.set(name,
+           static_cast<double>(s_.bank_reads[static_cast<std::size_t>(b)]));
   }
   sim::CounterSet& wr = out.child("bank_writes");
   for (int b = 0; b < spec_.memory_banks; ++b) {
     char name[16];
     std::snprintf(name, sizeof name, "bank%02d", b);
     wr.set(name,
-           static_cast<double>(bank_writes_[static_cast<std::size_t>(b)]));
+           static_cast<double>(s_.bank_writes[static_cast<std::size_t>(b)]));
   }
 }
 

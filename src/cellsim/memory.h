@@ -50,17 +50,37 @@ class Mic {
                    double efficiency, std::uint64_t elements = 1,
                    int banks_touched = 0, bool is_write = false);
 
+  /// Most banks the per-bank counters can attribute.
+  static constexpr int kMaxBanks = 32;
+
+  /// Every mutable clock and counter of the healthy-path MIC, as one
+  /// plain struct (see Mfc::State; fault state stays outside).
+  struct State {
+    /// The FIFO port serving every request at the spec's peak rate.
+    sim::BandwidthResource::State port;
+    double logical_bytes = 0.0;
+    // Counters (observation only).
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    sim::Tick conflict = 0;
+    int bank_cursor = 0;  ///< rotating start bank for element attribution
+    std::array<std::uint64_t, kMaxBanks> bank_reads{};
+    std::array<std::uint64_t, kMaxBanks> bank_writes{};
+  };
+  const State& state() const noexcept { return s_; }
+  void restore(const State& s) noexcept { s_ = s; }
+
   /// Logical payload bytes (the Section 6 "17.6 Gbytes" audit counts
   /// these, not the efficiency-inflated port occupancy).
-  double bytes_moved() const noexcept { return logical_bytes_; }
-  std::uint64_t requests() const noexcept { return port_.requests(); }
-  sim::Tick busy_ticks() const noexcept { return port_.busy_ticks(); }
-  double peak_rate() const noexcept { return port_.rate(); }
+  double bytes_moved() const noexcept { return s_.logical_bytes; }
+  std::uint64_t requests() const noexcept { return s_.port.requests; }
+  sim::Tick busy_ticks() const noexcept { return s_.port.busy; }
+  double peak_rate() const noexcept { return spec_.mic_bytes_per_s; }
 
   /// Port ticks lost to bank-interleaving inefficiency (the extra
   /// occupancy of bytes/(eff*bank_eff) over bytes/eff). Observation
   /// only.
-  sim::Tick bank_conflict_ticks() const noexcept { return conflict_; }
+  sim::Tick bank_conflict_ticks() const noexcept { return s_.conflict; }
 
   /// Arms bank-throttle injection: a throttled request (DRAM refresh,
   /// a degraded bank) streams at a fraction of its normal efficiency.
@@ -78,14 +98,7 @@ class Mic {
   void publish_counters(sim::CounterSet& out) const;
 
   void reset() noexcept {
-    port_.reset();
-    logical_bytes_ = 0.0;
-    reads_ = 0;
-    writes_ = 0;
-    conflict_ = 0;
-    bank_cursor_ = 0;
-    bank_reads_.fill(0);
-    bank_writes_.fill(0);
+    restore(State{});
     fault_seq_ = 0;
     throttled_requests_ = 0;
     throttle_ = 0;
@@ -93,15 +106,10 @@ class Mic {
 
  private:
   CellSpec spec_;
-  sim::BandwidthResource port_;
-  double logical_bytes_ = 0.0;
-  // Counters (observation only).
-  std::uint64_t reads_ = 0;
-  std::uint64_t writes_ = 0;
-  sim::Tick conflict_ = 0;
-  int bank_cursor_ = 0;  ///< rotating start bank for element attribution
-  std::array<std::uint64_t, 32> bank_reads_{};
-  std::array<std::uint64_t, 32> bank_writes_{};
+  /// bank_efficiency() below full interleaving, indexed by banks
+  /// touched (0 counts as 1); built once, read by every DMA command.
+  std::array<double, kMaxBanks + 1> bank_eff_{};
+  State s_;
   // Fault injection (inert unless armed); fault_seq_ numbers every port
   // request so throttle decisions are pure in request order.
   const sim::FaultPlan* faults_ = nullptr;
@@ -120,6 +128,14 @@ class Eib {
 
   sim::Tick submit(sim::Tick now, double bytes) {
     return ring_.submit(now, bytes);
+  }
+
+  /// Every mutable clock and counter of the ring (see Mfc::State).
+  const sim::BandwidthResource::State& state() const noexcept {
+    return ring_.state();
+  }
+  void restore(const sim::BandwidthResource::State& s) noexcept {
+    ring_.restore(s);
   }
 
   double bytes_moved() const noexcept { return ring_.bytes_moved(); }

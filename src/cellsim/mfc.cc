@@ -1,7 +1,6 @@
 #include "cellsim/mfc.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "sim/counters.h"
 #include "sim/fault.h"
@@ -14,17 +13,19 @@ Mfc::Mfc(const CellSpec& spec, Eib* eib, Mic* mic, std::string name)
       mic_(mic),
       name_(std::move(name)),
       depth_(spec.mfc_queue_depth) {
-  if (depth_ <= 0 || depth_ > static_cast<int>(slots_.size()))
+  if (depth_ <= 0 || depth_ > static_cast<int>(s_.slots.size()))
     throw DmaError("Mfc: unsupported queue depth");
   if (eib_ == nullptr || mic_ == nullptr)
     throw DmaError("Mfc: EIB/MIC must be provided");
 }
 
 void Mfc::validate(const DmaRequest& req) const {
-  std::ostringstream why;
+  // Every rule is a plain comparison; the message is only built when
+  // one fails, so a legal command allocates nothing.
+  std::string why;
   auto append = [&](const std::string& what) {
-    if (!why.str().empty()) why << "; ";
-    why << what;
+    if (!why.empty()) why += "; ";
+    why += what;
   };
   // The CBEA size rules apply to every transfer the MFC performs: full
   // elements and the trailing partial element alike.
@@ -61,16 +62,12 @@ void Mfc::validate(const DmaRequest& req) const {
     append("DMA list must have 1..2048 elements");
   if (req.alignment == 0 || (req.alignment & (req.alignment - 1)) != 0)
     append("alignment must be a power of two");
-  if (req.banks_touched < 1 || req.banks_touched > spec_.memory_banks) {
-    std::ostringstream bank;
-    bank << "banks_touched must be in 1.." << spec_.memory_banks << ", got "
-         << req.banks_touched;
-    append(bank.str());
-  }
+  if (req.banks_touched < 1 || req.banks_touched > spec_.memory_banks)
+    append("banks_touched must be in 1.." + std::to_string(spec_.memory_banks) +
+           ", got " + std::to_string(req.banks_touched));
   if (req.tag >= kMfcTagGroups) append("tag group must be 0..31");
 
-  const std::string msg = why.str();
-  if (!msg.empty()) throw DmaError("illegal DMA command: " + msg);
+  if (!why.empty()) throw DmaError("illegal DMA command: " + why);
 }
 
 double Mfc::transfer_efficiency(std::size_t bytes,
@@ -104,6 +101,20 @@ double Mfc::request_efficiency(const DmaRequest& req) const {
   return std::clamp(eff, spec_.dma_min_efficiency, 1.0);
 }
 
+double Mfc::memo_efficiency(const DmaRequest& req) {
+  // Fibonacci hash of the shape into the direct-mapped table; a
+  // collision just re-prices and overwrites the entry.
+  const std::size_t shape =
+      (req.total_bytes * 31 + req.element_bytes) * 31 + req.alignment;
+  EfficiencyMemo& m =
+      eff_memo_[(shape * 0x9E3779B97F4A7C15ull) >> (64 - kEffMemoBits)];
+  if (m.total_bytes != req.total_bytes ||
+      m.element_bytes != req.element_bytes || m.alignment != req.alignment)
+    m = EfficiencyMemo{req.total_bytes, req.element_bytes, req.alignment,
+                       request_efficiency(req)};
+  return m.efficiency;
+}
+
 DmaCompletion Mfc::submit(sim::Tick now, const DmaRequest& req) {
   validate(req);
   const std::size_t elements = req.elements();
@@ -120,19 +131,19 @@ DmaCompletion Mfc::submit(sim::Tick now, const DmaRequest& req) {
   const sim::Tick issue_done = now + spec_.cycles(issue_cycles);
 
   // Queue back-pressure: reuse the slot that frees earliest.
-  auto slot = std::min_element(slots_.begin(), slots_.begin() + depth_);
+  auto slot = std::min_element(s_.slots.begin(), s_.slots.begin() + depth_);
   const sim::Tick start = std::max(issue_done, *slot);
   if (start > issue_done) {
-    ++queue_full_commands_;
-    queue_full_ticks_ += start - issue_done;
+    ++s_.queue_full_commands;
+    s_.queue_full_ticks += start - issue_done;
   }
 
   // Occupancy at entry: commands still outstanding when this one was
   // issued (observation only; feeds the stall-accounting histogram).
   int occupied = 0;
   for (int i = 0; i < depth_; ++i)
-    if (slots_[i] > issue_done) ++occupied;
-  ++occupancy_hist_[std::min(occupied, depth_ - 1)];
+    if (s_.slots[i] > issue_done) ++occupied;
+  ++s_.occupancy_hist[std::min(occupied, depth_ - 1)];
 
   // Memory-side startup: full per-command cost for individual commands,
   // reduced per-element cost inside a list.
@@ -144,6 +155,7 @@ DmaCompletion Mfc::submit(sim::Tick now, const DmaRequest& req) {
           : static_cast<sim::Tick>(elements) * spec_.dma_cmd_overhead;
 
   const double payload = static_cast<double>(req.total_bytes);
+  const double efficiency = memo_efficiency(req);
 
   // One attempt's transfer: crosses the EIB only for SPE-to-SPE moves,
   // otherwise drains through the MIC too; completion is bounded by the
@@ -152,7 +164,7 @@ DmaCompletion Mfc::submit(sim::Tick now, const DmaRequest& req) {
     if (req.ls_to_ls) return std::max(eib_->submit(at, payload), at + overhead);
     const sim::Tick eib_done = eib_->submit(at, payload);
     const sim::Tick mic_done =
-        mic_->submit(at, payload, overhead, request_efficiency(req), elements,
+        mic_->submit(at, payload, overhead, efficiency, elements,
                      req.banks_touched, req.dir == DmaDir::kPut);
     return std::max(eib_done, mic_done);
   };
@@ -180,31 +192,31 @@ DmaCompletion Mfc::submit(sim::Tick now, const DmaRequest& req) {
   }
 
   *slot = done;
-  tag_done_[req.tag] = std::max(tag_done_[req.tag], done);
+  s_.tag_done[req.tag] = std::max(s_.tag_done[req.tag], done);
   // A list is one MFC command; a batch of individual transfers is one
   // command each.
   const std::uint64_t n_cmds =
       req.as_list ? 1 : static_cast<std::uint64_t>(elements);
-  commands_ += n_cmds;
-  transfers_ += static_cast<std::uint64_t>(elements);
-  bytes_ += payload;
-  (req.dir == DmaDir::kGet ? get_commands_ : put_commands_) += n_cmds;
-  if (req.as_list) ++list_commands_;
-  if (req.ls_to_ls) ls_to_ls_commands_ += n_cmds;
+  s_.commands += n_cmds;
+  s_.transfers += static_cast<std::uint64_t>(elements);
+  s_.bytes += payload;
+  (req.dir == DmaDir::kGet ? s_.get_commands : s_.put_commands) += n_cmds;
+  if (req.as_list) ++s_.list_commands;
+  if (req.ls_to_ls) s_.ls_to_ls_commands += n_cmds;
   return DmaCompletion{issue_done, done, start, failures};
 }
 
 sim::Tick Mfc::wait_all(sim::Tick now) const {
   sim::Tick latest = now;
-  for (int i = 0; i < depth_; ++i) latest = std::max(latest, slots_[i]);
-  ++tag_waits_;
-  tag_wait_ticks_ += latest - now;
+  for (int i = 0; i < depth_; ++i) latest = std::max(latest, s_.slots[i]);
+  ++s_.tag_waits;
+  s_.tag_wait_ticks += latest - now;
   return latest;
 }
 
 sim::Tick Mfc::wait_tag(sim::Tick now, unsigned tag) const {
   if (tag >= kMfcTagGroups) throw DmaError("wait_tag: tag group must be 0..31");
-  sim::Tick ready = std::max(now, tag_done_[tag]);
+  sim::Tick ready = std::max(now, s_.tag_done[tag]);
   // A faulted tag-status wait misses the completion event and only
   // catches it on the next poll period.
   if (faults_ != nullptr && faults_->enabled() &&
@@ -213,23 +225,23 @@ sim::Tick Mfc::wait_tag(sim::Tick now, unsigned tag) const {
     ++tag_timeouts_;
     tag_timeout_ticks_ += spec_.tag_timeout_penalty;
   }
-  ++tag_waits_;
-  tag_wait_ticks_ += ready - now;
+  ++s_.tag_waits;
+  s_.tag_wait_ticks += ready - now;
   return ready;
 }
 
 void Mfc::publish_counters(sim::CounterSet& out) const {
-  out.set("commands", static_cast<double>(commands_));
-  out.set("get_commands", static_cast<double>(get_commands_));
-  out.set("put_commands", static_cast<double>(put_commands_));
-  out.set("list_commands", static_cast<double>(list_commands_));
-  out.set("ls_to_ls_commands", static_cast<double>(ls_to_ls_commands_));
-  out.set("transfers", static_cast<double>(transfers_));
-  out.set("bytes_requested", bytes_);
-  out.set("queue_full_commands", static_cast<double>(queue_full_commands_));
-  out.set("queue_full_ticks", static_cast<double>(queue_full_ticks_));
-  out.set("tag_waits", static_cast<double>(tag_waits_));
-  out.set("tag_wait_ticks", static_cast<double>(tag_wait_ticks_));
+  out.set("commands", static_cast<double>(s_.commands));
+  out.set("get_commands", static_cast<double>(s_.get_commands));
+  out.set("put_commands", static_cast<double>(s_.put_commands));
+  out.set("list_commands", static_cast<double>(s_.list_commands));
+  out.set("ls_to_ls_commands", static_cast<double>(s_.ls_to_ls_commands));
+  out.set("transfers", static_cast<double>(s_.transfers));
+  out.set("bytes_requested", s_.bytes);
+  out.set("queue_full_commands", static_cast<double>(s_.queue_full_commands));
+  out.set("queue_full_ticks", static_cast<double>(s_.queue_full_ticks));
+  out.set("tag_waits", static_cast<double>(s_.tag_waits));
+  out.set("tag_wait_ticks", static_cast<double>(s_.tag_wait_ticks));
   if (faults_ != nullptr && faults_->enabled()) {
     out.set("retried_commands", static_cast<double>(retried_commands_));
     out.set("retry_attempts", static_cast<double>(retry_attempts_));
@@ -240,20 +252,7 @@ void Mfc::publish_counters(sim::CounterSet& out) const {
 }
 
 void Mfc::reset() noexcept {
-  slots_.fill(0);
-  tag_done_.fill(0);
-  commands_ = 0;
-  transfers_ = 0;
-  bytes_ = 0.0;
-  occupancy_hist_.fill(0);
-  get_commands_ = 0;
-  put_commands_ = 0;
-  list_commands_ = 0;
-  ls_to_ls_commands_ = 0;
-  queue_full_commands_ = 0;
-  queue_full_ticks_ = 0;
-  tag_waits_ = 0;
-  tag_wait_ticks_ = 0;
+  s_ = State{};
   fault_seq_ = 0;
   tag_fault_seq_ = 0;
   retried_commands_ = 0;

@@ -143,9 +143,40 @@ class Mfc {
   /// at a 512-byte element's efficiency.
   double request_efficiency(const DmaRequest& req) const;
 
-  std::uint64_t commands() const noexcept { return commands_; }
-  std::uint64_t transfers() const noexcept { return transfers_; }
-  double bytes_requested() const noexcept { return bytes_; }
+  /// Every mutable clock and counter of the healthy-path MFC, as one
+  /// plain struct: the timing engine's iteration fast-forward captures
+  /// and restores whole unit states (core::StreamingPipeline::Snapshot).
+  /// Fault-injection state stays outside: fast-forward never runs with
+  /// a fault plan armed.
+  struct State {
+    /// Completion times of outstanding commands (the first
+    /// queue_depth() entries are live).
+    std::array<sim::Tick, 32> slots{};
+    /// Latest completion time per tag group (monotone: a group's wait
+    /// must cover every command ever submitted under it).
+    std::array<sim::Tick, kMfcTagGroups> tag_done{};
+    std::uint64_t commands = 0;
+    std::uint64_t transfers = 0;
+    double bytes = 0.0;
+    std::array<std::uint64_t, 32> occupancy_hist{};
+    // Command-mix and stall counters (observation only; the tag-wait
+    // ones are bumped from the const wait entry points, which never
+    // change timing state).
+    std::uint64_t get_commands = 0;
+    std::uint64_t put_commands = 0;
+    std::uint64_t list_commands = 0;
+    std::uint64_t ls_to_ls_commands = 0;
+    std::uint64_t queue_full_commands = 0;
+    sim::Tick queue_full_ticks = 0;
+    std::uint64_t tag_waits = 0;
+    sim::Tick tag_wait_ticks = 0;
+  };
+  const State& state() const noexcept { return s_; }
+  void restore(const State& s) noexcept { s_ = s; }
+
+  std::uint64_t commands() const noexcept { return s_.commands; }
+  std::uint64_t transfers() const noexcept { return s_.transfers; }
+  double bytes_requested() const noexcept { return s_.bytes; }
   const std::string& name() const noexcept { return name_; }
 
   // Fault/resilience counters (all zero unless a plan is armed).
@@ -165,7 +196,7 @@ class Mfc {
   /// entered the queue (k ranges 0..depth-1; a full queue blocks until
   /// a slot frees, so depth-1 is the maximum observable).
   const std::array<std::uint64_t, 32>& occupancy_histogram() const noexcept {
-    return occupancy_hist_;
+    return s_.occupancy_hist;
   }
   int queue_depth() const noexcept { return depth_; }
 
@@ -176,27 +207,22 @@ class Mfc {
   Eib* eib_;
   Mic* mic_;
   std::string name_;
-  /// Completion times of outstanding commands (bounded by queue depth).
-  std::array<sim::Tick, 32> slots_{};
-  /// Latest completion time per tag group (monotone: a group's wait
-  /// must cover every command ever submitted under it).
-  std::array<sim::Tick, kMfcTagGroups> tag_done_{};
   int depth_;
-  std::uint64_t commands_ = 0;
-  std::uint64_t transfers_ = 0;
-  double bytes_ = 0.0;
-  std::array<std::uint64_t, 32> occupancy_hist_{};
-  // Command-mix and stall counters (observation only; the mutable ones
-  // are bumped from the const wait entry points, which never change
-  // timing state).
-  std::uint64_t get_commands_ = 0;
-  std::uint64_t put_commands_ = 0;
-  std::uint64_t list_commands_ = 0;
-  std::uint64_t ls_to_ls_commands_ = 0;
-  std::uint64_t queue_full_commands_ = 0;
-  sim::Tick queue_full_ticks_ = 0;
-  mutable std::uint64_t tag_waits_ = 0;
-  mutable sim::Tick tag_wait_ticks_ = 0;
+  /// Mutable: the const wait entry points bump its tag-wait counters.
+  mutable State s_;
+  /// request_efficiency() per request shape. A run issues a handful of
+  /// shapes (chunk widths x bulk, face and put), so each is priced once
+  /// and read back from this direct-mapped table; an entry is a pure
+  /// function of the shape, so the table is not part of State.
+  struct EfficiencyMemo {
+    std::size_t total_bytes = 0;  ///< 0 never matches: validate() rejects it
+    std::size_t element_bytes = 0;
+    std::size_t alignment = 0;
+    double efficiency = 1.0;
+  };
+  static constexpr int kEffMemoBits = 4;
+  std::array<EfficiencyMemo, 1u << kEffMemoBits> eff_memo_{};
+  double memo_efficiency(const DmaRequest& req);
   // Fault injection (inert unless attach_faults() armed a plan). The
   // sequence counters are the decision-hash coordinates: one per DMA
   // command submitted, one per tag wait served, so the schedule is a

@@ -1,7 +1,7 @@
 #include "cellsim/spu_pipeline.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <vector>
 
 namespace cellsweep::cell {
 
@@ -42,9 +42,13 @@ ScheduleResult SpuPipeline::schedule(const spu::Trace& trace) const {
   if (trace.insts.empty()) return result;
 
   // ready[v] = first cycle at which value v can feed a dependent
-  // instruction. Values produced outside the trace are ready at 0.
-  std::unordered_map<spu::ValueId, std::uint64_t> ready;
-  ready.reserve(trace.insts.size() * 2);
+  // instruction. Values produced outside the trace are ready at 0. The
+  // recorder hands out ids densely from 1, so a vector indexed by id
+  // covers them all; slot kNoValue (0) is never written.
+  spu::ValueId max_id = 0;
+  for (const auto& inst : trace.insts)
+    max_id = std::max({max_id, inst.dst, inst.src0, inst.src1, inst.src2});
+  std::vector<std::uint64_t> ready(static_cast<std::size_t>(max_id) + 1, 0);
 
   std::uint64_t completion = 0;
   // Earliest cycle the *next* instruction may issue (advanced by
@@ -56,11 +60,7 @@ ScheduleResult SpuPipeline::schedule(const spu::Trace& trace) const {
   bool prev_paired = true;  // nothing to pair with before the first inst
   bool prev_blocking = false;
 
-  auto src_ready = [&](spu::ValueId v) -> std::uint64_t {
-    if (v == spu::kNoValue) return 0;
-    auto it = ready.find(v);
-    return it == ready.end() ? 0 : it->second;
-  };
+  auto src_ready = [&](spu::ValueId v) -> std::uint64_t { return ready[v]; };
 
   for (const auto& inst : trace.insts) {
     const OpTiming& t = timings_.timing(inst.op);
@@ -86,7 +86,7 @@ ScheduleResult SpuPipeline::schedule(const spu::Trace& trace) const {
       if (deps > next_issue) result.dep_stall_cycles += deps - next_issue;
     }
 
-    ready[inst.dst] = issue + t.latency;
+    if (inst.dst != spu::kNoValue) ready[inst.dst] = issue + t.latency;
     completion = std::max(completion, issue + t.latency);
 
     if (!paired) {

@@ -105,6 +105,22 @@ struct PipelineStats {
     return *this;
   }
 
+  /// Field-wise difference (counters of one stretch of a run).
+  PipelineStats operator-(const PipelineStats& o) const {
+    PipelineStats d;
+    d.kernels = kernels - o.kernels;
+    d.cycles = cycles - o.cycles;
+    d.issue_cycles = issue_cycles - o.issue_cycles;
+    d.instructions = instructions - o.instructions;
+    d.dual_issues = dual_issues - o.dual_issues;
+    d.even_pipe_insts = even_pipe_insts - o.even_pipe_insts;
+    d.odd_pipe_insts = odd_pipe_insts - o.odd_pipe_insts;
+    d.dep_stall_cycles = dep_stall_cycles - o.dep_stall_cycles;
+    d.block_stall_cycles = block_stall_cycles - o.block_stall_cycles;
+    d.flops = flops - o.flops;
+    return d;
+  }
+
   /// Folds one kernel's schedule into the accumulator.
   PipelineStats& operator+=(const ScheduleResult& r) {
     ++kernels;

@@ -91,6 +91,19 @@ sim::Tick DispatchFabric::report_done(sim::Tick now, SyncProtocol protocol) {
   return now;
 }
 
+DispatchFabric::State DispatchFabric::state() const noexcept {
+  return State{ppe_mailbox_.state(), ppe_poke_.state(), atomic_unit_.state(),
+               grants_, reports_};
+}
+
+void DispatchFabric::restore(const State& s) noexcept {
+  ppe_mailbox_.restore(s.mailbox);
+  ppe_poke_.restore(s.poke);
+  atomic_unit_.restore(s.atomic);
+  grants_ = s.grants;
+  reports_ = s.reports;
+}
+
 void DispatchFabric::publish_counters(sim::CounterSet& out) const {
   out.set("grants", static_cast<double>(grants_));
   out.set("reports", static_cast<double>(reports_));

@@ -62,6 +62,18 @@ class DispatchFabric {
   std::uint64_t grants() const noexcept { return grants_; }
   std::uint64_t reports() const noexcept { return reports_; }
 
+  /// Every mutable clock and counter of the healthy-path fabric, as
+  /// one plain struct (see Mfc::State; fault state stays outside).
+  struct State {
+    sim::LatencyServer::State mailbox;
+    sim::LatencyServer::State poke;
+    sim::LatencyServer::State atomic;
+    std::uint64_t grants = 0;
+    std::uint64_t reports = 0;
+  };
+  State state() const noexcept;
+  void restore(const State& s) noexcept;
+
   /// Arms message-drop injection: centralized dispatch messages
   /// (mailbox writes, LS pokes) may be dropped and resent after a
   /// timeout. Pass nullptr to disarm; a disabled plan is equivalent.

@@ -1,6 +1,7 @@
 #include "core/orchestrator.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "perfmodel/processors.h"
 #include "sweep/plan.h"
@@ -23,6 +24,19 @@ sim::Tick sweep_dependency(const UpstreamView& u, int c) {
     t = std::max(t, u.ready[p]);
   if (c + 1 >= n) t = std::max(t, u.ready[n - 1]);
   return t + u.hop;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/// Folds one diagonal into an iteration's stream signature (FNV-1a
+/// over its fields): a fast-forwarded iteration must be fed the stream
+/// of the iteration it repeats.
+std::uint64_t mix(std::uint64_t h, const sweep::DiagonalWork& w) {
+  for (const int v : {w.octant, w.ablock, w.kblock, w.diagonal, w.nlines,
+                      w.it, static_cast<int>(w.fixup),
+                      static_cast<int>(w.kernel)})
+    h = (h ^ static_cast<std::uint32_t>(v)) * 0x100000001b3ull;
+  return h;
 }
 
 }  // namespace
@@ -55,17 +69,10 @@ TimingEngine::TimingEngine(const CellSweepConfig& cfg,
 TimingEngine::~TimingEngine() = default;
 
 void TimingEngine::on_diagonal(const sweep::DiagonalWork& w) {
-  // Source-moment rebuild at each iteration start: one streaming pass
-  // over flux + source + the external source field. Bandwidth-bound;
-  // the madds are fully pipelined underneath.
-  const bool iteration_start =
-      w.octant == 0 && w.ablock == 0 && w.kblock == 0 && w.diagonal == 0;
-  if (iteration_start) {
-    const double bytes = (2.0 * nm_ + 1.0) *
-                         static_cast<double>(grid_.cells()) *
-                         static_cast<double>(real_bytes_of(cfg_.precision));
-    pipeline_.memory_pass("source-rebuild", bytes);
-  }
+  if (w.octant == 0 && w.ablock == 0 && w.kblock == 0 && w.diagonal == 0)
+    begin_iteration(w);
+  ++diagonals_;
+  stream_ = mix(stream_, w);
 
   // Wavefront structure. Within one (octant, angle-block, K-block)
   // block the dependency is per-line: a chunk of this diagonal needs
@@ -79,30 +86,107 @@ void TimingEngine::on_diagonal(const sweep::DiagonalWork& w) {
   const bool new_block = block_key != current_block_key_;
   current_block_key_ = block_key;
 
+  // A fast-forwarded iteration is already priced; the drift check
+  // still covers each of its diagonals.
+  if (skipping_) {
+    sweep::ChunkPlan::check_lines(cfg_.sweep, grid_.jt, w);
+    return;
+  }
+
   // Chunk list of this diagonal -- the same ChunkPlan the functional
   // sweeper executes (the plan constructor throws on functional/timing
   // drift) -- each chunk priced by the trace-scheduled kernel cost
-  // model and sized by its DMA transfer plan.
+  // model and sized by its DMA transfer plan, once per chunk shape.
   const sweep::ChunkPlan plan(cfg_.sweep, grid_.jt, w);
-  const std::size_t rb = real_bytes_of(cfg_.precision);
-  std::vector<StreamChunkSpec> specs;
-  specs.reserve(plan.chunks().size());
+  specs_.clear();
   for (const sweep::ChunkDesc& pc : plan.chunks()) {
+    specs_.push_back(priced_shape(w, pc.nlines));
+    specs_.back().index = pc.index;
+  }
+  pipeline_.run_batch(specs_, sweep_dependency, new_block);
+}
+
+const StreamChunkSpec& TimingEngine::priced_shape(
+    const sweep::DiagonalWork& w, int nlines) {
+  PricedShape& shape =
+      shapes_[w.fixup ? 1 : 0][static_cast<std::size_t>(nlines - 1)];
+  if (!shape.priced || shape.kernel != w.kernel || shape.it != w.it) {
     const ChunkCost& cost =
-        kernels_.chunk_cost(w.kernel, cfg_.precision, pc.nlines, w.it, nm_,
+        kernels_.chunk_cost(w.kernel, cfg_.precision, nlines, w.it, nm_,
                             w.fixup, cfg_.gotos_eliminated);
     StreamChunkSpec sc;
-    sc.index = pc.index;
-    sc.plan =
-        plan_chunk(ChunkShape{pc.nlines, w.it, nm_, rb, cfg_.aligned_rows});
+    sc.plan = plan_chunk(ChunkShape{nlines, w.it, nm_,
+                                    real_bytes_of(cfg_.precision),
+                                    cfg_.aligned_rows});
     sc.kernel_cycles = cost.cycles;
     sc.kernel_name = w.fixup ? "kernel+fixup" : "kernel";
     sc.flops = cost.flops;
-    sc.work_units = static_cast<std::uint64_t>(pc.nlines) * w.it;
+    sc.work_units = static_cast<std::uint64_t>(nlines) * w.it;
     sc.stats = cost.stats;
-    specs.push_back(sc);
+    shape = PricedShape{true, w.kernel, w.it, sc};
   }
-  pipeline_.run_batch(specs, sweep_dependency, new_block);
+  return shape.spec;
+}
+
+void TimingEngine::begin_iteration(const sweep::DiagonalWork& w) {
+  end_iteration();
+  // Source-moment rebuild at each iteration start: one streaming pass
+  // over flux + source + the external source field. Bandwidth-bound;
+  // the madds are fully pipelined underneath.
+  const double bytes = (2.0 * nm_ + 1.0) *
+                       static_cast<double>(grid_.cells()) *
+                       static_cast<double>(real_bytes_of(cfg_.precision));
+  pipeline_.memory_pass("source-rebuild", bytes);
+
+  if (!fast_forward_ || pipeline_.replays_in_full()) return;
+  std::vector<std::int64_t> key = pipeline_.canonical_key();
+  key.insert(key.begin(), {w.fixup, static_cast<int>(w.kernel), w.it});
+  StreamingPipeline::Snapshot start = pipeline_.snapshot();
+  if (!StreamingPipeline::exact_counters(start)) return;
+  for (std::size_t i = 0; i < memo_.size(); ++i) {
+    if (memo_[i].key != key) continue;
+    if (pipeline_.fast_forward(memo_[i].start, memo_[i].end)) {
+      skipping_ = i;
+      ++skipped_;
+    }
+    return;
+  }
+  recording_ = Iteration{std::move(key), std::move(start), {}, 0, 0};
+}
+
+void TimingEngine::end_iteration() {
+  if (skipping_) {
+    const Iteration& repeated = memo_[*skipping_];
+    if (diagonals_ != repeated.diagonals || stream_ != repeated.stream)
+      throw std::logic_error(
+          "TimingEngine: a fast-forwarded iteration was fed a different "
+          "diagonal stream than the iteration it repeats");
+    skipping_.reset();
+  }
+  if (recording_) {
+    recording_->end = pipeline_.snapshot();
+    recording_->diagonals = diagonals_;
+    recording_->stream = stream_;
+    if (StreamingPipeline::exact_counters(recording_->end))
+      memo_.push_back(std::move(*recording_));
+    recording_.reset();
+  }
+  diagonals_ = 0;
+  stream_ = kFnvOffset;
+}
+
+RunReport TimingEngine::finish() {
+  end_iteration();
+  return pipeline_.finish();
+}
+
+void TimingEngine::gate(sim::Tick at) {
+  if (skipping_)
+    throw std::logic_error(
+        "TimingEngine::gate inside a fast-forwarded iteration");
+  fast_forward_ = false;
+  recording_.reset();
+  pipeline_.gate(at);
 }
 
 const sweep::SnQuadrature& CellSweep3D::quadrature(

@@ -26,6 +26,7 @@
 //     benches use it for big sweeps).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -50,39 +51,96 @@ LsPlacement sweep_placement(const CellSweepConfig& cfg, int it, int nm);
 
 /// Timing engine: consumes DiagonalWork events in sweep order and
 /// re-hosts them on the workload-agnostic StreamingPipeline.
+///
+/// Iteration fast-forward: every source iteration opens with the
+/// source-rebuild memory pass, which puts all later work behind it.
+/// The engine keys each iteration by its fixup flag (plus kernel and
+/// line length) and the pipeline's canonical state at the pass's end
+/// (StreamingPipeline::canonical_key). The first iteration with a key
+/// is priced chunk by chunk and recorded; a later one with the same
+/// key applies the recorded clock offsets and counter deltas and skips
+/// its diagonals, so the report is byte-identical to a full replay.
+/// The memo lives and dies with the engine. It replays in full, and
+/// records nothing, whenever StreamingPipeline::replays_in_full() or a
+/// published floating-point counter is not an exact integer, and for
+/// the rest of the run after a gate().
 class TimingEngine {
  public:
   TimingEngine(const CellSweepConfig& cfg, const sweep::Grid& grid, int nm);
   ~TimingEngine();
 
-  /// Feed one diagonal of independent I-lines.
+  /// Feed one diagonal of independent I-lines. Throws std::logic_error
+  /// when a fast-forwarded iteration turns out to feed a different
+  /// diagonal stream than the iteration it repeats.
   void on_diagonal(const sweep::DiagonalWork& w);
 
   /// Drains outstanding work and the final iteration's source pass;
   /// returns the completed report (timing fields only). Under
   /// CELLSWEEP_HAZARD_CHECK (and only with the pipeline-owned checker)
   /// throws analysis::HazardError when protocol violations were found.
-  RunReport finish() { return pipeline_.finish(); }
+  RunReport finish();
 
-  /// Current completion horizon; monotone across diagonals.
+  /// Current completion horizon; monotone across diagonals. Inside a
+  /// fast-forwarded iteration it already reads the iteration's end.
   sim::Tick horizon() const noexcept { return pipeline_.horizon(); }
 
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
   /// when this chip is one rank of a process-level decomposition.
-  void gate(sim::Tick at) { pipeline_.gate(at); }
+  /// Turns iteration fast-forward off for the rest of the run; throws
+  /// std::logic_error inside an already fast-forwarded iteration.
+  void gate(sim::Tick at);
 
   const cell::CellProcessor& machine() const noexcept {
     return pipeline_.machine();
   }
 
+  /// Source iterations fast-forwarded rather than replayed so far.
+  int iterations_fast_forwarded() const noexcept { return skipped_; }
+
  private:
+  /// One priced source iteration: its key, the pipeline snapshots at
+  /// its base and end, and its diagonal stream (count + signature).
+  struct Iteration {
+    std::vector<std::int64_t> key;
+    StreamingPipeline::Snapshot start;
+    StreamingPipeline::Snapshot end;
+    std::uint64_t diagonals = 0;
+    std::uint64_t stream = 0;
+  };
+  /// Chunk spec of one (fixup, width) shape, priced on first use.
+  struct PricedShape {
+    bool priced = false;
+    sweep::KernelKind kernel = sweep::KernelKind::kSimd;
+    int it = 0;
+    StreamChunkSpec spec;
+  };
+
+  /// Closes the previous iteration, runs the source-rebuild pass, then
+  /// fast-forwards the new iteration or starts recording it.
+  void begin_iteration(const sweep::DiagonalWork& w);
+  /// Stores a recorded iteration, or checks that a fast-forwarded one
+  /// was fed the stream it repeats.
+  void end_iteration();
+  const StreamChunkSpec& priced_shape(const sweep::DiagonalWork& w,
+                                      int nlines);
+
   CellSweepConfig cfg_;
   sweep::Grid grid_;
   int nm_;
   KernelCostModel kernels_;
   StreamingPipeline pipeline_;
   long long current_block_key_ = -1;
+  std::array<std::array<PricedShape, sweep::kBundleLines>, 2> shapes_{};
+  std::vector<StreamChunkSpec> specs_;  ///< the diagonal's chunks (reused)
+
+  std::vector<Iteration> memo_;
+  std::optional<Iteration> recording_;
+  std::optional<std::size_t> skipping_;  ///< memo_ entry being repeated
+  std::uint64_t diagonals_ = 0;  ///< diagonals of the current iteration
+  std::uint64_t stream_ = 0;     ///< their signature
+  bool fast_forward_ = true;     ///< false for good after a gate()
+  int skipped_ = 0;
 };
 
 /// End-to-end runner for one problem + configuration.

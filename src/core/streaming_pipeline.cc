@@ -1,6 +1,7 @@
 #include "core/streaming_pipeline.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -130,7 +131,7 @@ StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
     min_claimed_ = max_claimed_ = claim_.count();
     // Start the cyclic cursor on our lowest claimed SPE so chunk 0
     // lands deterministically regardless of which SPEs we got.
-    rr_spe_ = claim_.ids.front();
+    p_.rr_spe = claim_.ids.front();
   }
 
   // Protocol observer: an externally attached checker wins; otherwise
@@ -206,20 +207,232 @@ void StreamingPipeline::memory_pass(const char* name, double bytes) {
   // rebuild, the stencil's residual reduction). Bandwidth-bound; the
   // arithmetic is fully pipelined underneath. Serializes: the pass
   // starts at the current horizon and later work starts behind it.
-  const sim::Tick before = next_barrier_;
-  next_barrier_ = machine_.mic().submit(next_barrier_, bytes, 0, 1.0);
+  const sim::Tick before = p_.next_barrier;
+  p_.next_barrier = machine_.mic().submit(p_.next_barrier, bytes, 0, 1.0);
   if (sink_) {
-    sink_->span(mic_track_, name, "memory", before, next_barrier_);
-    sink_->counter(mic_track_, "traffic-gb", next_barrier_,
+    sink_->span(mic_track_, name, "memory", before, p_.next_barrier);
+    sink_->counter(mic_track_, "traffic-gb", p_.next_barrier,
                    machine_.mic().bytes_moved() / 1e9);
   }
+}
+
+bool StreamingPipeline::replays_in_full() const noexcept {
+  // A profiler interposes as sink_; observer_ includes the checker
+  // CELLSWEEP_HAZARD_CHECK arms.
+  return sink_ != nullptr || observer_ != nullptr || fault_plan_.enabled() ||
+         cfg_.spe_allocator != nullptr || static_cast<bool>(chunk_hook_) ||
+         cfg_.cancel != nullptr;
+}
+
+std::vector<std::int64_t> StreamingPipeline::canonical_key() {
+  const sim::Tick base = p_.next_barrier;
+  auto rel = [base](sim::Tick t) {
+    return static_cast<std::int64_t>(t - base);
+  };
+  // Exact: these feed ticks or the wait-bucket counters directly.
+  std::vector<std::int64_t> key{p_.rr_spe, rel(p_.reports_horizon),
+                                rel(machine_.mic().state().port.free_at)};
+  sim::Tick lowest_floor = base;
+  for (int s = 0; s < machine_.num_spes(); ++s) {
+    const SpeClock& spe = spes_[static_cast<std::size_t>(s)];
+    key.insert(key.end(),
+               {rel(spe.request_at), rel(spe.compute_free), rel(spe.put_done),
+                static_cast<std::int64_t>(spe.served % cfg_.buffers)});
+    // Every later command and tag wait on this MFC starts at or after
+    // request_at, so values below the floor only differ in history. A
+    // command takes the earliest-free slot, so slot order never matters.
+    const sim::Tick floor = std::min(spe.request_at, base);
+    lowest_floor = std::min(lowest_floor, floor);
+    cell::Mfc& mfc = machine_.spe(s).mfc();
+    cell::Mfc::State m = mfc.state();
+    const auto live = m.slots.begin() + mfc.queue_depth();
+    std::sort(m.slots.begin(), live);
+    for (auto slot = m.slots.begin(); slot != live; ++slot) {
+      *slot = std::max(*slot, floor);
+      key.push_back(rel(*slot));
+    }
+    for (sim::Tick& done : m.tag_done) {
+      done = std::max(done, floor);
+      key.push_back(rel(done));
+    }
+    mfc.restore(m);
+  }
+  // Every EIB transfer comes from some MFC's command; every grant and
+  // report of the pass happens at or after its base.
+  sim::BandwidthResource::State eib = machine_.eib().state();
+  eib.free_at = std::max(eib.free_at, lowest_floor);
+  key.push_back(rel(eib.free_at));
+  machine_.eib().restore(eib);
+  cell::DispatchFabric::State dispatch = machine_.dispatch().state();
+  for (sim::LatencyServer::State* server :
+       {&dispatch.mailbox, &dispatch.poke, &dispatch.atomic}) {
+    server->free_at = std::max(server->free_at, base);
+    key.push_back(rel(server->free_at));
+  }
+  machine_.dispatch().restore(dispatch);
+  return key;
+}
+
+StreamingPipeline::Snapshot StreamingPipeline::snapshot() const {
+  Snapshot snap{p_,
+                spes_,
+                prev_completion_,
+                prev_compute_end_,
+                {},
+                {},
+                machine_.mic().state(),
+                machine_.eib().state(),
+                machine_.dispatch().state()};
+  for (int s = 0; s < machine_.num_spes(); ++s) {
+    snap.spe_units.push_back(machine_.spe(s).state());
+    snap.mfcs.push_back(machine_.spe(s).mfc().state());
+  }
+  return snap;
+}
+
+bool StreamingPipeline::exact_counters(const Snapshot& s) {
+  auto exact = [](double v) {
+    return v >= 0.0 && v < 0x1p53 && v == std::floor(v);
+  };
+  bool ok = exact(s.progress.compute_cycles) && exact(s.mic.logical_bytes) &&
+            exact(s.eib.bytes);
+  for (const cell::Mfc::State& m : s.mfcs) ok = ok && exact(m.bytes);
+  return ok;
+}
+
+bool StreamingPipeline::fast_forward(const Snapshot& from,
+                                     const Snapshot& to) {
+  // Each field is a clock (it lands at the recorded offset from the
+  // pass's base) or a counter (it grows by the recorded delta).
+  const sim::Tick from_base = from.progress.next_barrier;
+  const sim::Tick base = p_.next_barrier;
+  auto at = [&](sim::Tick end) { return base + (end - from_base); };
+  auto add = [](auto& cur, auto start, auto end) { cur += end - start; };
+  auto link = [&](sim::BandwidthResource::State& cur,
+                  const sim::BandwidthResource::State& start,
+                  const sim::BandwidthResource::State& end) {
+    cur.free_at = at(end.free_at);
+    add(cur.busy, start.busy, end.busy);
+    add(cur.wait, start.wait, end.wait);
+    add(cur.bytes, start.bytes, end.bytes);
+    add(cur.requests, start.requests, end.requests);
+  };
+  auto server = [&](sim::LatencyServer::State& cur,
+                    const sim::LatencyServer::State& start,
+                    const sim::LatencyServer::State& end) {
+    cur.free_at = at(end.free_at);
+    add(cur.requests, start.requests, end.requests);
+  };
+  Snapshot next = snapshot();
+
+  Progress& p = next.progress;
+  const Progress& pa = from.progress;
+  const Progress& pb = to.progress;
+  p.barrier = at(pb.barrier);
+  p.next_barrier = at(pb.next_barrier);
+  p.reports_horizon = at(pb.reports_horizon);
+  p.rr_spe = pb.rr_spe;
+  add(p.token_seq, pa.token_seq, pb.token_seq);
+  add(p.flops, pa.flops, pb.flops);
+  add(p.work_units, pa.work_units, pb.work_units);
+  add(p.chunks, pa.chunks, pb.chunks);
+  add(p.compute_cycles, pa.compute_cycles, pb.compute_cycles);
+  next.prev_completion = to.prev_completion;
+  for (sim::Tick& t : next.prev_completion) t = at(t);
+  next.prev_compute_end = to.prev_compute_end;
+  for (sim::Tick& t : next.prev_compute_end) t = at(t);
+
+  for (std::size_t s = 0; s < next.spes.size(); ++s) {
+    SpeClock& c = next.spes[s];
+    const SpeClock& ca = from.spes[s];
+    const SpeClock& cb = to.spes[s];
+    c.request_at = at(cb.request_at);
+    c.compute_free = at(cb.compute_free);
+    c.put_done = at(cb.put_done);
+    add(c.served, ca.served, cb.served);
+    add(c.dma_wait, ca.dma_wait, cb.dma_wait);
+    add(c.sync_wait, ca.sync_wait, cb.sync_wait);
+    c.pipe += cb.pipe - ca.pipe;
+
+    cell::Spe::State& u = next.spe_units[s];
+    add(u.busy, from.spe_units[s].busy, to.spe_units[s].busy);
+    add(u.work_items, from.spe_units[s].work_items,
+        to.spe_units[s].work_items);
+
+    cell::Mfc::State& m = next.mfcs[s];
+    const cell::Mfc::State& ma = from.mfcs[s];
+    const cell::Mfc::State& mb = to.mfcs[s];
+    const int depth = machine_.spe(static_cast<int>(s)).mfc().queue_depth();
+    for (int i = 0; i < depth; ++i) m.slots[i] = at(mb.slots[i]);
+    for (std::size_t g = 0; g < m.tag_done.size(); ++g)
+      m.tag_done[g] = at(mb.tag_done[g]);
+    add(m.commands, ma.commands, mb.commands);
+    add(m.transfers, ma.transfers, mb.transfers);
+    add(m.bytes, ma.bytes, mb.bytes);
+    for (std::size_t k = 0; k < m.occupancy_hist.size(); ++k)
+      add(m.occupancy_hist[k], ma.occupancy_hist[k], mb.occupancy_hist[k]);
+    add(m.get_commands, ma.get_commands, mb.get_commands);
+    add(m.put_commands, ma.put_commands, mb.put_commands);
+    add(m.list_commands, ma.list_commands, mb.list_commands);
+    add(m.ls_to_ls_commands, ma.ls_to_ls_commands, mb.ls_to_ls_commands);
+    add(m.queue_full_commands, ma.queue_full_commands, mb.queue_full_commands);
+    add(m.queue_full_ticks, ma.queue_full_ticks, mb.queue_full_ticks);
+    add(m.tag_waits, ma.tag_waits, mb.tag_waits);
+    add(m.tag_wait_ticks, ma.tag_wait_ticks, mb.tag_wait_ticks);
+  }
+
+  // The MIC attributes elements to banks from a rotating cursor that
+  // the key leaves out: the pass's per-bank deltas, read from its
+  // starting cursor, land from the current one.
+  cell::Mic::State& mic = next.mic;
+  const cell::Mic::State& mia = from.mic;
+  const cell::Mic::State& mib = to.mic;
+  link(mic.port, mia.port, mib.port);
+  add(mic.logical_bytes, mia.logical_bytes, mib.logical_bytes);
+  add(mic.reads, mia.reads, mib.reads);
+  add(mic.writes, mia.writes, mib.writes);
+  add(mic.conflict, mia.conflict, mib.conflict);
+  const int banks = machine_.spec().memory_banks;
+  for (int j = 0; j < banks; ++j) {
+    const auto src = static_cast<std::size_t>((mia.bank_cursor + j) % banks);
+    const auto dst = static_cast<std::size_t>((mic.bank_cursor + j) % banks);
+    add(mic.bank_reads[dst], mia.bank_reads[src], mib.bank_reads[src]);
+    add(mic.bank_writes[dst], mia.bank_writes[src], mib.bank_writes[src]);
+  }
+  mic.bank_cursor =
+      (mic.bank_cursor + mib.bank_cursor - mia.bank_cursor + banks) % banks;
+
+  link(next.eib, from.eib, to.eib);
+
+  cell::DispatchFabric::State& d = next.dispatch;
+  const cell::DispatchFabric::State& da = from.dispatch;
+  const cell::DispatchFabric::State& db = to.dispatch;
+  server(d.mailbox, da.mailbox, db.mailbox);
+  server(d.poke, da.poke, db.poke);
+  server(d.atomic, da.atomic, db.atomic);
+  add(d.grants, da.grants, db.grants);
+  add(d.reports, da.reports, db.reports);
+
+  if (!exact_counters(next)) return false;
+  p_ = next.progress;
+  spes_ = std::move(next.spes);
+  prev_completion_ = std::move(next.prev_completion);
+  prev_compute_end_ = std::move(next.prev_compute_end);
+  for (int s = 0; s < machine_.num_spes(); ++s) {
+    machine_.spe(s).restore(next.spe_units[static_cast<std::size_t>(s)]);
+    machine_.spe(s).mfc().restore(next.mfcs[static_cast<std::size_t>(s)]);
+  }
+  machine_.mic().restore(next.mic);
+  machine_.eib().restore(next.eib);
+  machine_.dispatch().restore(next.dispatch);
+  return true;
 }
 
 int StreamingPipeline::pick_spe(sim::Tick& extra) {
   const int n = static_cast<int>(spes_.size());
   for (int scanned = 0; scanned <= 2 * n; ++scanned) {
-    const int s = rr_spe_;
-    rr_spe_ = (rr_spe_ + 1) % n;
+    const int s = p_.rr_spe;
+    p_.rr_spe = (p_.rr_spe + 1) % n;
     // SPEs another tenant holds are simply not in the rotation (no
     // re-dispatch accounting: the chunk was never theirs to lose).
     if (!claimed_[static_cast<std::size_t>(s)]) continue;
@@ -306,10 +519,10 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
   // sweep's blocks are sequential -- the paper's sweep() processes
   // them in order) and forgets the upstream chunk history.
   if (new_block) {
-    barrier_ = next_barrier_;
+    p_.barrier = p_.next_barrier;
     prev_completion_.clear();
     prev_compute_end_.clear();
-    if (sink_) sink_->instant(ppe_track_, "block-barrier", "sync", barrier_);
+    if (sink_) sink_->instant(ppe_track_, "block-barrier", "sync", p_.barrier);
   }
 
   // Multi-tenant claim adjustment happens only here, between batches:
@@ -326,8 +539,8 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
   const bool centralized =
       cfg_.sync != cell::SyncProtocol::kAtomicDistributed;
   const sim::Tick release =
-      centralized ? std::max(barrier_, reports_horizon_)
-                  : barrier_ + machine_.spec().atomic_op_latency;
+      centralized ? std::max(p_.barrier, p_.reports_horizon)
+                  : p_.barrier + machine_.spec().atomic_op_latency;
 
   // Upstream readiness is the workload's dependency policy over the
   // previous batch's chunks: under centralized dispatch faces travel
@@ -336,7 +549,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
   // SPE-to-SPE from the upstream local store, so its compute end (plus
   // an atomic hop) suffices.
   const UpstreamView upstream{
-      centralized ? prev_completion_ : prev_compute_end_, barrier_,
+      centralized ? prev_completion_ : prev_compute_end_, p_.barrier,
       centralized ? sim::Tick{0} : machine_.spec().atomic_op_latency};
   auto dependency_ready = [&](int c) -> sim::Tick {
     return deps(upstream, c);
@@ -347,30 +560,15 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
   // staging buffers; the token is the global chunk sequence number
   // binding its grant, DMAs, kernel and report together for the
   // protocol checker.
-  struct Chunk {
-    const StreamChunkSpec* spec;
-    int spe;
-    int buf;
-    std::uint64_t token;
-    /// Failover delay this chunk pays before dispatch: the PPE watchdog
-    /// time spent declaring its original SPE dead and re-dispatching.
-    sim::Tick extra = 0;
-    sim::Tick grant = 0;
-    sim::Tick get_done = 0;
-    sim::Tick get_issue_done = 0;
-    sim::Tick compute_end = 0;
-    sim::Tick completion = 0;
-    std::size_t staged_bytes = 0;  ///< LS bytes the kernel consumes
-  };
-  std::vector<Chunk> chunks;
-  chunks.reserve(specs.size());
+  std::vector<Chunk>& chunks = batch_;
+  chunks.clear();
   for (const StreamChunkSpec& sc : specs) {
     sim::Tick extra = 0;
     const int s = pick_spe(extra);
     SpeClock& spe = spes_[s];
     const int buf = static_cast<int>(spe.served % cfg_.buffers);
     ++spe.served;
-    chunks.push_back(Chunk{&sc, s, buf, token_seq_++, extra});
+    chunks.push_back(Chunk{&sc, s, buf, p_.token_seq++, extra});
   }
 
   // The chunks stream in waves of `buffers` chunks per SPE. Within a
@@ -424,7 +622,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
         // narrowed claim. Tokens are positional, so they stand.
         for (std::size_t i = w0; i < chunks.size(); ++i)
           --spes_[chunks[i].spe].served;
-        rr_spe_ = claim_.ids.front();
+        p_.rr_spe = claim_.ids.front();
         for (std::size_t i = w0; i < chunks.size(); ++i) {
           sim::Tick extra = 0;
           const int s = pick_spe(extra);
@@ -441,7 +639,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
         wave = std::max<std::size_t>(live, 1) *
                static_cast<std::size_t>(cfg_.buffers);
         if (sink_)
-          sink_->instant(ppe_track_, "preempt-yield", "sync", next_barrier_);
+          sink_->instant(ppe_track_, "preempt-yield", "sync", p_.next_barrier);
       }
     }
     const std::size_t w1 = std::min(chunks.size(), w0 + wave);
@@ -581,11 +779,11 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
       if (cfg_.buffers >= 2)
         spe.request_at = std::max(spe.request_at, ready);
 
-      flops_ += c.spec->flops;
-      total_compute_cycles_ += c.spec->kernel_cycles;
+      p_.flops += c.spec->flops;
+      p_.compute_cycles += c.spec->kernel_cycles;
       spe.pipe += c.spec->stats;
-      work_units_ += c.spec->work_units;
-      ++chunks_;
+      p_.work_units += c.spec->work_units;
+      ++p_.chunks;
       machine_.spe(c.spe).count_work_item();
     }
 
@@ -619,8 +817,8 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
                              c.token);
       const sim::Tick completion = std::max(put.done, report);
       c.completion = completion;
-      next_barrier_ = std::max(next_barrier_, completion);
-      reports_horizon_ = std::max(reports_horizon_, report);
+      p_.next_barrier = std::max(p_.next_barrier, completion);
+      p_.reports_horizon = std::max(p_.reports_horizon, report);
       spe.put_done = put.done;
       spe.compute_free = std::max(spe.compute_free, put.issue_done);
       if (cfg_.buffers < 2)
@@ -641,7 +839,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
 RunReport StreamingPipeline::finish() {
   confined_.check("StreamingPipeline::finish");
   RunReport r;
-  const sim::Tick end = next_barrier_;
+  const sim::Tick end = p_.next_barrier;
   if (observer_) observer_->on_run_end(end);
   // CELLSWEEP_HAZARD_CHECK strict mode: the pipeline owns the checker,
   // so it owns the escalation too (externally attached observers leave
@@ -651,9 +849,9 @@ RunReport StreamingPipeline::finish() {
                                 owned_diags_->summary());
   r.seconds = sim::seconds_from_ticks(end);
   r.traffic_bytes = machine_.mic().bytes_moved();
-  r.flops = flops_;
-  r.cell_solves = work_units_;
-  r.chunks = chunks_;
+  r.flops = p_.flops;
+  r.cell_solves = p_.work_units;
+  r.chunks = p_.chunks;
   r.dispatch_busy_grants =
       static_cast<double>(machine_.dispatch().grants());
   r.ls_high_water = ls_high_water_;
@@ -688,9 +886,9 @@ RunReport StreamingPipeline::finish() {
   // hierarchical aggregate, and the chip-shared units.
   r.counters = sim::CounterSet("machine");
   r.counters.set("run_ticks", static_cast<double>(end));
-  r.counters.set("chunks", static_cast<double>(chunks_));
-  r.counters.set("cell_solves", static_cast<double>(work_units_));
-  r.counters.set("flops", static_cast<double>(flops_));
+  r.counters.set("chunks", static_cast<double>(p_.chunks));
+  r.counters.set("cell_solves", static_cast<double>(p_.work_units));
+  r.counters.set("flops", static_cast<double>(p_.flops));
   sim::CounterSet spe_total("spe_total");
   std::vector<sim::CounterSet> spe_sets;
   spe_sets.reserve(static_cast<std::size_t>(machine_.num_spes()));
@@ -777,7 +975,7 @@ RunReport StreamingPipeline::finish() {
   const cell::CellSpec& spec = machine_.spec();
   r.memory_bound_s = r.traffic_bytes / spec.mic_bytes_per_s;
   r.compute_bound_s =
-      total_compute_cycles_ / (spec.clock_hz * spec.num_spes);
+      p_.compute_cycles / (spec.clock_hz * spec.num_spes);
   if (r.seconds > 0) {
     r.achieved_flops_per_s = static_cast<double>(r.flops) / r.seconds;
     if (r.cell_solves > 0)

@@ -193,14 +193,14 @@ class StreamingPipeline {
   RunReport finish();
 
   /// Current completion horizon; monotone across batches.
-  sim::Tick horizon() const noexcept { return next_barrier_; }
+  sim::Tick horizon() const noexcept { return p_.next_barrier; }
 
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
   /// when this chip is one rank of a process-level decomposition.
   void gate(sim::Tick at) {
-    next_barrier_ = std::max(next_barrier_, at);
-    reports_horizon_ = std::max(reports_horizon_, at);
+    p_.next_barrier = std::max(p_.next_barrier, at);
+    p_.reports_horizon = std::max(p_.reports_horizon, at);
   }
 
   const cell::CellProcessor& machine() const noexcept { return machine_; }
@@ -218,12 +218,103 @@ class StreamingPipeline {
     std::uint64_t served = 0;
     // Stall accounting (ticks; observation only, never read back into
     // the clocks above).
-    sim::Tick busy = 0;
     sim::Tick dma_wait = 0;
     sim::Tick sync_wait = 0;
     /// Per-kernel pipeline schedules folded over the run (the Section
     /// 5.1 counters, published into the "spe<N>/pipeline" counter set).
     cell::PipelineStats pipe;
+  };
+
+  /// The pipeline's own clocks and counters (each SpeClock and each
+  /// machine unit keeps its own).
+  struct Progress {
+    sim::Tick barrier = 0;          ///< hard barrier (block boundary)
+    sim::Tick next_barrier = 0;     ///< completion horizon of all work
+    sim::Tick reports_horizon = 0;  ///< when the PPE has seen all reports
+    int rr_spe = 0;                 ///< cyclic SPE assignment cursor
+    /// Global chunk sequence: the token binding a chunk's grant, DMAs,
+    /// kernel and report together for the protocol checker.
+    std::uint64_t token_seq = 0;
+    std::uint64_t flops = 0;
+    std::uint64_t work_units = 0;
+    std::uint64_t chunks = 0;
+    double compute_cycles = 0;  ///< healthy-path kernel cycles, all SPEs
+  };
+
+ public:
+  /// Every mutable clock and counter of the pipeline and its machine
+  /// (observability, fault and allocator state excluded: fast-forward
+  /// never runs with them armed).
+  struct Snapshot {
+    Progress progress;
+    std::vector<SpeClock> spes;
+    std::vector<sim::Tick> prev_completion;
+    std::vector<sim::Tick> prev_compute_end;
+    std::vector<cell::Spe::State> spe_units;
+    std::vector<cell::Mfc::State> mfcs;
+    cell::Mic::State mic;
+    sim::BandwidthResource::State eib;
+    cell::DispatchFabric::State dispatch;
+  };
+
+  // --- Pass fast-forward (core::TimingEngine uses it) ----------------
+  //
+  // A workload whose passes start with memory_pass() can price a pass
+  // once and re-apply its recorded effect to a later pass that starts
+  // from the same canonical state: the model is translation-invariant
+  // in time, so every clock lands at the same offset from the pass's
+  // base and every counter grows by the same delta.
+
+  /// True when fast-forward would hide something that watches or
+  /// perturbs single chunks: a trace sink or profiler, a hazard
+  /// observer (CELLSWEEP_HAZARD_CHECK included), an enabled fault plan,
+  /// an SPE allocator, a chunk hook or a cancel flag.
+  bool replays_in_full() const noexcept;
+
+  /// Canonicalizes the machine at the current horizon, the base of the
+  /// next pass, and returns the state's key relative to that base.
+  /// Canonical means: MFC slots sorted; slots and tag groups raised to
+  /// their SPE's floor min(request_at, base); the EIB raised to the
+  /// lowest floor; the dispatch servers raised to the base. No later
+  /// command, tag wait, grant or report on a unit starts before its
+  /// floor, so a raised value changes no tick and no counter -- given
+  /// that the next batch opens a new block, so no grant precedes the
+  /// base.
+  std::vector<std::int64_t> canonical_key();
+
+  Snapshot snapshot() const;
+
+  /// True when the published floating-point counters of @p s (MFC, MIC
+  /// and EIB bytes, compute cycles) hold exact integers below 2^53, so
+  /// adding a recorded delta equals adding its increments one by one.
+  static bool exact_counters(const Snapshot& s);
+
+  /// Applies the pass recorded between @p from (taken at its base) and
+  /// @p to (taken at its end) to this pipeline, whose canonical key at
+  /// the current horizon must equal the one @p from had. Clocks move to
+  /// the current base plus their recorded offset; counters add their
+  /// recorded delta, MIC bank counts rotated to the current bank
+  /// cursor. Returns false, changing nothing, if a published
+  /// floating-point counter would stop being exact.
+  bool fast_forward(const Snapshot& from, const Snapshot& to);
+
+ private:
+  /// One chunk of the batch being streamed: its spec, SPE, staging
+  /// buffer and clocks.
+  struct Chunk {
+    const StreamChunkSpec* spec;
+    int spe;
+    int buf;
+    std::uint64_t token;
+    /// Failover delay this chunk pays before dispatch: the PPE watchdog
+    /// time spent declaring its original SPE dead and re-dispatching.
+    sim::Tick extra = 0;
+    sim::Tick grant = 0;
+    sim::Tick get_done = 0;
+    sim::Tick get_issue_done = 0;
+    sim::Tick compute_end = 0;
+    sim::Tick completion = 0;
+    std::size_t staged_bytes = 0;  ///< LS bytes the kernel consumes
   };
 
   /// Next live SPE in cyclic order. Detects SPEs that reach their
@@ -256,10 +347,9 @@ class StreamingPipeline {
   cell::CellProcessor machine_;
 
   std::vector<SpeClock> spes_;
-  sim::Tick barrier_ = 0;       ///< hard barrier (block boundary)
-  sim::Tick next_barrier_ = 0;  ///< completion horizon of all work so far
-  sim::Tick reports_horizon_ = 0;  ///< when the PPE has seen all reports
-  int rr_spe_ = 0;              ///< cyclic SPE assignment cursor
+  Progress p_;
+  /// The batch being streamed (kept to reuse its storage).
+  std::vector<Chunk> batch_;
   /// Readiness of each chunk of the previous batch in the current
   /// block, indexed by StreamChunkSpec::index: completion time (faces
   /// through memory) and compute end (faces forwarded SPE-to-SPE).
@@ -269,9 +359,6 @@ class StreamingPipeline {
   /// LS offset of each chunk staging buffer (identical on every SPE;
   /// the hazard annotations use them to name DMA targets).
   std::vector<std::size_t> buffer_offsets_;
-  /// Global chunk sequence: the token binding a chunk's grant, DMAs,
-  /// kernel and report together for the protocol checker.
-  std::uint64_t token_seq_ = 0;
 
   // Protocol observability (null observer: every emit is one branch).
   cell::MachineObserver* observer_ = nullptr;
@@ -289,11 +376,6 @@ class StreamingPipeline {
   std::vector<int> spe_tracks_;
 
   ChunkTimingHook chunk_hook_;
-
-  std::uint64_t flops_ = 0;
-  std::uint64_t work_units_ = 0;
-  std::uint64_t chunks_ = 0;
-  double total_compute_cycles_ = 0;
 
   // Fault injection and graceful degradation (inert when the plan is
   // disabled: alive_ stays all-true and pick_spe reduces to the plain

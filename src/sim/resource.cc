@@ -13,24 +13,21 @@ BandwidthResource::BandwidthResource(std::string name, double bytes_per_second)
 }
 
 Tick BandwidthResource::submit(Tick now, double bytes, Tick overhead) {
-  if (bytes < 0.0)
-    throw std::invalid_argument("BandwidthResource: negative byte count");
-  const Tick start = std::max(now, free_at_);
-  const Tick service = overhead + ticks_for_bytes(bytes, rate_);
-  free_at_ = start + service;
-  busy_ += service;
-  wait_ += start - now;
-  bytes_ += bytes;
-  ++requests_;
-  return free_at_;
+  return s_.submit(rate_, now, bytes, overhead);
 }
 
-void BandwidthResource::reset() noexcept {
-  free_at_ = 0;
-  busy_ = 0;
-  wait_ = 0;
-  bytes_ = 0.0;
-  requests_ = 0;
+Tick BandwidthResource::State::submit(double bytes_per_second, Tick now,
+                                      double payload, Tick overhead) {
+  if (payload < 0.0)
+    throw std::invalid_argument("BandwidthResource: negative byte count");
+  const Tick start = std::max(now, free_at);
+  const Tick service = overhead + ticks_for_bytes(payload, bytes_per_second);
+  free_at = start + service;
+  busy += service;
+  wait += start - now;
+  bytes += payload;
+  ++requests;
+  return free_at;
 }
 
 LatencyServer::LatencyServer(std::string name, Tick latency, Tick occupancy)
@@ -41,15 +38,10 @@ Tick LatencyServer::submit(Tick now) {
 }
 
 Tick LatencyServer::submit_with(Tick now, Tick latency, Tick occupancy) {
-  const Tick start = std::max(now, free_at_);
-  free_at_ = start + occupancy;
-  ++requests_;
+  const Tick start = std::max(now, s_.free_at);
+  s_.free_at = start + occupancy;
+  ++s_.requests;
   return start + latency;
-}
-
-void LatencyServer::reset() noexcept {
-  free_at_ = 0;
-  requests_ = 0;
 }
 
 }  // namespace cellsweep::sim

@@ -33,20 +33,38 @@ class BandwidthResource {
   /// charged before the payload starts moving (per-request setup cost).
   Tick submit(Tick now, double bytes, Tick overhead = 0);
 
+  /// Every mutable clock and counter of the link, as one plain struct:
+  /// the timing engine's iteration fast-forward captures and restores
+  /// whole unit states (core::StreamingPipeline::Snapshot).
+  struct State {
+    Tick free_at = 0;  ///< when the link next becomes free
+    Tick busy = 0;
+    Tick wait = 0;
+    double bytes = 0.0;
+    std::uint64_t requests = 0;
+
+    /// submit() on this state for a link of @p bytes_per_second, so a
+    /// unit can keep its link inside its own State (cell::Mic does).
+    Tick submit(double bytes_per_second, Tick now, double payload,
+                Tick overhead);
+  };
+  const State& state() const noexcept { return s_; }
+  void restore(const State& s) noexcept { s_ = s; }
+
   /// Time at which the link next becomes free.
-  Tick free_at() const noexcept { return free_at_; }
+  Tick free_at() const noexcept { return s_.free_at; }
 
   /// Total busy ticks accumulated across all requests.
-  Tick busy_ticks() const noexcept { return busy_; }
+  Tick busy_ticks() const noexcept { return s_.busy; }
 
   /// Total ticks requests spent waiting for the link to free up before
   /// their service started (FIFO contention). Observation only.
-  Tick wait_ticks() const noexcept { return wait_; }
+  Tick wait_ticks() const noexcept { return s_.wait; }
 
   /// Total payload bytes moved.
-  double bytes_moved() const noexcept { return bytes_; }
+  double bytes_moved() const noexcept { return s_.bytes; }
 
-  std::uint64_t requests() const noexcept { return requests_; }
+  std::uint64_t requests() const noexcept { return s_.requests; }
 
   double rate() const noexcept { return rate_; }
   const std::string& name() const noexcept { return name_; }
@@ -55,19 +73,15 @@ class BandwidthResource {
   double utilization(Tick horizon) const noexcept {
     return horizon == 0
                ? 0.0
-               : static_cast<double>(busy_) / static_cast<double>(horizon);
+               : static_cast<double>(s_.busy) / static_cast<double>(horizon);
   }
 
-  void reset() noexcept;
+  void reset() noexcept { s_ = State{}; }
 
  private:
   std::string name_;
   double rate_;
-  Tick free_at_ = 0;
-  Tick busy_ = 0;
-  Tick wait_ = 0;
-  double bytes_ = 0.0;
-  std::uint64_t requests_ = 0;
+  State s_;
 };
 
 /// Fixed-latency single server (e.g. the PPE-side mailbox MMIO path).
@@ -82,19 +96,27 @@ class LatencyServer {
   /// status poll sharing the server with expensive dispatch work).
   Tick submit_with(Tick now, Tick latency, Tick occupancy);
 
-  Tick free_at() const noexcept { return free_at_; }
-  std::uint64_t requests() const noexcept { return requests_; }
+  /// Every mutable clock and counter of the server (see
+  /// BandwidthResource::State).
+  struct State {
+    Tick free_at = 0;
+    std::uint64_t requests = 0;
+  };
+  const State& state() const noexcept { return s_; }
+  void restore(const State& s) noexcept { s_ = s; }
+
+  Tick free_at() const noexcept { return s_.free_at; }
+  std::uint64_t requests() const noexcept { return s_.requests; }
   Tick latency() const noexcept { return latency_; }
   const std::string& name() const noexcept { return name_; }
 
-  void reset() noexcept;
+  void reset() noexcept { s_ = State{}; }
 
  private:
   std::string name_;
   Tick latency_;    // start-of-service to completion
   Tick occupancy_;  // how long the server stays busy per request
-  Tick free_at_ = 0;
-  std::uint64_t requests_ = 0;
+  State s_;
 };
 
 }  // namespace cellsweep::sim

@@ -78,6 +78,12 @@ class ChunkPlan {
   static int lines_on_diagonal(const SweepConfig& cfg, int jt,
                                int diagonal) noexcept;
 
+  /// Throws the DiagonalWork constructor's drift error when @p w.nlines
+  /// disagrees with lines_on_diagonal(): the same check for a diagonal
+  /// that is not planned (one of a fast-forwarded iteration).
+  static void check_lines(const SweepConfig& cfg, int jt,
+                          const DiagonalWork& w);
+
   /// Chunks @p nlines lines split into (full bundles, remainder last).
   static int chunk_count(int nlines) noexcept;
 

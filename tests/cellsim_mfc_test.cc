@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <string>
 
 #include "cellsim/mfc.h"
 #include "cellsim/memory.h"
@@ -154,6 +155,71 @@ TEST_F(MfcTest, ValidatesTrailingPartialElement) {
   EXPECT_NO_THROW(mfc_.validate(legal(512 + 8, 512)));
   EXPECT_NO_THROW(mfc_.validate(legal(512 + 16, 512)));
   EXPECT_NO_THROW(mfc_.validate(legal(512 + 240, 512)));
+}
+
+/// The DmaError text validate() throws for @p req ("" if legal).
+std::string rejection(const Mfc& mfc, const DmaRequest& req) {
+  try {
+    mfc.validate(req);
+  } catch (const DmaError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(MfcTest, PinsEveryRuleMessage) {
+  // deck_runner lint prints these strings (analysis::lint_machine).
+  const std::string p = "illegal DMA command: ";
+  EXPECT_EQ(rejection(mfc_, legal()), "");
+  EXPECT_EQ(rejection(mfc_, legal(0, 0)), p + "zero-length transfer");
+  EXPECT_EQ(rejection(mfc_, legal(12, 12)),
+            p + "transfers below 16 bytes must be 1, 2, 4 or 8 bytes");
+  DmaRequest misaligned = legal(8, 8);
+  misaligned.alignment = 4;
+  EXPECT_EQ(rejection(mfc_, misaligned),
+            p + "sub-quadword transfers must be naturally aligned");
+  EXPECT_EQ(rejection(mfc_, legal(400, 100)),
+            p + "transfers of 16 bytes or more must be multiples of 16");
+  EXPECT_EQ(rejection(mfc_, legal(32 * 1024, 32 * 1024)),
+            p + "single transfer exceeds 16 KB");
+  EXPECT_EQ(rejection(mfc_, legal(512 + 3, 512)),
+            p + "trailing partial transfers below 16 bytes must be 1, 2, 4 "
+                "or 8 bytes");
+  DmaRequest ragged = legal(512 + 8, 512);
+  ragged.alignment = 4;
+  EXPECT_EQ(rejection(mfc_, ragged),
+            p + "sub-quadword trailing partial transfers must be naturally "
+                "aligned");
+  EXPECT_EQ(rejection(mfc_, legal(512 + 100, 512)),
+            p + "trailing partial transfers of 16 bytes or more must be "
+                "multiples of 16");
+  EXPECT_EQ(rejection(mfc_, legal(2100 * 16, 16)),
+            p + "DMA list must have 1..2048 elements");
+  DmaRequest odd_alignment = legal();
+  odd_alignment.alignment = 100;
+  EXPECT_EQ(rejection(mfc_, odd_alignment),
+            p + "alignment must be a power of two");
+  DmaRequest no_banks = legal();
+  no_banks.banks_touched = 0;
+  EXPECT_EQ(rejection(mfc_, no_banks),
+            p + "banks_touched must be in 1..16, got 0");
+  DmaRequest bad_tag = legal();
+  bad_tag.tag = kMfcTagGroups;
+  EXPECT_EQ(rejection(mfc_, bad_tag), p + "tag group must be 0..31");
+}
+
+TEST_F(MfcTest, JoinsViolationsWithSemicolons) {
+  DmaRequest r = legal();
+  r.alignment = 100;
+  r.tag = kMfcTagGroups;
+  EXPECT_EQ(rejection(mfc_, r),
+            "illegal DMA command: alignment must be a power of two; tag "
+            "group must be 0..31");
+  r = legal(12, 12);
+  r.banks_touched = 17;
+  EXPECT_EQ(rejection(mfc_, r),
+            "illegal DMA command: transfers below 16 bytes must be 1, 2, 4 "
+            "or 8 bytes; banks_touched must be in 1..16, got 17");
 }
 
 TEST_F(MfcTest, TrailingPartialElementLowersEfficiency) {
