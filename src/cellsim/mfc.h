@@ -144,7 +144,7 @@ class Mfc {
   double request_efficiency(const DmaRequest& req) const;
 
   /// Every mutable clock and counter of the healthy-path MFC, as one
-  /// plain struct: the timing engine's iteration fast-forward captures
+  /// plain struct: the timing engine's block fast-forward captures
   /// and restores whole unit states (core::StreamingPipeline::Snapshot).
   /// Fault-injection state stays outside: fast-forward never runs with
   /// a fault plan armed.

@@ -28,12 +28,12 @@ sim::Tick sweep_dependency(const UpstreamView& u, int c) {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 
-/// Folds one diagonal into an iteration's stream signature (FNV-1a
-/// over its fields): a fast-forwarded iteration must be fed the stream
-/// of the iteration it repeats.
+/// Folds one diagonal into a block's stream signature (FNV-1a over the
+/// fields its batch depends on; no tick depends on the block's
+/// position): a fast-forwarded block must be fed the stream of the
+/// block it repeats.
 std::uint64_t mix(std::uint64_t h, const sweep::DiagonalWork& w) {
-  for (const int v : {w.octant, w.ablock, w.kblock, w.diagonal, w.nlines,
-                      w.it, static_cast<int>(w.fixup),
+  for (const int v : {w.diagonal, w.nlines, w.it, static_cast<int>(w.fixup),
                       static_cast<int>(w.kernel)})
     h = (h ^ static_cast<std::uint32_t>(v)) * 0x100000001b3ull;
   return h;
@@ -69,25 +69,27 @@ TimingEngine::TimingEngine(const CellSweepConfig& cfg,
 TimingEngine::~TimingEngine() = default;
 
 void TimingEngine::on_diagonal(const sweep::DiagonalWork& w) {
-  if (w.octant == 0 && w.ablock == 0 && w.kblock == 0 && w.diagonal == 0)
-    begin_iteration(w);
-  ++diagonals_;
-  stream_ = mix(stream_, w);
-
   // Wavefront structure. Within one (octant, angle-block, K-block)
   // block the dependency is per-line: a chunk of this diagonal needs
   // only its neighboring chunks of the previous diagonal (the
   // sweep_dependency policy), so execution pipelines across diagonals.
   // Blocks are sequential (the paper's sweep() processes them in
   // order), so a new block opens a new pipeline block: a hard barrier
-  // behind everything outstanding.
-  const long long block_key =
-      (static_cast<long long>(w.octant) * 64 + w.ablock) * 1024 + w.kblock;
-  const bool new_block = block_key != current_block_key_;
-  current_block_key_ = block_key;
+  // behind everything outstanding. A source iteration opens with block
+  // (0, 0, 0).
+  const bool opens_iteration =
+      w.octant == 0 && w.ablock == 0 && w.kblock == 0 && w.diagonal == 0;
+  const std::array<int, 3> block{w.octant, w.ablock, w.kblock};
+  const bool new_block = opens_iteration || block != block_;
+  if (new_block) {
+    begin_block(w, opens_iteration);
+    block_ = block;
+  }
+  ++diagonals_;
+  stream_ = mix(stream_, w);
 
-  // A fast-forwarded iteration is already priced; the drift check
-  // still covers each of its diagonals.
+  // A fast-forwarded block is already priced; the drift check still
+  // covers each of its diagonals.
   if (skipping_) {
     sweep::ChunkPlan::check_lines(cfg_.sweep, grid_.jt, w);
     return;
@@ -128,47 +130,50 @@ const StreamChunkSpec& TimingEngine::priced_shape(
   return shape.spec;
 }
 
-void TimingEngine::begin_iteration(const sweep::DiagonalWork& w) {
-  end_iteration();
-  // Source-moment rebuild at each iteration start: one streaming pass
-  // over flux + source + the external source field. Bandwidth-bound;
-  // the madds are fully pipelined underneath.
-  const double bytes = (2.0 * nm_ + 1.0) *
-                       static_cast<double>(grid_.cells()) *
-                       static_cast<double>(real_bytes_of(cfg_.precision));
-  pipeline_.memory_pass("source-rebuild", bytes);
+void TimingEngine::begin_block(const sweep::DiagonalWork& w,
+                               bool opens_iteration) {
+  end_block();
+  if (opens_iteration) {
+    // Source-moment rebuild at each iteration start: one streaming pass
+    // over flux + source + the external source field. Bandwidth-bound;
+    // the madds are fully pipelined underneath.
+    const double bytes = (2.0 * nm_ + 1.0) *
+                         static_cast<double>(grid_.cells()) *
+                         static_cast<double>(real_bytes_of(cfg_.precision));
+    pipeline_.memory_pass("source-rebuild", bytes);
+  }
 
   if (!fast_forward_ || pipeline_.replays_in_full()) return;
-  std::vector<std::int64_t> key = pipeline_.canonical_key();
-  key.insert(key.begin(), {w.fixup, static_cast<int>(w.kernel), w.it});
-  StreamingPipeline::Snapshot start = pipeline_.snapshot();
-  if (!StreamingPipeline::exact_counters(start)) return;
+  key_.assign({w.fixup, static_cast<int>(w.kernel), w.it});
+  pipeline_.canonical_key(key_);
   for (std::size_t i = 0; i < memo_.size(); ++i) {
-    if (memo_[i].key != key) continue;
+    if (memo_[i].key != key_) continue;
     if (pipeline_.fast_forward(memo_[i].start, memo_[i].end)) {
       skipping_ = i;
       ++skipped_;
     }
     return;
   }
-  recording_ = Iteration{std::move(key), std::move(start), {}, 0, 0};
+  if (pipeline_.exact_counters())
+    recording_ = Block{key_, pipeline_.snapshot(), {}, 0, 0};
 }
 
-void TimingEngine::end_iteration() {
+void TimingEngine::end_block() {
   if (skipping_) {
-    const Iteration& repeated = memo_[*skipping_];
+    const Block& repeated = memo_[*skipping_];
     if (diagonals_ != repeated.diagonals || stream_ != repeated.stream)
       throw std::logic_error(
-          "TimingEngine: a fast-forwarded iteration was fed a different "
-          "diagonal stream than the iteration it repeats");
+          "TimingEngine: a fast-forwarded block was fed a different "
+          "diagonal stream than the block it repeats");
     skipping_.reset();
   }
   if (recording_) {
-    recording_->end = pipeline_.snapshot();
-    recording_->diagonals = diagonals_;
-    recording_->stream = stream_;
-    if (StreamingPipeline::exact_counters(recording_->end))
+    if (pipeline_.exact_counters()) {
+      recording_->end = pipeline_.snapshot();
+      recording_->diagonals = diagonals_;
+      recording_->stream = stream_;
       memo_.push_back(std::move(*recording_));
+    }
     recording_.reset();
   }
   diagonals_ = 0;
@@ -176,16 +181,15 @@ void TimingEngine::end_iteration() {
 }
 
 RunReport TimingEngine::finish() {
-  end_iteration();
+  end_block();
   return pipeline_.finish();
 }
 
 void TimingEngine::gate(sim::Tick at) {
-  if (skipping_)
-    throw std::logic_error(
-        "TimingEngine::gate inside a fast-forwarded iteration");
+  // simulate_cluster gates between blocks: a skipped block must be
+  // complete here, which its stream check verifies.
+  end_block();
   fast_forward_ = false;
-  recording_.reset();
   pipeline_.gate(at);
 }
 

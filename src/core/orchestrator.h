@@ -52,56 +52,61 @@ LsPlacement sweep_placement(const CellSweepConfig& cfg, int it, int nm);
 /// Timing engine: consumes DiagonalWork events in sweep order and
 /// re-hosts them on the workload-agnostic StreamingPipeline.
 ///
-/// Iteration fast-forward: every source iteration opens with the
-/// source-rebuild memory pass, which puts all later work behind it.
-/// The engine keys each iteration by its fixup flag (plus kernel and
-/// line length) and the pipeline's canonical state at the pass's end
-/// (StreamingPipeline::canonical_key). The first iteration with a key
-/// is priced chunk by chunk and recorded; a later one with the same
-/// key applies the recorded clock offsets and counter deltas and skips
-/// its diagonals, so the report is byte-identical to a full replay.
-/// The memo lives and dies with the engine. It replays in full, and
-/// records nothing, whenever StreamingPipeline::replays_in_full() or a
-/// published floating-point counter is not an exact integer, and for
-/// the rest of the run after a gate().
+/// Block fast-forward: every (octant, angle-block, K-block) block
+/// starts behind a hard barrier, and since MK divides KT and MMI the
+/// angle count, every block of a run feeds the same diagonal stream.
+/// The engine keys each block by its fixup flag, kernel and line
+/// length plus the pipeline's canonical state at its start
+/// (StreamingPipeline::canonical_key; a block that opens a source
+/// iteration is keyed after the source-rebuild pass). The first block
+/// with a key is priced chunk by chunk and recorded; a later one with
+/// the same key applies the recorded clock offsets and counter deltas
+/// and skips its diagonals, so the report is byte-identical to a full
+/// replay. The memo lives and dies with the engine. It replays in
+/// full, and records nothing, whenever
+/// StreamingPipeline::replays_in_full() or a published floating-point
+/// counter is not an exact integer, and for the rest of the run after
+/// a gate().
 class TimingEngine {
  public:
   TimingEngine(const CellSweepConfig& cfg, const sweep::Grid& grid, int nm);
   ~TimingEngine();
 
   /// Feed one diagonal of independent I-lines. Throws std::logic_error
-  /// when a fast-forwarded iteration turns out to feed a different
-  /// diagonal stream than the iteration it repeats.
+  /// when a fast-forwarded block turns out to feed a different
+  /// diagonal stream than the block it repeats.
   void on_diagonal(const sweep::DiagonalWork& w);
 
-  /// Drains outstanding work and the final iteration's source pass;
-  /// returns the completed report (timing fields only). Under
-  /// CELLSWEEP_HAZARD_CHECK (and only with the pipeline-owned checker)
-  /// throws analysis::HazardError when protocol violations were found.
+  /// Closes the last block (the stream check above) and drains
+  /// outstanding work; returns the completed report (timing fields
+  /// only). Under CELLSWEEP_HAZARD_CHECK (and only with the
+  /// pipeline-owned checker) throws analysis::HazardError when protocol
+  /// violations were found.
   RunReport finish();
 
   /// Current completion horizon; monotone across diagonals. Inside a
-  /// fast-forwarded iteration it already reads the iteration's end.
+  /// fast-forwarded block it already reads the block's end.
   sim::Tick horizon() const noexcept { return pipeline_.horizon(); }
 
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
   /// when this chip is one rank of a process-level decomposition.
-  /// Turns iteration fast-forward off for the rest of the run; throws
-  /// std::logic_error inside an already fast-forwarded iteration.
+  /// Closes a fast-forwarded block first (std::logic_error when the
+  /// gate comes before the block's last diagonal), then turns block
+  /// fast-forward off for the rest of the run.
   void gate(sim::Tick at);
 
   const cell::CellProcessor& machine() const noexcept {
     return pipeline_.machine();
   }
 
-  /// Source iterations fast-forwarded rather than replayed so far.
-  int iterations_fast_forwarded() const noexcept { return skipped_; }
+  /// Blocks fast-forwarded rather than replayed so far.
+  int blocks_fast_forwarded() const noexcept { return skipped_; }
 
  private:
-  /// One priced source iteration: its key, the pipeline snapshots at
-  /// its base and end, and its diagonal stream (count + signature).
-  struct Iteration {
+  /// One priced block: its key, the pipeline snapshots at its base and
+  /// end, and its diagonal stream (count + signature).
+  struct Block {
     std::vector<std::int64_t> key;
     StreamingPipeline::Snapshot start;
     StreamingPipeline::Snapshot end;
@@ -116,12 +121,13 @@ class TimingEngine {
     StreamChunkSpec spec;
   };
 
-  /// Closes the previous iteration, runs the source-rebuild pass, then
-  /// fast-forwards the new iteration or starts recording it.
-  void begin_iteration(const sweep::DiagonalWork& w);
-  /// Stores a recorded iteration, or checks that a fast-forwarded one
-  /// was fed the stream it repeats.
-  void end_iteration();
+  /// Closes the previous block, runs the source-rebuild pass if the
+  /// block @p w starts opens a source iteration, then fast-forwards the
+  /// new block or starts recording it.
+  void begin_block(const sweep::DiagonalWork& w, bool opens_iteration);
+  /// Stores a recorded block, or checks that a fast-forwarded one was
+  /// fed the stream it repeats.
+  void end_block();
   const StreamChunkSpec& priced_shape(const sweep::DiagonalWork& w,
                                       int nlines);
 
@@ -130,14 +136,16 @@ class TimingEngine {
   int nm_;
   KernelCostModel kernels_;
   StreamingPipeline pipeline_;
-  long long current_block_key_ = -1;
+  /// (octant, angle block, K block) of the block being fed.
+  std::array<int, 3> block_{-1, -1, -1};
   std::array<std::array<PricedShape, sweep::kBundleLines>, 2> shapes_{};
   std::vector<StreamChunkSpec> specs_;  ///< the diagonal's chunks (reused)
 
-  std::vector<Iteration> memo_;
-  std::optional<Iteration> recording_;
+  std::vector<Block> memo_;
+  std::vector<std::int64_t> key_;  ///< the block's key (reused)
+  std::optional<Block> recording_;
   std::optional<std::size_t> skipping_;  ///< memo_ entry being repeated
-  std::uint64_t diagonals_ = 0;  ///< diagonals of the current iteration
+  std::uint64_t diagonals_ = 0;  ///< diagonals of the current block
   std::uint64_t stream_ = 0;     ///< their signature
   bool fast_forward_ = true;     ///< false for good after a gate()
   int skipped_ = 0;

@@ -15,6 +15,9 @@ namespace {
 /// Fewest SPEs an allocator tenant may be squeezed to under pressure.
 constexpr int kMinSpes = 1;
 
+/// A published floating-point counter that still counts exactly.
+bool exact(double v) { return v >= 0.0 && v < 0x1p53 && v == std::floor(v); }
+
 /// Publishes one SPE's folded pipeline schedules (the Section 5.1
 /// counters) into @p out.
 void publish_pipeline(const cell::PipelineStats& p, sim::CounterSet& out) {
@@ -224,14 +227,14 @@ bool StreamingPipeline::replays_in_full() const noexcept {
          cfg_.cancel != nullptr;
 }
 
-std::vector<std::int64_t> StreamingPipeline::canonical_key() {
+void StreamingPipeline::canonical_key(std::vector<std::int64_t>& key) {
   const sim::Tick base = p_.next_barrier;
   auto rel = [base](sim::Tick t) {
     return static_cast<std::int64_t>(t - base);
   };
   // Exact: these feed ticks or the wait-bucket counters directly.
-  std::vector<std::int64_t> key{p_.rr_spe, rel(p_.reports_horizon),
-                                rel(machine_.mic().state().port.free_at)};
+  key.insert(key.end(), {p_.rr_spe, rel(p_.reports_horizon),
+                         rel(machine_.mic().state().port.free_at)});
   sim::Tick lowest_floor = base;
   for (int s = 0; s < machine_.num_spes(); ++s) {
     const SpeClock& spe = spes_[static_cast<std::size_t>(s)];
@@ -240,17 +243,19 @@ std::vector<std::int64_t> StreamingPipeline::canonical_key() {
                 static_cast<std::int64_t>(spe.served % cfg_.buffers)});
     // Every later command and tag wait on this MFC starts at or after
     // request_at, so values below the floor only differ in history. A
-    // command takes the earliest-free slot, so slot order never matters.
+    // command takes the earliest-free slot, so slot order never matters:
+    // the raised slots come first, then the busy ones in order.
     const sim::Tick floor = std::min(spe.request_at, base);
     lowest_floor = std::min(lowest_floor, floor);
     cell::Mfc& mfc = machine_.spe(s).mfc();
     cell::Mfc::State m = mfc.state();
     const auto live = m.slots.begin() + mfc.queue_depth();
-    std::sort(m.slots.begin(), live);
-    for (auto slot = m.slots.begin(); slot != live; ++slot) {
-      *slot = std::max(*slot, floor);
+    const auto busy = std::partition(
+        m.slots.begin(), live, [floor](sim::Tick t) { return t <= floor; });
+    std::fill(m.slots.begin(), busy, floor);
+    std::sort(busy, live);
+    for (auto slot = m.slots.begin(); slot != live; ++slot)
       key.push_back(rel(*slot));
-    }
     for (sim::Tick& done : m.tag_done) {
       done = std::max(done, floor);
       key.push_back(rel(done));
@@ -258,7 +263,7 @@ std::vector<std::int64_t> StreamingPipeline::canonical_key() {
     mfc.restore(m);
   }
   // Every EIB transfer comes from some MFC's command; every grant and
-  // report of the pass happens at or after its base.
+  // report of the block happens at or after its base.
   sim::BandwidthResource::State eib = machine_.eib().state();
   eib.free_at = std::max(eib.free_at, lowest_floor);
   key.push_back(rel(eib.free_at));
@@ -270,7 +275,6 @@ std::vector<std::int64_t> StreamingPipeline::canonical_key() {
     key.push_back(rel(server->free_at));
   }
   machine_.dispatch().restore(dispatch);
-  return key;
 }
 
 StreamingPipeline::Snapshot StreamingPipeline::snapshot() const {
@@ -290,20 +294,37 @@ StreamingPipeline::Snapshot StreamingPipeline::snapshot() const {
   return snap;
 }
 
-bool StreamingPipeline::exact_counters(const Snapshot& s) {
-  auto exact = [](double v) {
-    return v >= 0.0 && v < 0x1p53 && v == std::floor(v);
-  };
-  bool ok = exact(s.progress.compute_cycles) && exact(s.mic.logical_bytes) &&
-            exact(s.eib.bytes);
-  for (const cell::Mfc::State& m : s.mfcs) ok = ok && exact(m.bytes);
+bool StreamingPipeline::exact_counters() const {
+  bool ok = exact(p_.compute_cycles) &&
+            exact(machine_.mic().state().logical_bytes) &&
+            exact(machine_.eib().state().bytes);
+  for (int s = 0; s < machine_.num_spes(); ++s)
+    ok = ok && exact(machine_.spe(s).mfc().state().bytes);
   return ok;
 }
 
 bool StreamingPipeline::fast_forward(const Snapshot& from,
                                      const Snapshot& to) {
+  // Each published floating-point counter must count exactly before
+  // and after its recorded delta lands.
+  auto exact_after = [](double cur, double start, double end) {
+    return exact(cur) && exact(cur + (end - start));
+  };
+  bool ok =
+      exact_after(p_.compute_cycles, from.progress.compute_cycles,
+                  to.progress.compute_cycles) &&
+      exact_after(machine_.mic().state().logical_bytes,
+                  from.mic.logical_bytes, to.mic.logical_bytes) &&
+      exact_after(machine_.eib().state().bytes, from.eib.bytes, to.eib.bytes);
+  for (int s = 0; ok && s < machine_.num_spes(); ++s) {
+    const auto u = static_cast<std::size_t>(s);
+    ok = exact_after(machine_.spe(s).mfc().state().bytes, from.mfcs[u].bytes,
+                     to.mfcs[u].bytes);
+  }
+  if (!ok) return false;
+
   // Each field is a clock (it lands at the recorded offset from the
-  // pass's base) or a counter (it grows by the recorded delta).
+  // block's base) or a counter (it grows by the recorded delta).
   const sim::Tick from_base = from.progress.next_barrier;
   const sim::Tick base = p_.next_barrier;
   auto at = [&](sim::Tick end) { return base + (end - from_base); };
@@ -323,27 +344,27 @@ bool StreamingPipeline::fast_forward(const Snapshot& from,
     cur.free_at = at(end.free_at);
     add(cur.requests, start.requests, end.requests);
   };
-  Snapshot next = snapshot();
 
-  Progress& p = next.progress;
   const Progress& pa = from.progress;
   const Progress& pb = to.progress;
-  p.barrier = at(pb.barrier);
-  p.next_barrier = at(pb.next_barrier);
-  p.reports_horizon = at(pb.reports_horizon);
-  p.rr_spe = pb.rr_spe;
-  add(p.token_seq, pa.token_seq, pb.token_seq);
-  add(p.flops, pa.flops, pb.flops);
-  add(p.work_units, pa.work_units, pb.work_units);
-  add(p.chunks, pa.chunks, pb.chunks);
-  add(p.compute_cycles, pa.compute_cycles, pb.compute_cycles);
-  next.prev_completion = to.prev_completion;
-  for (sim::Tick& t : next.prev_completion) t = at(t);
-  next.prev_compute_end = to.prev_compute_end;
-  for (sim::Tick& t : next.prev_compute_end) t = at(t);
+  p_.barrier = at(pb.barrier);
+  p_.next_barrier = at(pb.next_barrier);
+  p_.reports_horizon = at(pb.reports_horizon);
+  p_.rr_spe = pb.rr_spe;
+  add(p_.token_seq, pa.token_seq, pb.token_seq);
+  add(p_.flops, pa.flops, pb.flops);
+  add(p_.work_units, pa.work_units, pb.work_units);
+  add(p_.chunks, pa.chunks, pb.chunks);
+  add(p_.compute_cycles, pa.compute_cycles, pb.compute_cycles);
+  prev_completion_.assign(to.prev_completion.begin(),
+                          to.prev_completion.end());
+  for (sim::Tick& t : prev_completion_) t = at(t);
+  prev_compute_end_.assign(to.prev_compute_end.begin(),
+                           to.prev_compute_end.end());
+  for (sim::Tick& t : prev_compute_end_) t = at(t);
 
-  for (std::size_t s = 0; s < next.spes.size(); ++s) {
-    SpeClock& c = next.spes[s];
+  for (std::size_t s = 0; s < spes_.size(); ++s) {
+    SpeClock& c = spes_[s];
     const SpeClock& ca = from.spes[s];
     const SpeClock& cb = to.spes[s];
     c.request_at = at(cb.request_at);
@@ -354,16 +375,18 @@ bool StreamingPipeline::fast_forward(const Snapshot& from,
     add(c.sync_wait, ca.sync_wait, cb.sync_wait);
     c.pipe += cb.pipe - ca.pipe;
 
-    cell::Spe::State& u = next.spe_units[s];
+    cell::Spe& unit = machine_.spe(static_cast<int>(s));
+    cell::Spe::State u = unit.state();
     add(u.busy, from.spe_units[s].busy, to.spe_units[s].busy);
     add(u.work_items, from.spe_units[s].work_items,
         to.spe_units[s].work_items);
+    unit.restore(u);
 
-    cell::Mfc::State& m = next.mfcs[s];
+    cell::Mfc& mfc = unit.mfc();
+    cell::Mfc::State m = mfc.state();
     const cell::Mfc::State& ma = from.mfcs[s];
     const cell::Mfc::State& mb = to.mfcs[s];
-    const int depth = machine_.spe(static_cast<int>(s)).mfc().queue_depth();
-    for (int i = 0; i < depth; ++i) m.slots[i] = at(mb.slots[i]);
+    for (int i = 0; i < mfc.queue_depth(); ++i) m.slots[i] = at(mb.slots[i]);
     for (std::size_t g = 0; g < m.tag_done.size(); ++g)
       m.tag_done[g] = at(mb.tag_done[g]);
     add(m.commands, ma.commands, mb.commands);
@@ -379,12 +402,13 @@ bool StreamingPipeline::fast_forward(const Snapshot& from,
     add(m.queue_full_ticks, ma.queue_full_ticks, mb.queue_full_ticks);
     add(m.tag_waits, ma.tag_waits, mb.tag_waits);
     add(m.tag_wait_ticks, ma.tag_wait_ticks, mb.tag_wait_ticks);
+    mfc.restore(m);
   }
 
   // The MIC attributes elements to banks from a rotating cursor that
-  // the key leaves out: the pass's per-bank deltas, read from its
+  // the key leaves out: the block's per-bank deltas, read from its
   // starting cursor, land from the current one.
-  cell::Mic::State& mic = next.mic;
+  cell::Mic::State mic = machine_.mic().state();
   const cell::Mic::State& mia = from.mic;
   const cell::Mic::State& mib = to.mic;
   link(mic.port, mia.port, mib.port);
@@ -393,18 +417,23 @@ bool StreamingPipeline::fast_forward(const Snapshot& from,
   add(mic.writes, mia.writes, mib.writes);
   add(mic.conflict, mia.conflict, mib.conflict);
   const int banks = machine_.spec().memory_banks;
-  for (int j = 0; j < banks; ++j) {
-    const auto src = static_cast<std::size_t>((mia.bank_cursor + j) % banks);
-    const auto dst = static_cast<std::size_t>((mic.bank_cursor + j) % banks);
-    add(mic.bank_reads[dst], mia.bank_reads[src], mib.bank_reads[src]);
-    add(mic.bank_writes[dst], mia.bank_writes[src], mib.bank_writes[src]);
+  auto next_bank = [banks](int b) { return b + 1 == banks ? 0 : b + 1; };
+  for (int j = 0, src = mia.bank_cursor, dst = mic.bank_cursor; j < banks;
+       ++j, src = next_bank(src), dst = next_bank(dst)) {
+    const auto d = static_cast<std::size_t>(dst);
+    const auto r = static_cast<std::size_t>(src);
+    add(mic.bank_reads[d], mia.bank_reads[r], mib.bank_reads[r]);
+    add(mic.bank_writes[d], mia.bank_writes[r], mib.bank_writes[r]);
   }
   mic.bank_cursor =
       (mic.bank_cursor + mib.bank_cursor - mia.bank_cursor + banks) % banks;
+  machine_.mic().restore(mic);
 
-  link(next.eib, from.eib, to.eib);
+  sim::BandwidthResource::State eib = machine_.eib().state();
+  link(eib, from.eib, to.eib);
+  machine_.eib().restore(eib);
 
-  cell::DispatchFabric::State& d = next.dispatch;
+  cell::DispatchFabric::State d = machine_.dispatch().state();
   const cell::DispatchFabric::State& da = from.dispatch;
   const cell::DispatchFabric::State& db = to.dispatch;
   server(d.mailbox, da.mailbox, db.mailbox);
@@ -412,19 +441,7 @@ bool StreamingPipeline::fast_forward(const Snapshot& from,
   server(d.atomic, da.atomic, db.atomic);
   add(d.grants, da.grants, db.grants);
   add(d.reports, da.reports, db.reports);
-
-  if (!exact_counters(next)) return false;
-  p_ = next.progress;
-  spes_ = std::move(next.spes);
-  prev_completion_ = std::move(next.prev_completion);
-  prev_compute_end_ = std::move(next.prev_compute_end);
-  for (int s = 0; s < machine_.num_spes(); ++s) {
-    machine_.spe(s).restore(next.spe_units[static_cast<std::size_t>(s)]);
-    machine_.spe(s).mfc().restore(next.mfcs[static_cast<std::size_t>(s)]);
-  }
-  machine_.mic().restore(next.mic);
-  machine_.eib().restore(next.eib);
-  machine_.dispatch().restore(next.dispatch);
+  machine_.dispatch().restore(d);
   return true;
 }
 

@@ -257,13 +257,14 @@ class StreamingPipeline {
     cell::DispatchFabric::State dispatch;
   };
 
-  // --- Pass fast-forward (core::TimingEngine uses it) ----------------
+  // --- Block fast-forward (core::TimingEngine uses it) ---------------
   //
-  // A workload whose passes start with memory_pass() can price a pass
-  // once and re-apply its recorded effect to a later pass that starts
-  // from the same canonical state: the model is translation-invariant
-  // in time, so every clock lands at the same offset from the pass's
-  // base and every counter grows by the same delta.
+  // A workload whose blocks start behind a hard barrier (a batch with
+  // new_block, or a memory_pass) can price a block once and re-apply
+  // its recorded effect to a later block that starts from the same
+  // canonical state: the model is translation-invariant in time, so
+  // every clock lands at the same offset from the block's base and
+  // every counter grows by the same delta.
 
   /// True when fast-forward would hide something that watches or
   /// perturbs single chunks: a trace sink or profiler, a hazard
@@ -272,30 +273,30 @@ class StreamingPipeline {
   bool replays_in_full() const noexcept;
 
   /// Canonicalizes the machine at the current horizon, the base of the
-  /// next pass, and returns the state's key relative to that base.
-  /// Canonical means: MFC slots sorted; slots and tag groups raised to
-  /// their SPE's floor min(request_at, base); the EIB raised to the
-  /// lowest floor; the dispatch servers raised to the base. No later
-  /// command, tag wait, grant or report on a unit starts before its
-  /// floor, so a raised value changes no tick and no counter -- given
-  /// that the next batch opens a new block, so no grant precedes the
-  /// base.
-  std::vector<std::int64_t> canonical_key();
+  /// next block, and appends the state's key relative to that base to
+  /// @p key. Canonical means: MFC slots sorted; slots and tag groups
+  /// raised to their SPE's floor min(request_at, base); the EIB raised
+  /// to the lowest floor; the dispatch servers raised to the base. No
+  /// later command, tag wait, grant or report on a unit starts before
+  /// its floor, so a raised value changes no tick and no counter --
+  /// given that the next batch opens a new block, so no grant precedes
+  /// the base.
+  void canonical_key(std::vector<std::int64_t>& key);
 
   Snapshot snapshot() const;
 
-  /// True when the published floating-point counters of @p s (MFC, MIC
-  /// and EIB bytes, compute cycles) hold exact integers below 2^53, so
-  /// adding a recorded delta equals adding its increments one by one.
-  static bool exact_counters(const Snapshot& s);
+  /// True when the published floating-point counters (MFC, MIC and EIB
+  /// bytes, compute cycles) hold exact integers below 2^53, so adding a
+  /// recorded delta equals adding its increments one by one.
+  bool exact_counters() const;
 
-  /// Applies the pass recorded between @p from (taken at its base) and
-  /// @p to (taken at its end) to this pipeline, whose canonical key at
-  /// the current horizon must equal the one @p from had. Clocks move to
-  /// the current base plus their recorded offset; counters add their
-  /// recorded delta, MIC bank counts rotated to the current bank
-  /// cursor. Returns false, changing nothing, if a published
-  /// floating-point counter would stop being exact.
+  /// Applies the block recorded between @p from (taken at its base) and
+  /// @p to (taken at its end) to this pipeline, in place, whose
+  /// canonical key at the current horizon must equal the one @p from
+  /// had. Clocks move to the current base plus their recorded offset;
+  /// counters add their recorded delta, MIC bank counts rotated to the
+  /// current bank cursor. Returns false, changing nothing, unless every
+  /// published floating-point counter is exact before and after.
   bool fast_forward(const Snapshot& from, const Snapshot& to);
 
  private:

@@ -34,7 +34,7 @@ class BandwidthResource {
   Tick submit(Tick now, double bytes, Tick overhead = 0);
 
   /// Every mutable clock and counter of the link, as one plain struct:
-  /// the timing engine's iteration fast-forward captures and restores
+  /// the timing engine's block fast-forward captures and restores
   /// whole unit states (core::StreamingPipeline::Snapshot).
   struct State {
     Tick free_at = 0;  ///< when the link next becomes free

@@ -3,8 +3,13 @@
 // local-store budget.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "cellsim/local_store.h"
 #include "core/orchestrator.h"
+#include "sim/trace.h"
+#include "sweep/deck.h"
 
 namespace cellsweep::core {
 namespace {
@@ -240,6 +245,35 @@ TEST(Orchestrator, FaultFreeRunHasNoFaultSurface) {
   // contract that keeps bench/baselines/ valid.
   const RunReport r = run_stage(OptimizationStage::kSpeLsPoke);
   EXPECT_EQ(r.counters.find_child("faults"), nullptr);
+}
+
+/// Counts the block barriers a run opens.
+struct BarrierCounter final : sim::TraceSink {
+  int barriers = 0;
+  int track(const std::string&) override { return 0; }
+  void span(int, const char*, const char*, sim::Tick, sim::Tick) override {}
+  void instant(int, const char* name, const char*, sim::Tick) override {
+    if (std::string_view(name) == "block-barrier") ++barriers;
+  }
+  void counter(int, const char*, sim::Tick, double) override {}
+};
+
+TEST(Orchestrator, EveryBlockOpensABarrier) {
+  // 1025 K blocks and two angle blocks per octant: block (o, 0, 1024)
+  // is followed by block (o, 1, 0), and each opens its own barrier.
+  const sweep::Deck deck = sweep::parse_deck_string(
+      "it 4  jt 4  kt 1025\n"
+      "mk 1  mmi 3\n"
+      "sn 6\n"
+      "iterations 1\n"
+      "material benchmark 1.0 0.5 0.2 0.05 source 1.0\n");
+  CellSweepConfig cfg =
+      CellSweepConfig::from_stage(OptimizationStage::kSpeLsPoke);
+  cfg.sweep = deck.sweep;
+  BarrierCounter sink;
+  cfg.trace_sink = &sink;
+  CellSweep3D(deck.problem, cfg, deck.sn_order, 2, deck.nm_cap).run();
+  EXPECT_EQ(sink.barriers, 8 * 2 * 1025);
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
-// Iteration fast-forward in core::TimingEngine: a run that skips
-// repeated source iterations must report, byte for byte, what a full
-// replay of every chunk reports. Attaching any trace sink forces the
-// full replay (StreamingPipeline::replays_in_full), so a no-op sink
-// gives the reference run.
+// Block fast-forward in core::TimingEngine: a run that skips repeated
+// (octant, angle-block, K-block) blocks must report, byte for byte,
+// what a full replay of every chunk reports. Attaching any trace sink
+// forces the full replay (StreamingPipeline::replays_in_full), so a
+// no-op sink gives the reference run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -161,6 +165,9 @@ class EnginePairs {
   EnginePairs(const EnginePairs&) = delete;
   EnginePairs& operator=(const EnginePairs&) = delete;
 
+  TimingEngine& fast(std::size_t k) { return *fast_[k]; }
+  TimingEngine& full(std::size_t k) { return *full_[k]; }
+
   void on_diagonal(const sweep::DiagonalWork& w) {
     if (w.octant == 0 && w.ablock == 0 && w.kblock == 0 && w.diagonal == 0)
       ++iteration_;
@@ -172,12 +179,12 @@ class EnginePairs {
   }
 
   /// Finishes every pair, expecting identical metrics JSON; returns
-  /// the iterations each fast engine skipped.
+  /// the blocks each fast engine skipped.
   std::vector<int> finish_and_compare(const std::string& what) {
     std::vector<int> skipped;
     for (std::size_t k = 0; k < lengths_.size(); ++k) {
-      skipped.push_back(fast_[k]->iterations_fast_forwarded());
-      EXPECT_EQ(full_[k]->iterations_fast_forwarded(), 0);
+      skipped.push_back(fast_[k]->blocks_fast_forwarded());
+      EXPECT_EQ(full_[k]->blocks_fast_forwarded(), 0);
       EXPECT_EQ(metrics_json(fast_[k]->finish()),
                 metrics_json(full_[k]->finish()))
           << what << ", " << lengths_[k] << " iteration(s)";
@@ -208,10 +215,10 @@ CellSweepConfig schedule(const Case& c, int iterations, int fixup_from) {
 }
 
 /// Trace-driven pairs for each iteration count of @p lengths, fixups
-/// from iteration @p fixup_from; returns the skip counts.
-std::vector<int> trace_driven(const Case& c, OS stage,
-                              const std::vector<int>& lengths,
-                              int fixup_from) {
+/// from iteration @p fixup_from; returns the skip counts. A mismatch
+/// names @p what.
+std::vector<int> trace_driven(const Case& c, const std::vector<int>& lengths,
+                              int fixup_from, const std::string& what) {
   const CellSweepConfig cfg = schedule(
       c, *std::max_element(lengths.begin(), lengths.end()), fixup_from);
   EnginePairs pairs(c, cfg, lengths);
@@ -219,7 +226,7 @@ std::vector<int> trace_driven(const Case& c, OS stage,
     enumerate_sweep(
         c.deck.problem.grid(), c.angles, cfg.sweep, iter >= fixup_from,
         [&](const sweep::DiagonalWork& w) { pairs.on_diagonal(w); });
-  return pairs.finish_and_compare(label(stage, fixup_from));
+  return pairs.finish_and_compare(what);
 }
 
 /// Solves @p c's deck functionally under @p sweep_cfg, feeding every
@@ -231,26 +238,53 @@ void solve(const Case& c, const sweep::SweepConfig& sweep_cfg,
   sweep::solve_source_iteration(state, sweep_cfg, observer);
 }
 
+/// Blocks tiny8 prices in its first 1, 2, 3 and 14 iterations under
+/// @p cfg, fixups from iteration @p fixup_from. The first iteration
+/// prices f blocks (f = 9 single-buffered, 17 double-buffered); each
+/// fixup flag keys its own blocks, so a schedule that switches it
+/// prices about twice as many.
+std::vector<int> tiny8_priced(const CellSweepConfig& cfg, int fixup_from) {
+  const int f = cfg.buffers == 1 ? 9 : 17;
+  switch (fixup_from) {
+    case 1:
+      return {f, 2 * f, 2 * f + 1, 2 * f + 1};
+    case 3:
+      return {f, f + 1, f + 1, 2 * f + 2};
+    default:  // one fixup flag throughout
+      return {f, f + 1, f + 1, f + 1};
+  }
+}
+
+/// Blocks of one source iteration of @p c's deck.
+int blocks_per_iteration(const Case& c) {
+  return 8 * (c.angles / c.cfg.sweep.mmi) *
+         (c.deck.problem.grid().kt / c.cfg.sweep.mk);
+}
+
 TEST(TimingFastForward, TraceDrivenMatchesFullReplay) {
   // Every configuration on three small decks. A run ends after a
   // priced iteration (1, 2, or the first fixup ones) or after a
   // skipped one; the fixup schedules put the first fixup iteration
   // first, second, fourth or never. Full replays dominate the cost
   // (the sanitizer jobs run this too), so the larger decks run fewer
-  // lengths and schedules.
+  // lengths and schedules. tiny8's skip counts are pinned (32 blocks
+  // an iteration).
   for (const OS stage : all_configs()) {
     const Case tiny = make_case(kTiny8, stage);
+    ASSERT_EQ(blocks_per_iteration(tiny), 32);
     for (const int fixup_from : kFixupFrom) {
-      const std::vector<int> skipped =
-          trace_driven(tiny, stage, {1, 2, 3, 14}, fixup_from);
-      if (!hazard_env() && fixup_from == 100) {
-        EXPECT_EQ(skipped.back(), 12) << stage_name(stage);
-      }
+      const std::vector<int> skipped = trace_driven(
+          tiny, {1, 2, 3, 14}, fixup_from, label(stage, fixup_from));
+      if (hazard_env()) continue;
+      const std::vector<int> priced = {32 - skipped[0], 64 - skipped[1],
+                                       96 - skipped[2], 448 - skipped[3]};
+      EXPECT_EQ(priced, tiny8_priced(tiny.cfg, fixup_from))
+          << label(stage, fixup_from);
     }
     const Case s4 = make_case(kS4, stage);
     for (const int fixup_from : {1, 3})
-      trace_driven(s4, stage, {3, 14}, fixup_from);
-    trace_driven(make_case(kS8, stage), stage, {14}, 3);
+      trace_driven(s4, {3, 14}, fixup_from, label(stage, fixup_from));
+    trace_driven(make_case(kS8, stage), {14}, 3, label(stage, 3));
   }
 }
 
@@ -282,47 +316,155 @@ TEST(TimingFastForward, FunctionalMatchesFullReplay) {
   }
 }
 
-TEST(TimingFastForward, Benchmark50PricesFourOfTwelveIterations) {
-  // Iterations 2-11 start from one canonical state and iteration 12
-  // from the state a fixup iteration leaves: 1, 2, 11 and 12 are
-  // priced, the other eight fast-forwarded.
-  for (const OS stage : kSpeStages) {
+TEST(TimingFastForward, Benchmark50PricesAtMostTwelveOf960Blocks) {
+  // 12 iterations of 80 blocks. Every block of a run feeds the same
+  // diagonal stream, so only the canonical start states differ: the
+  // single-buffered stages (initial, + gotos) price 8 blocks, every
+  // other SPE stage and Fig. 10 projection 12. The six Fig. 5 stages
+  // are also compared with their full replay.
+  for (const OS stage : all_configs()) {
     Case c = make_case(kBenchmark50, stage);
     const int n = c.cfg.sweep.max_iterations;
     ASSERT_EQ(n, 12);
+    ASSERT_EQ(blocks_per_iteration(c), 80);
+    const bool compare =
+        std::find(kSpeStages.begin(), kSpeStages.end(), stage) !=
+        kSpeStages.end();
     TimingEngine fast(c.cfg, c.deck.problem.grid(), c.nm);
     NullSink sink;
     CellSweepConfig full_cfg = c.cfg;
     full_cfg.trace_sink = &sink;
-    TimingEngine full(full_cfg, c.deck.problem.grid(), c.nm);
+    std::optional<TimingEngine> full;
+    if (compare) full.emplace(full_cfg, c.deck.problem.grid(), c.nm);
     for (int iter = 0; iter < n; ++iter)
       enumerate_sweep(c.deck.problem.grid(), c.angles, c.cfg.sweep,
                       iter >= c.cfg.sweep.fixup_from_iteration,
                       [&](const sweep::DiagonalWork& w) {
                         fast.on_diagonal(w);
-                        full.on_diagonal(w);
+                        if (full) full->on_diagonal(w);
                       });
-    EXPECT_EQ(fast.iterations_fast_forwarded(), hazard_env() ? 0 : 8)
+    const bool single_buffered = c.cfg.buffers == 1;
+    EXPECT_EQ(fast.blocks_fast_forwarded(),
+              hazard_env() ? 0 : single_buffered ? 952 : 948)
         << stage_name(stage);
-    EXPECT_EQ(metrics_json(fast.finish()), metrics_json(full.finish()))
-        << stage_name(stage);
+    const std::string json = metrics_json(fast.finish());
+    if (full) {
+      EXPECT_EQ(json, metrics_json(full->finish())) << stage_name(stage);
+    }
   }
 }
 
-TEST(TimingFastForward, ConvergingShieldDeckSkipsElevenOfThirteen) {
+TEST(TimingFastForward, ConvergingShieldDeckSkips828Of832Blocks) {
   // Functional at the final stage, as deck_runner runs it: the solve
-  // converges at iteration 13, all of them fixup iterations.
+  // converges at iteration 13 of 64 blocks, all of them fixup
+  // iterations.
   const Case c = make_case(kShield, OS::kSpeLsPoke);
+  ASSERT_EQ(blocks_per_iteration(c), 64);
   EnginePairs pairs(c, c.cfg, {c.cfg.sweep.max_iterations});
   solve(c, c.cfg.sweep,
         [&](const sweep::DiagonalWork& w) { pairs.on_diagonal(w); });
   EXPECT_EQ(pairs.finish_and_compare("shield_reflected").front(),
-            hazard_env() ? 0 : 11);
+            hazard_env() ? 0 : 828);
+}
+
+/// Splitmix64: a portable seeded stream, so a seed names the same deck
+/// on every standard library.
+struct Rng {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  /// Uniform in [lo, hi].
+  int in(int lo, int hi) {
+    return lo + static_cast<int>(next() % static_cast<std::uint64_t>(
+                                              hi - lo + 1));
+  }
+  /// A random divisor of @p n.
+  int divisor_of(int n) {
+    std::vector<int> d;
+    for (int k = 1; k <= n; ++k)
+      if (n % k == 0) d.push_back(k);
+    return d[static_cast<std::size_t>(in(0, static_cast<int>(d.size()) - 1))];
+  }
+};
+
+/// Deck @p seed of the differential test: a non-cubic grid of 2-11
+/// cells a side, MK | KT, MMI | angles per octant, S2-S8, 1-9
+/// moments, 1-14 iterations and fixups from iteration 0-15 (never,
+/// past the last).
+std::string random_deck(std::uint64_t seed) {
+  Rng rng{seed};
+  int it = rng.in(2, 11);
+  const int jt = rng.in(2, 11);
+  const int kt = rng.in(2, 11);
+  if (it == jt && jt == kt) it = it == 11 ? 10 : it + 1;
+  const int sn = 2 * rng.in(1, 4);
+  const int angles = sn * (sn + 2) / 8;
+  std::ostringstream os;
+  os << "it " << it << "  jt " << jt << "  kt " << kt << "\n"
+     << "dx 0.0" << rng.in(2, 9) << "  dy 0.0" << rng.in(2, 9) << "  dz 0.0"
+     << rng.in(2, 9) << "\n"
+     << "mk " << rng.divisor_of(kt) << "  mmi " << rng.divisor_of(angles)
+     << "\n"
+     << "sn " << sn << "  moments " << rng.in(1, 9) << "\n"
+     << "iterations " << rng.in(1, 14) << "  fixup_from " << rng.in(0, 15)
+     << "\n"
+     << "material benchmark 1.0 0.5 0.2 0.05 source 1.0\n";
+  return os.str();
+}
+
+TEST(TimingFastForward, RandomDecksMatchFullReplay) {
+  // Seeded differential test: block fast-forward == full replay on
+  // random decks, at every SPE stage and Fig. 10 projection. Every
+  // third deck is also solved, feeding one functional stream to the
+  // pairs of every configuration. Decks run in seed order until the
+  // time box closes (the sanitizer jobs run this too); the first
+  // kMinDecks always run. A failure names the seed and the deck.
+  constexpr std::uint64_t kMinDecks = 6;
+  constexpr std::uint64_t kMaxDecks = 60;
+  const auto box = std::chrono::seconds(8);
+  const auto opened = std::chrono::steady_clock::now();
+  std::uint64_t seed = 1;
+  for (; seed <= kMaxDecks; ++seed) {
+    if (seed > kMinDecks && std::chrono::steady_clock::now() - opened > box)
+      break;
+    const std::string text = random_deck(seed);
+    const std::string what = "seed " + std::to_string(seed) + ":\n" + text;
+    std::vector<Case> cases;
+    for (const OS stage : all_configs())
+      cases.push_back(make_case(text.c_str(), stage));
+    const sweep::SweepConfig& sc = cases.front().cfg.sweep;
+    for (std::size_t i = 0; i < cases.size(); ++i)
+      trace_driven(cases[i], {sc.max_iterations}, sc.fixup_from_iteration,
+                   std::string(stage_name(all_configs()[i])) + ", " + what);
+    if (HasFailure()) return;  // the first failing deck is enough
+    if (seed % 3 != 0) continue;
+    std::vector<std::unique_ptr<EnginePairs>> pairs;
+    for (const Case& c : cases)
+      pairs.push_back(std::make_unique<EnginePairs>(
+          c, c.cfg, std::vector{sc.max_iterations}));
+    solve(cases.front(), sc, [&](const sweep::DiagonalWork& w) {
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        sweep::DiagonalWork labelled = w;
+        labelled.kernel = cases[i].cfg.kernel;
+        pairs[i]->on_diagonal(labelled);
+      }
+    });
+    for (std::size_t i = 0; i < cases.size(); ++i)
+      pairs[i]->finish_and_compare(std::string(stage_name(all_configs()[i])) +
+                                   ", functional, " + what);
+    if (HasFailure()) return;
+  }
+  std::cout << "[ differential ] " << seed - 1 << " random decks\n";
 }
 
 TEST(TimingFastForward, ClusterMatchesItsFullReplay) {
   // simulate_cluster's isolated-chip runs fast-forward; its ranks gate
-  // each other, which turns fast-forward off for the rest of a run.
+  // each other between blocks, which turns fast-forward off for the
+  // rest of a run.
   const sweep::Grid g = sweep::Grid::cube(20);
   const std::pair<int, int> grids[] = {{1, 1}, {2, 1}, {2, 2}};
   for (const auto& [px, py] : grids) {
@@ -365,7 +507,7 @@ int skipped_with(const std::function<void(CellSweepConfig&)>& tweak,
     enumerate_sweep(
         c.deck.problem.grid(), c.angles, c.cfg.sweep, false,
         [&](const sweep::DiagonalWork& w) { engine.on_diagonal(w); });
-  const int skipped = engine.iterations_fast_forwarded();
+  const int skipped = engine.blocks_fast_forwarded();
   engine.finish();
   return skipped;
 }
@@ -406,23 +548,83 @@ TEST(TimingFastForward, EveryFullReplayConditionSkipsNothing) {
   EXPECT_TRUE(pipeline.replays_in_full());
 }
 
-TEST(TimingFastForward, DriftInAFastForwardedIterationStillThrows) {
-  Case c = make_case(kTiny8, OS::kSpeLsPoke);
-  TimingEngine engine(c.cfg, c.deck.problem.grid(), c.nm);
+/// One trace-driven source iteration of tiny8 (fixups off) at the
+/// final stage.
+std::vector<sweep::DiagonalWork> tiny8_iteration(const Case& c) {
   std::vector<sweep::DiagonalWork> stream;
   enumerate_sweep(c.deck.problem.grid(), c.angles, c.cfg.sweep, false,
                   [&](const sweep::DiagonalWork& w) { stream.push_back(w); });
-  for (int iter = 0; iter < 4; ++iter)
+  return stream;
+}
+
+/// Diagonals of the first block of @p stream.
+std::size_t first_block_length(const std::vector<sweep::DiagonalWork>& s) {
+  std::size_t n = 0;
+  while (n < s.size() && s[n].octant == 0 && s[n].ablock == 0 &&
+         s[n].kblock == 0)
+    ++n;
+  return n;
+}
+
+TEST(TimingFastForward, GateAfterASkippedBlockMatchesFullReplay) {
+  // Two iterations, then the first block of a third -- skipped -- then
+  // a gate on both engines: the gate closes the skipped block, and the
+  // rest of the run replays in full on both sides.
+  const Case c = make_case(kTiny8, OS::kSpeLsPoke);
+  const std::vector<sweep::DiagonalWork> stream = tiny8_iteration(c);
+  const std::size_t first = first_block_length(stream);
+  ASSERT_GT(first, 1u);
+  EnginePairs pairs(c, c.cfg, {4});
+  TimingEngine& fast = pairs.fast(0);
+  TimingEngine& full = pairs.full(0);
+  for (int iter = 0; iter < 2; ++iter)
+    for (const sweep::DiagonalWork& w : stream) pairs.on_diagonal(w);
+  const int before = fast.blocks_fast_forwarded();
+  for (std::size_t d = 0; d < first; ++d) pairs.on_diagonal(stream[d]);
+  if (!hazard_env()) {
+    ASSERT_EQ(fast.blocks_fast_forwarded(), before + 1);
+  }
+  ASSERT_EQ(fast.horizon(), full.horizon());
+  const sim::Tick at = fast.horizon() + 12345;
+  fast.gate(at);
+  full.gate(at);
+  for (std::size_t d = first; d < stream.size(); ++d)
+    pairs.on_diagonal(stream[d]);
+  for (const sweep::DiagonalWork& w : stream) pairs.on_diagonal(w);
+  EXPECT_EQ(pairs.finish_and_compare("gated tiny8").front(),
+            hazard_env() ? 0 : before + 1);
+}
+
+TEST(TimingFastForward, GateInsideASkippedBlockThrows) {
+  const Case c = make_case(kTiny8, OS::kSpeLsPoke);
+  const std::vector<sweep::DiagonalWork> stream = tiny8_iteration(c);
+  TimingEngine engine(c.cfg, c.deck.problem.grid(), c.nm);
+  for (int iter = 0; iter < 2; ++iter)
     for (const sweep::DiagonalWork& w : stream) engine.on_diagonal(w);
+  const int before = engine.blocks_fast_forwarded();
+  engine.on_diagonal(stream[0]);
   if (hazard_env()) return;  // nothing is fast-forwarded under the checker
-  ASSERT_GT(engine.iterations_fast_forwarded(), 0);
-  // The last iteration was skipped, but a diagonal reporting the wrong
-  // line count is still the ChunkPlan drift error...
+  ASSERT_EQ(engine.blocks_fast_forwarded(), before + 1);
+  EXPECT_THROW(engine.gate(engine.horizon() + 1), std::logic_error);
+}
+
+TEST(TimingFastForward, DriftInAFastForwardedBlockStillThrows) {
+  const Case c = make_case(kTiny8, OS::kSpeLsPoke);
+  const std::vector<sweep::DiagonalWork> stream = tiny8_iteration(c);
+  TimingEngine engine(c.cfg, c.deck.problem.grid(), c.nm);
+  for (int iter = 0; iter < 2; ++iter)
+    for (const sweep::DiagonalWork& w : stream) engine.on_diagonal(w);
+  const int before = engine.blocks_fast_forwarded();
+  engine.on_diagonal(stream[0]);
+  if (hazard_env()) return;  // nothing is fast-forwarded under the checker
+  ASSERT_EQ(engine.blocks_fast_forwarded(), before + 1);
+  // The block was skipped, but a diagonal reporting the wrong line
+  // count is still the ChunkPlan drift error...
   sweep::DiagonalWork bad = stream[1];
   bad.nlines += 1;
   EXPECT_THROW(engine.on_diagonal(bad), std::logic_error);
-  // ...and a skipped iteration fed a different stream is caught when
-  // it ends.
+  // ...and a skipped block fed a different stream is caught when it
+  // ends.
   EXPECT_THROW(engine.finish(), std::logic_error);
 }
 
