@@ -316,12 +316,16 @@ int run_solo(const util::CliParser& cli, core::OptimizationStage stage) {
   }
 
   // The profiler outlives the writer's final write() below: the counter
-  // events it emits reference its track names by pointer.
+  // events it emits reference its track names by pointer. It is a trace
+  // sink in front of the writer.
   sim::TimeSlicedProfiler profiler(profile_windows == 0 ? 96
                                                         : profile_windows);
   sim::ChromeTraceWriter writer;
   if (!trace_path.empty()) cfg.trace_sink = &writer;
-  if (profile_windows != 0) cfg.profiler = &profiler;
+  if (profile_windows != 0) {
+    profiler.forward_to(cfg.trace_sink);
+    cfg.trace_sink = &profiler;
+  }
 
   // --check: lint the input, then observe the run with the hazard
   // checker; any finding is a hard error.
@@ -343,6 +347,13 @@ int run_solo(const util::CliParser& cli, core::OptimizationStage stage) {
   } catch (const sim::FaultError& e) {
     std::cerr << "deck_runner: " << e.what() << "\n";
     return 1;
+  }
+  // The utilization-over-time series, also replayed into the trace as
+  // counter events so the curves render beside the spans. A PPE run
+  // streams nothing and keeps no series.
+  if (profile_windows != 0 && profiler.end_ticks() > 0) {
+    res.report.timeseries = profiler.profile();
+    if (!trace_path.empty()) profiler.emit_counter_events(writer);
   }
   if (mode == core::RunMode::kFunctional) {
     const core::RunReport& rep = res.report;

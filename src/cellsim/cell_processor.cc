@@ -14,28 +14,14 @@ sim::Tick Spe::compute(sim::Tick now, double cycles) {
   return now + dt;
 }
 
-void Spe::reset() noexcept {
-  ls_.reset();
-  mfc_.reset();
-  s_ = State{};
-}
-
 CellProcessor::CellProcessor(const CellSpec& spec)
     : spec_(spec),
       eib_(spec),
       mic_(spec),
-      dispatch_(spec),
-      pipeline_(spec) {
+      dispatch_(spec) {
   spes_.reserve(spec.num_spes);
   for (int i = 0; i < spec.num_spes; ++i)
     spes_.push_back(std::make_unique<Spe>(i, spec, &eib_, &mic_));
-}
-
-void CellProcessor::reset() {
-  eib_.reset();
-  mic_.reset();
-  dispatch_.reset();
-  for (auto& s : spes_) s->reset();
 }
 
 }  // namespace cellsweep::cell

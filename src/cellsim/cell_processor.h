@@ -17,7 +17,6 @@
 #include "cellsim/mfc.h"
 #include "cellsim/memory.h"
 #include "cellsim/spec.h"
-#include "cellsim/spu_pipeline.h"
 #include "cellsim/sync.h"
 #include "sim/time.h"
 
@@ -51,8 +50,6 @@ class Spe {
   const State& state() const noexcept { return s_; }
   void restore(const State& s) noexcept { s_ = s; }
 
-  void reset() noexcept;
-
  private:
   int index_;
   CellSpec spec_;
@@ -77,20 +74,12 @@ class CellProcessor {
   const Mic& mic() const noexcept { return mic_; }
   DispatchFabric& dispatch() noexcept { return dispatch_; }
   const DispatchFabric& dispatch() const noexcept { return dispatch_; }
-  const SpuPipeline& pipeline() const noexcept { return pipeline_; }
-
-  /// Total payload bytes the chip moved to/from main memory.
-  double memory_traffic_bytes() const noexcept { return mic_.bytes_moved(); }
-
-  /// Clears all resource state between experiment configurations.
-  void reset();
 
  private:
   CellSpec spec_;
   Eib eib_;
   Mic mic_;
   DispatchFabric dispatch_;
-  SpuPipeline pipeline_;
   std::vector<std::unique_ptr<Spe>> spes_;
 };
 

@@ -62,6 +62,8 @@ class Mic {
     // Counters (observation only).
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
+    /// Port ticks lost to bank-interleaving inefficiency (the extra
+    /// occupancy of bytes/(eff*bank_eff) over bytes/eff).
     sim::Tick conflict = 0;
     int bank_cursor = 0;  ///< rotating start bank for element attribution
     std::array<std::uint64_t, kMaxBanks> bank_reads{};
@@ -75,12 +77,6 @@ class Mic {
   double bytes_moved() const noexcept { return s_.logical_bytes; }
   std::uint64_t requests() const noexcept { return s_.port.requests; }
   sim::Tick busy_ticks() const noexcept { return s_.port.busy; }
-  double peak_rate() const noexcept { return spec_.mic_bytes_per_s; }
-
-  /// Port ticks lost to bank-interleaving inefficiency (the extra
-  /// occupancy of bytes/(eff*bank_eff) over bytes/eff). Observation
-  /// only.
-  sim::Tick bank_conflict_ticks() const noexcept { return s_.conflict; }
 
   /// Arms bank-throttle injection: a throttled request (DRAM refresh,
   /// a degraded bank) streams at a fraction of its normal efficiency.
@@ -141,15 +137,10 @@ class Eib {
   double bytes_moved() const noexcept { return ring_.bytes_moved(); }
   sim::Tick busy_ticks() const noexcept { return ring_.busy_ticks(); }
   std::uint64_t grants() const noexcept { return ring_.requests(); }
-  sim::Tick contention_stall_ticks() const noexcept {
-    return ring_.wait_ticks();
-  }
 
   /// Publishes EIB counters (ring grants, bytes, contention stalls)
   /// into @p out. Snapshot only.
   void publish_counters(sim::CounterSet& out) const;
-
-  void reset() noexcept { ring_.reset(); }
 
  private:
   sim::BandwidthResource ring_;

@@ -104,8 +104,6 @@ class ArrivalPlan {
   bool enabled() const noexcept { return enabled_; }
   const ArrivalSpec& spec() const noexcept { return spec_; }
 
-  /// Number of tenant streams in the spec.
-  std::size_t stream_count() const noexcept { return spec_.tenants.size(); }
   /// Jobs tenant @p tenant submits (0 for tenants without a stream).
   std::uint64_t count(int tenant) const;
   /// Total jobs across all streams.

@@ -16,7 +16,6 @@
 #include "sweep/sweeper.h"
 
 namespace cellsweep::sim {
-class TimeSlicedProfiler;
 class TraceSink;
 }
 
@@ -81,16 +80,9 @@ struct StreamConfig {
   /// Observability hook (non-owning, may be null): the pipeline emits
   /// simulated-time spans -- kernels, DMA phases, sync waits, dispatch
   /// -- into this sink. Pure observation: enabling it changes no
-  /// simulated tick (pinned by a test).
+  /// simulated tick (pinned by a test). A sim::TimeSlicedProfiler is
+  /// one; forward_to chains it in front of another sink.
   sim::TraceSink* trace_sink = nullptr;
-  /// Time-sliced profiler hook (non-owning, may be null): when set, the
-  /// pipeline routes its trace stream through this profiler (which
-  /// forwards to trace_sink, so both may be attached) and copies the
-  /// resulting utilization-over-time series into RunReport.timeseries.
-  /// Same contract as trace_sink: pure observation, bit-identical
-  /// timing with or without it (pinned by a test). One profiler serves
-  /// one run.
-  sim::TimeSlicedProfiler* profiler = nullptr;
   /// Protocol observability hook (non-owning, may be null): the
   /// pipeline narrates machine-model actions -- LS allocations, DMA
   /// submissions with region and tag group, tag waits, kernel buffer

@@ -28,17 +28,15 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.h"
-
 namespace cellsweep::sim {
 class ChromeTraceWriter;
 }
 
 namespace cellsweep::core {
 
-/// Monotonic host clock anchored at construction. now_s()/now_ticks()
-/// are steady (never jump backward); wall_ms() is the one wall-clock
-/// escape hatch, used only to timestamp flight-recorder dump files.
+/// Monotonic host clock anchored at construction. now_s() is steady
+/// (never jumps backward); wall_ms() is the one wall-clock escape
+/// hatch, used only to timestamp flight-recorder dump files.
 class HostClock {
  public:
   HostClock() : epoch_(std::chrono::steady_clock::now()) {}
@@ -48,15 +46,6 @@ class HostClock {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          epoch_)
         .count();
-  }
-
-  /// sim::Ticks (femtoseconds) since construction -- the host-time
-  /// domain fed to ChromeTraceWriter, whose emitter divides by 1e9 to
-  /// trace-format microseconds.
-  sim::Tick now_ticks() const {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        std::chrono::steady_clock::now() - epoch_);
-    return static_cast<sim::Tick>(ns.count()) * 1'000'000ULL;
   }
 
   /// Milliseconds since the Unix epoch (wall clock, for file names).

@@ -60,8 +60,6 @@ class KernelCostModel {
                                              bool gotos_eliminated,
                                              spu::Trace* out_trace = nullptr);
 
-  const cell::SpuPipeline& pipeline() const noexcept { return pipeline_; }
-
  private:
   using Key = std::tuple<int, int, int, int, int, bool, bool>;
   cell::SpuPipeline pipeline_;

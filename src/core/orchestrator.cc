@@ -1,7 +1,6 @@
 #include "core/orchestrator.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "perfmodel/processors.h"
 #include "sweep/plan.h"
@@ -142,40 +141,14 @@ void TimingEngine::begin_block(const sweep::DiagonalWork& w,
                          static_cast<double>(real_bytes_of(cfg_.precision));
     pipeline_.memory_pass("source-rebuild", bytes);
   }
-
-  if (!fast_forward_ || pipeline_.replays_in_full()) return;
-  key_.assign({w.fixup, static_cast<int>(w.kernel), w.it});
-  pipeline_.canonical_key(key_);
-  for (std::size_t i = 0; i < memo_.size(); ++i) {
-    if (memo_[i].key != key_) continue;
-    if (pipeline_.fast_forward(memo_[i].start, memo_[i].end)) {
-      skipping_ = i;
-      ++skipped_;
-    }
-    return;
-  }
-  if (pipeline_.exact_counters())
-    recording_ = Block{key_, pipeline_.snapshot(), {}, 0, 0};
+  skipping_ =
+      pipeline_.open_block({w.fixup, static_cast<int>(w.kernel), w.it});
+  skipped_ += skipping_ ? 1 : 0;
 }
 
 void TimingEngine::end_block() {
-  if (skipping_) {
-    const Block& repeated = memo_[*skipping_];
-    if (diagonals_ != repeated.diagonals || stream_ != repeated.stream)
-      throw std::logic_error(
-          "TimingEngine: a fast-forwarded block was fed a different "
-          "diagonal stream than the block it repeats");
-    skipping_.reset();
-  }
-  if (recording_) {
-    if (pipeline_.exact_counters()) {
-      recording_->end = pipeline_.snapshot();
-      recording_->diagonals = diagonals_;
-      recording_->stream = stream_;
-      memo_.push_back(std::move(*recording_));
-    }
-    recording_.reset();
-  }
+  pipeline_.close_block(diagonals_, stream_);
+  skipping_ = false;
   diagonals_ = 0;
   stream_ = kFnvOffset;
 }
@@ -187,9 +160,9 @@ RunReport TimingEngine::finish() {
 
 void TimingEngine::gate(sim::Tick at) {
   // simulate_cluster gates between blocks: a skipped block must be
-  // complete here, which its stream check verifies.
+  // complete here, which its stream check verifies, and a recorded one
+  // must not take the gate into its end state.
   end_block();
-  fast_forward_ = false;
   pipeline_.gate(at);
 }
 

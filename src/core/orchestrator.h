@@ -31,7 +31,6 @@
 #include <optional>
 #include <vector>
 
-#include "cellsim/cell_processor.h"
 #include "core/config.h"
 #include "core/kernel_timing.h"
 #include "core/report.h"
@@ -55,18 +54,12 @@ LsPlacement sweep_placement(const CellSweepConfig& cfg, int it, int nm);
 /// Block fast-forward: every (octant, angle-block, K-block) block
 /// starts behind a hard barrier, and since MK divides KT and MMI the
 /// angle count, every block of a run feeds the same diagonal stream.
-/// The engine keys each block by its fixup flag, kernel and line
-/// length plus the pipeline's canonical state at its start
-/// (StreamingPipeline::canonical_key; a block that opens a source
-/// iteration is keyed after the source-rebuild pass). The first block
-/// with a key is priced chunk by chunk and recorded; a later one with
-/// the same key applies the recorded clock offsets and counter deltas
-/// and skips its diagonals, so the report is byte-identical to a full
-/// replay. The memo lives and dies with the engine. It replays in
-/// full, and records nothing, whenever
-/// StreamingPipeline::replays_in_full() or a published floating-point
-/// counter is not an exact integer, and for the rest of the run after
-/// a gate().
+/// The engine opens each block on the pipeline with its fixup flag,
+/// kernel and line length as the key salt (a block that opens a source
+/// iteration after the source-rebuild pass), skips the diagonals of a
+/// block the pipeline fast-forwards, and closes each block with its
+/// diagonal count and an FNV-1a signature of its stream. The memo, and
+/// when it replays in full, are StreamingPipeline's (open_block).
 class TimingEngine {
  public:
   TimingEngine(const CellSweepConfig& cfg, const sweep::Grid& grid, int nm);
@@ -91,28 +84,15 @@ class TimingEngine {
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
   /// when this chip is one rank of a process-level decomposition.
-  /// Closes a fast-forwarded block first (std::logic_error when the
-  /// gate comes before the block's last diagonal), then turns block
-  /// fast-forward off for the rest of the run.
+  /// Closes the current block first (std::logic_error when a
+  /// fast-forwarded block has not had its last diagonal yet); the gate
+  /// lands in the next block's key.
   void gate(sim::Tick at);
-
-  const cell::CellProcessor& machine() const noexcept {
-    return pipeline_.machine();
-  }
 
   /// Blocks fast-forwarded rather than replayed so far.
   int blocks_fast_forwarded() const noexcept { return skipped_; }
 
  private:
-  /// One priced block: its key, the pipeline snapshots at its base and
-  /// end, and its diagonal stream (count + signature).
-  struct Block {
-    std::vector<std::int64_t> key;
-    StreamingPipeline::Snapshot start;
-    StreamingPipeline::Snapshot end;
-    std::uint64_t diagonals = 0;
-    std::uint64_t stream = 0;
-  };
   /// Chunk spec of one (fixup, width) shape, priced on first use.
   struct PricedShape {
     bool priced = false;
@@ -122,11 +102,10 @@ class TimingEngine {
   };
 
   /// Closes the previous block, runs the source-rebuild pass if the
-  /// block @p w starts opens a source iteration, then fast-forwards the
-  /// new block or starts recording it.
+  /// block @p w starts opens a source iteration, then opens the new
+  /// block on the pipeline.
   void begin_block(const sweep::DiagonalWork& w, bool opens_iteration);
-  /// Stores a recorded block, or checks that a fast-forwarded one was
-  /// fed the stream it repeats.
+  /// Closes the current block on the pipeline with its stream.
   void end_block();
   const StreamChunkSpec& priced_shape(const sweep::DiagonalWork& w,
                                       int nlines);
@@ -141,13 +120,9 @@ class TimingEngine {
   std::array<std::array<PricedShape, sweep::kBundleLines>, 2> shapes_{};
   std::vector<StreamChunkSpec> specs_;  ///< the diagonal's chunks (reused)
 
-  std::vector<Block> memo_;
-  std::vector<std::int64_t> key_;  ///< the block's key (reused)
-  std::optional<Block> recording_;
-  std::optional<std::size_t> skipping_;  ///< memo_ entry being repeated
+  bool skipping_ = false;        ///< the pipeline fast-forwarded the block
   std::uint64_t diagonals_ = 0;  ///< diagonals of the current block
   std::uint64_t stream_ = 0;     ///< their signature
-  bool fast_forward_ = true;     ///< false for good after a gate()
   int skipped_ = 0;
 };
 

@@ -53,8 +53,8 @@ struct RunReport {
   /// "faults" subtree. The one store of these numbers: the per-SPE
   /// stall view is core::spe_stalls (core/metrics.h).
   sim::CounterSet counters;
-  /// Utilization-over-time series (empty unless a
-  /// sim::TimeSlicedProfiler was attached via CellSweepConfig).
+  /// Utilization-over-time series (empty unless the caller ran a
+  /// sim::TimeSlicedProfiler as the trace sink and copied its profile).
   sim::Profile timeseries;
   // --- functional results (kFunctional only) ---------------------------
   std::optional<sweep::SolveResult> solve;

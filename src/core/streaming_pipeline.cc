@@ -75,14 +75,6 @@ StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
       machine_(cfg.chip),
       spes_(cfg.chip.num_spes),
       sink_(cfg.trace_sink) {
-  // A time-sliced profiler interposes on the trace stream: the engine
-  // emits into the profiler, which samples utilization windows and
-  // forwards every event to the plain sink (so both can be attached).
-  // Pure observation either way -- no simulated tick reads the sink.
-  if (cfg_.profiler) {
-    cfg_.profiler->forward_to(cfg.trace_sink);
-    sink_ = cfg_.profiler;
-  }
   if (sink_) {
     ppe_track_ = sink_->track("PPE");
     spe_tracks_.reserve(spes_.size());
@@ -128,10 +120,7 @@ StreamingPipeline::StreamingPipeline(const StreamConfig& cfg,
           "StreamingPipeline: SpeAllocator width != chip.num_spes");
     claim_ = cfg_.spe_allocator->claim(kMinSpes, machine_.num_spes(),
                                        cfg_.claim_weight, cfg_.claim_quota);
-    claimed_.assign(spes_.size(), 0);
-    for (const int id : claim_.ids)
-      claimed_[static_cast<std::size_t>(id)] = 1;
-    min_claimed_ = max_claimed_ = claim_.count();
+    claim_changed();
     // Start the cyclic cursor on our lowest claimed SPE so chunk 0
     // lands deterministically regardless of which SPEs we got.
     p_.rr_spe = claim_.ids.front();
@@ -181,12 +170,7 @@ StreamingPipeline::~StreamingPipeline() {
 
 void StreamingPipeline::rebalance(std::size_t batch_chunks) {
   SpeAllocator& alloc = *cfg_.spe_allocator;
-  // SPEs this batch can actually feed: one chunk set per rotation slot.
-  const int need = std::clamp(
-      static_cast<int>((batch_chunks + static_cast<std::size_t>(cfg_.buffers) -
-                        1) /
-                       static_cast<std::size_t>(cfg_.buffers)),
-      kMinSpes, machine_.num_spes());
+  const int need = spes_needed(batch_chunks);
   // The NOVA yield, pressure check and target computation in one
   // critical section inside the allocator: the old pressure() /
   // fair_share() / shrink() sequence could act on a waiter that had
@@ -197,11 +181,29 @@ void StreamingPipeline::rebalance(std::size_t batch_chunks) {
     // Slack returned: regrow opportunistically (denied under pressure).
     if (alloc.expand(claim_, need) > 0) ++rebalance_expands_;
   }
+  claim_changed();
+}
+
+int StreamingPipeline::spes_needed(std::size_t chunks) const {
+  // One chunk set per rotation slot.
+  const auto buffers = static_cast<std::size_t>(cfg_.buffers);
+  return std::clamp(static_cast<int>((chunks + buffers - 1) / buffers),
+                    kMinSpes, machine_.num_spes());
+}
+
+void StreamingPipeline::claim_changed() {
   claimed_.assign(claimed_.size(), 0);
-  for (const int id : claim_.ids)
-    claimed_[static_cast<std::size_t>(id)] = 1;
+  for (const int id : claim_.ids) claimed_[static_cast<std::size_t>(id)] = 1;
   min_claimed_ = std::min(min_claimed_, claim_.count());
   max_claimed_ = std::max(max_claimed_, claim_.count());
+}
+
+std::size_t StreamingPipeline::wave_width() const {
+  std::size_t live = 0;
+  for (std::size_t s = 0; s < alive_.size(); ++s)
+    live += static_cast<std::size_t>(alive_[s] != 0 && claimed_[s] != 0);
+  return std::max<std::size_t>(live, 1) *
+         static_cast<std::size_t>(cfg_.buffers);
 }
 
 void StreamingPipeline::memory_pass(const char* name, double bytes) {
@@ -219,12 +221,42 @@ void StreamingPipeline::memory_pass(const char* name, double bytes) {
   }
 }
 
-bool StreamingPipeline::replays_in_full() const noexcept {
-  // A profiler interposes as sink_; observer_ includes the checker
-  // CELLSWEEP_HAZARD_CHECK arms.
-  return sink_ != nullptr || observer_ != nullptr || fault_plan_.enabled() ||
-         cfg_.spe_allocator != nullptr || static_cast<bool>(chunk_hook_) ||
-         cfg_.cancel != nullptr;
+bool StreamingPipeline::open_block(std::initializer_list<std::int64_t> salt) {
+  // observer_ includes the checker CELLSWEEP_HAZARD_CHECK arms.
+  if (sink_ || observer_ || fault_plan_.enabled() || cfg_.spe_allocator ||
+      cfg_.cancel)
+    return false;
+  key_.assign(salt);
+  canonical_key(key_);
+  for (std::size_t i = 0; i < memo_.size(); ++i) {
+    if (memo_[i].key != key_) continue;
+    if (!fast_forward(memo_[i])) return false;
+    skipping_ = i;
+    return true;
+  }
+  if (exact_counters()) recording_ = Block{key_, snapshot(), {}, 0, 0};
+  return false;
+}
+
+void StreamingPipeline::close_block(std::uint64_t length,
+                                    std::uint64_t stream) {
+  if (skipping_) {
+    const Block& repeated = memo_[*skipping_];
+    skipping_.reset();
+    if (length != repeated.length || stream != repeated.stream)
+      throw std::logic_error(
+          "StreamingPipeline: a fast-forwarded block was fed a different "
+          "stream than the block it repeats");
+  }
+  if (recording_) {
+    if (exact_counters()) {
+      recording_->end = snapshot();
+      recording_->length = length;
+      recording_->stream = stream;
+      memo_.push_back(std::move(*recording_));
+    }
+    recording_.reset();
+  }
 }
 
 void StreamingPipeline::canonical_key(std::vector<std::int64_t>& key) {
@@ -280,8 +312,6 @@ void StreamingPipeline::canonical_key(std::vector<std::int64_t>& key) {
 StreamingPipeline::Snapshot StreamingPipeline::snapshot() const {
   Snapshot snap{p_,
                 spes_,
-                prev_completion_,
-                prev_compute_end_,
                 {},
                 {},
                 machine_.mic().state(),
@@ -303,8 +333,9 @@ bool StreamingPipeline::exact_counters() const {
   return ok;
 }
 
-bool StreamingPipeline::fast_forward(const Snapshot& from,
-                                     const Snapshot& to) {
+bool StreamingPipeline::fast_forward(const Block& block) {
+  const Snapshot& from = block.start;
+  const Snapshot& to = block.end;
   // Each published floating-point counter must count exactly before
   // and after its recorded delta lands.
   auto exact_after = [](double cur, double start, double end) {
@@ -347,7 +378,6 @@ bool StreamingPipeline::fast_forward(const Snapshot& from,
 
   const Progress& pa = from.progress;
   const Progress& pb = to.progress;
-  p_.barrier = at(pb.barrier);
   p_.next_barrier = at(pb.next_barrier);
   p_.reports_horizon = at(pb.reports_horizon);
   p_.rr_spe = pb.rr_spe;
@@ -356,12 +386,6 @@ bool StreamingPipeline::fast_forward(const Snapshot& from,
   add(p_.work_units, pa.work_units, pb.work_units);
   add(p_.chunks, pa.chunks, pb.chunks);
   add(p_.compute_cycles, pa.compute_cycles, pb.compute_cycles);
-  prev_completion_.assign(to.prev_completion.begin(),
-                          to.prev_completion.end());
-  for (sim::Tick& t : prev_completion_) t = at(t);
-  prev_compute_end_.assign(to.prev_compute_end.begin(),
-                           to.prev_compute_end.end());
-  for (sim::Tick& t : prev_compute_end_) t = at(t);
 
   for (std::size_t s = 0; s < spes_.size(); ++s) {
     SpeClock& c = spes_[s];
@@ -601,11 +625,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
   // full width a survivor would draw more than `buffers` chunks in one
   // wave and phase A would re-stage a buffer its phase-B kernel has
   // not consumed yet (the hazard checker flags exactly that).
-  std::size_t live = 0;
-  for (std::size_t s = 0; s < alive_.size(); ++s)
-    live += static_cast<std::size_t>(alive_[s] != 0 && claimed_[s] != 0);
-  std::size_t wave =
-      std::max<std::size_t>(live, 1) * static_cast<std::size_t>(cfg_.buffers);
+  std::size_t wave = wave_width();
   for (std::size_t w0 = 0; w0 < chunks.size(); w0 += wave) {
     // Chunk-granularity QoS, decided strictly between waves (a yielded
     // or abandoned SPE has no staging buffer in flight there). Both
@@ -620,18 +640,10 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
       // A strictly higher-weight claim is blocked: yield *now* rather
       // than at the next batch boundary. The remaining chunks move to
       // the surviving claim and the wave narrows with it.
-      const std::size_t rest = chunks.size() - w0;
-      const int need = std::clamp(
-          static_cast<int>(
-              (rest + static_cast<std::size_t>(cfg_.buffers) - 1) /
-              static_cast<std::size_t>(cfg_.buffers)),
-          kMinSpes, machine_.num_spes());
-      if (cfg_.spe_allocator->shrink_to_fair_share(claim_, need, kMinSpes)) {
+      if (cfg_.spe_allocator->shrink_to_fair_share(
+              claim_, spes_needed(chunks.size() - w0), kMinSpes)) {
         ++preempt_yields_;
-        claimed_.assign(claimed_.size(), 0);
-        for (const int id : claim_.ids)
-          claimed_[static_cast<std::size_t>(id)] = 1;
-        min_claimed_ = std::min(min_claimed_, claim_.count());
+        claim_changed();
         // Reassign the not-yet-started chunks: roll their buffer
         // rotation back, restart the cyclic cursor on our lowest
         // surviving SPE (deterministic regardless of which ids were
@@ -649,12 +661,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
           chunks[i].extra = extra;
           ++spe.served;
         }
-        live = 0;
-        for (std::size_t s = 0; s < alive_.size(); ++s)
-          live +=
-              static_cast<std::size_t>(alive_[s] != 0 && claimed_[s] != 0);
-        wave = std::max<std::size_t>(live, 1) *
-               static_cast<std::size_t>(cfg_.buffers);
+        wave = wave_width();
         if (sink_)
           sink_->instant(ppe_track_, "preempt-yield", "sync", p_.next_barrier);
       }
@@ -791,7 +798,6 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
         observer_->on_kernel(c.spe,
                              buffer_offsets_[static_cast<std::size_t>(c.buf)],
                              c.staged_bytes, ready, c.compute_end, c.token);
-      if (chunk_hook_) chunk_hook_(*c.spec, ready, c.compute_end);
       spe.compute_free = c.compute_end;
       if (cfg_.buffers >= 2)
         spe.request_at = std::max(spe.request_at, ready);
@@ -979,14 +985,6 @@ RunReport StreamingPipeline::finish() {
     a.set("preempt_yields", static_cast<double>(preempt_yields_));
     cfg_.spe_allocator->release(claim_);
     claimed_.assign(claimed_.size(), 0);
-  }
-
-  // Time-sliced profile: snapshot the windowed series, and replay them
-  // into the downstream trace as Chrome counter events so the
-  // utilization-over-time curves render beside the spans.
-  if (cfg_.profiler) {
-    r.timeseries = cfg_.profiler->profile();
-    if (cfg_.trace_sink) cfg_.profiler->emit_counter_events(*cfg_.trace_sink);
   }
 
   const cell::CellSpec& spec = machine_.spec();

@@ -12,8 +12,8 @@
 //   * The pipeline owns the machine (cell::CellProcessor), the wave
 //     arithmetic (spes x buffers chunks per wave), grant ordering,
 //     put-tag gating, double-buffer rotation, stall accounting, fault
-//     injection / SPE failover, observability (trace sink, profiler,
-//     hazard observer) and the final RunReport assembly.
+//     injection / SPE failover, observability (trace sink, hazard
+//     observer), block fast-forward and the final RunReport assembly.
 //   * A workload supplies, per batch of independent chunks: the chunk
 //     list with each chunk's DMA transfer plan and kernel cost
 //     (StreamChunkSpec -- the chunk provider + kernel functor), a
@@ -31,13 +31,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cellsim/cell_processor.h"
+#include "cellsim/spu_pipeline.h"
 #include "core/config.h"
 #include "core/report.h"
 #include "core/spe_allocator.h"
@@ -141,12 +145,6 @@ struct UpstreamView {
 /// view.barrier. Pure: called multiple times per chunk.
 using DependencyPolicy = std::function<sim::Tick(const UpstreamView&, int)>;
 
-/// Per-chunk timing hook: invoked after each kernel with the chunk's
-/// spec and its [start, end) execution interval. Observation only --
-/// no simulated tick may depend on it.
-using ChunkTimingHook =
-    std::function<void(const StreamChunkSpec&, sim::Tick, sim::Tick)>;
-
 /// The workload-agnostic streaming engine (see file comment).
 class StreamingPipeline {
  public:
@@ -197,16 +195,42 @@ class StreamingPipeline {
 
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
-  /// when this chip is one rank of a process-level decomposition.
+  /// when this chip is one rank of a process-level decomposition. Gate
+  /// between blocks (after close_block): the gate then lands in the
+  /// next block's key, not in an open block's recorded effect.
   void gate(sim::Tick at) {
     p_.next_barrier = std::max(p_.next_barrier, at);
     p_.reports_horizon = std::max(p_.reports_horizon, at);
   }
 
-  const cell::CellProcessor& machine() const noexcept { return machine_; }
+  // --- Block fast-forward ---------------------------------------------
+  //
+  // A workload whose blocks start behind a hard barrier (the first
+  // batch of each block opens a new block) can have each block priced
+  // once: the model is translation-invariant in time, so a later block
+  // that starts from the same canonical state lands every clock at the
+  // same offset from its base and grows every counter by the same
+  // delta. A block that is fast-forwarded gets that effect applied in
+  // place and no batch; the report is byte-identical to a full replay.
 
-  /// Installs the per-chunk kernel timing hook (may be empty).
-  void set_chunk_hook(ChunkTimingHook hook) { chunk_hook_ = std::move(hook); }
+  /// Opens a block at the current horizon, keyed by @p salt (whatever
+  /// of the workload the pipeline cannot see, e.g. the sweep's fixup
+  /// flag, kernel and line length) plus the machine's canonical state.
+  /// Returns true when an earlier block with the same key was applied:
+  /// the caller then feeds no batch until close_block(). Otherwise the
+  /// block is recorded for later ones and the caller streams it. Always
+  /// false, and nothing recorded, when fast-forward would hide something
+  /// that watches or perturbs single chunks: a trace sink (a profiler
+  /// is one), a hazard observer (CELLSWEEP_HAZARD_CHECK included), an
+  /// enabled fault plan, an SPE allocator or a cancel flag; or when a
+  /// published floating-point counter is not an exact integer.
+  bool open_block(std::initializer_list<std::int64_t> salt);
+
+  /// Closes the open block (no-op when none is): the caller's @p length
+  /// and @p stream signature of what it fed the block are stored with a
+  /// recorded block, and must equal the stored ones for a fast-forwarded
+  /// block (std::logic_error otherwise).
+  void close_block(std::uint64_t length, std::uint64_t stream);
 
  private:
   struct SpeClock {
@@ -241,65 +265,30 @@ class StreamingPipeline {
     double compute_cycles = 0;  ///< healthy-path kernel cycles, all SPEs
   };
 
- public:
   /// Every mutable clock and counter of the pipeline and its machine
   /// (observability, fault and allocator state excluded: fast-forward
-  /// never runs with them armed).
+  /// never runs with them armed). The upstream history is left out and
+  /// fast_forward leaves the barrier alone: the first batch of the next
+  /// block overwrites both.
   struct Snapshot {
     Progress progress;
     std::vector<SpeClock> spes;
-    std::vector<sim::Tick> prev_completion;
-    std::vector<sim::Tick> prev_compute_end;
     std::vector<cell::Spe::State> spe_units;
     std::vector<cell::Mfc::State> mfcs;
     cell::Mic::State mic;
     sim::BandwidthResource::State eib;
     cell::DispatchFabric::State dispatch;
   };
+  /// One priced block: its key, the snapshots at its base and end, and
+  /// the caller's length and signature of its stream.
+  struct Block {
+    std::vector<std::int64_t> key;
+    Snapshot start;
+    Snapshot end;
+    std::uint64_t length = 0;
+    std::uint64_t stream = 0;
+  };
 
-  // --- Block fast-forward (core::TimingEngine uses it) ---------------
-  //
-  // A workload whose blocks start behind a hard barrier (a batch with
-  // new_block, or a memory_pass) can price a block once and re-apply
-  // its recorded effect to a later block that starts from the same
-  // canonical state: the model is translation-invariant in time, so
-  // every clock lands at the same offset from the block's base and
-  // every counter grows by the same delta.
-
-  /// True when fast-forward would hide something that watches or
-  /// perturbs single chunks: a trace sink or profiler, a hazard
-  /// observer (CELLSWEEP_HAZARD_CHECK included), an enabled fault plan,
-  /// an SPE allocator, a chunk hook or a cancel flag.
-  bool replays_in_full() const noexcept;
-
-  /// Canonicalizes the machine at the current horizon, the base of the
-  /// next block, and appends the state's key relative to that base to
-  /// @p key. Canonical means: MFC slots sorted; slots and tag groups
-  /// raised to their SPE's floor min(request_at, base); the EIB raised
-  /// to the lowest floor; the dispatch servers raised to the base. No
-  /// later command, tag wait, grant or report on a unit starts before
-  /// its floor, so a raised value changes no tick and no counter --
-  /// given that the next batch opens a new block, so no grant precedes
-  /// the base.
-  void canonical_key(std::vector<std::int64_t>& key);
-
-  Snapshot snapshot() const;
-
-  /// True when the published floating-point counters (MFC, MIC and EIB
-  /// bytes, compute cycles) hold exact integers below 2^53, so adding a
-  /// recorded delta equals adding its increments one by one.
-  bool exact_counters() const;
-
-  /// Applies the block recorded between @p from (taken at its base) and
-  /// @p to (taken at its end) to this pipeline, in place, whose
-  /// canonical key at the current horizon must equal the one @p from
-  /// had. Clocks move to the current base plus their recorded offset;
-  /// counters add their recorded delta, MIC bank counts rotated to the
-  /// current bank cursor. Returns false, changing nothing, unless every
-  /// published floating-point counter is exact before and after.
-  bool fast_forward(const Snapshot& from, const Snapshot& to);
-
- private:
   /// One chunk of the batch being streamed: its spec, SPE, staging
   /// buffer and clocks.
   struct Chunk {
@@ -332,10 +321,39 @@ class StreamingPipeline {
   void trace_dma(int spe_index, const char* name, sim::Tick submitted,
                  const cell::DmaCompletion& c, bool to_memory);
   /// Batch-boundary claim adjustment (allocator tenants only): under
-  /// pressure yields down to min(need, fair share), with slack regrows
-  /// toward `need` = ceil(batch chunks / buffers) clamped to
-  /// [1, chip width]. Rebuilds claimed_.
+  /// pressure yields down to min(spes_needed, fair share), with slack
+  /// regrows toward spes_needed.
   void rebalance(std::size_t batch_chunks);
+  /// SPEs @p chunks chunks can feed: ceil(chunks / buffers), clamped to
+  /// [1, chip width].
+  int spes_needed(std::size_t chunks) const;
+  /// Rebuilds claimed_ from claim_ and folds its size into the smallest
+  /// and largest claim the run held.
+  void claim_changed();
+  /// Chunks per wave: `buffers` per live SPE we hold (at least one).
+  std::size_t wave_width() const;
+
+  /// Canonicalizes the machine at the current horizon, the base of the
+  /// next block, and appends the state's key relative to that base to
+  /// @p key. Canonical means: MFC slots sorted; slots and tag groups
+  /// raised to their SPE's floor min(request_at, base); the EIB raised
+  /// to the lowest floor; the dispatch servers raised to the base. No
+  /// later command, tag wait, grant or report on a unit starts before
+  /// its floor, so a raised value changes no tick and no counter --
+  /// given that the next batch opens a new block, so no grant precedes
+  /// the base.
+  void canonical_key(std::vector<std::int64_t>& key);
+  Snapshot snapshot() const;
+  /// True when the published floating-point counters (MFC, MIC and EIB
+  /// bytes, compute cycles) hold exact integers below 2^53, so adding a
+  /// recorded delta equals adding its increments one by one.
+  bool exact_counters() const;
+  /// Applies @p block, recorded from its base to its end, in place:
+  /// clocks move to the current base plus their recorded offset;
+  /// counters add their recorded delta, MIC bank counts rotated to the
+  /// current bank cursor. Returns false, changing nothing, unless every
+  /// published floating-point counter is exact before and after.
+  bool fast_forward(const Block& block);
 
   /// A pipeline is confined to its tenant thread: the simulated clocks
   /// are plain fields, and only claim_ transitions (which go through
@@ -376,8 +394,6 @@ class StreamingPipeline {
   int mic_track_ = 0;
   std::vector<int> spe_tracks_;
 
-  ChunkTimingHook chunk_hook_;
-
   // Fault injection and graceful degradation (inert when the plan is
   // disabled: alive_ stays all-true and pick_spe reduces to the plain
   // cyclic cursor).
@@ -394,13 +410,21 @@ class StreamingPipeline {
   // SPE, byte-identical to the single-tenant build).
   SpeAllocator::Claim claim_;
   std::vector<char> claimed_;  ///< one flag per SPE: ours right now
-  int min_claimed_ = 0;  ///< smallest claim the run ever held
-  int max_claimed_ = 0;  ///< largest claim the run ever held
+  /// Smallest and largest claim the run ever held.
+  int min_claimed_ = std::numeric_limits<int>::max();
+  int max_claimed_ = 0;
   std::uint64_t rebalance_shrinks_ = 0;
   std::uint64_t rebalance_expands_ = 0;
   /// Chunk-granularity yields to a higher-weight waiter (mid-batch, at
   /// wave boundaries), as opposed to the batch-boundary rebalances.
   std::uint64_t preempt_yields_ = 0;
+
+  // Block fast-forward: the priced blocks, the key buffer (reused), and
+  // the block being recorded or the memo entry being repeated.
+  std::vector<Block> memo_;
+  std::vector<std::int64_t> key_;
+  std::optional<Block> recording_;
+  std::optional<std::size_t> skipping_;
 };
 
 }  // namespace cellsweep::core

@@ -7,9 +7,9 @@
 // scheduler needs to reproduce the paper's cycle counts. The numerics
 // are the same with or without a recorder, but every op still stamps
 // an id and looks up the recorder, which makes the emulated kernel
-// about six times slower per cell-solve than the scalar one
-// (bench/micro_kernels). So only trace recording and tests run it;
-// functional sweeps use the scalar kernel.
+// about six times slower per cell-solve than the scalar one. So only
+// trace recording and tests run it; functional sweeps use the scalar
+// kernel.
 //
 // Only the subset of the SPU ISA that the kernels use is emulated:
 // splats, mul, add, sub, madd (fused multiply-add), nmsub, compare

@@ -205,9 +205,11 @@ core::RunReport run_counters(int cube, sim::TimeSlicedProfiler* prof,
   cfg.sweep.mk = std::min(cfg.sweep.mk, cube);
   while (cube % cfg.sweep.mk != 0) --cfg.sweep.mk;
   cfg.sweep.threads = threads;
-  cfg.profiler = prof;
+  cfg.trace_sink = prof;
   core::CellSweep3D runner(p, cfg);
-  return runner.run(mode);
+  core::RunReport r = runner.run(mode);
+  if (prof) r.timeseries = prof->profile();
+  return r;
 }
 
 std::string counters_str(const sim::CounterSet& c) {

@@ -5,7 +5,10 @@
 // real workload's arithmetic.
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -67,6 +70,31 @@ sim::Tick chain_deps(const core::UpstreamView& u, int c) {
   return std::max(u.barrier, u.ready[static_cast<std::size_t>(c)] + u.hop);
 }
 
+/// Trace sink that calls `on_kernel` with every kernel span (category
+/// "compute": the pipeline emits one per chunk as it schedules the
+/// chunk's kernel) and forwards every event to `next` when set.
+struct KernelTap final : sim::TraceSink {
+  std::function<void(sim::Tick, sim::Tick)> on_kernel;
+  sim::TraceSink* next = nullptr;
+
+  int track(const std::string& name) override {
+    return next ? next->track(name) : 0;
+  }
+  void span(int track, const char* name, const char* category,
+            sim::Tick start, sim::Tick end) override {
+    if (std::string_view(category) == "compute") on_kernel(start, end);
+    if (next) next->span(track, name, category, start, end);
+  }
+  void instant(int track, const char* name, const char* category,
+               sim::Tick at) override {
+    if (next) next->instant(track, name, category, at);
+  }
+  void counter(int track, const char* name, sim::Tick at,
+               double value) override {
+    if (next) next->counter(track, name, at, value);
+  }
+};
+
 core::RunReport run_identity(const core::StreamConfig& cfg,
                              int batches = 4, int chunks = 24) {
   core::LsPlacement placement;
@@ -124,27 +152,21 @@ TEST(StreamingPipeline, HazardCleanUnderEveryProtocol) {
 TEST(StreamingPipeline, SinksDoNotPerturbTiming) {
   const core::RunReport bare = run_identity(core::StreamConfig{});
 
+  // The whole observability stack: a kernel tap in front of a
+  // profiler in front of a trace writer.
   core::StreamConfig cfg;
   sim::ChromeTraceWriter writer;
   sim::TimeSlicedProfiler profiler(32);
-  cfg.trace_sink = &writer;
-  cfg.profiler = &profiler;
-  core::LsPlacement placement;
-  placement.resident.emplace_back("identity-constants", 2048);
-  placement.buffer_bytes = tiny_plan().ls_buffer_bytes;
-  core::StreamingPipeline pipeline(cfg, placement);
-  std::uint64_t hook_calls = 0;
-  pipeline.set_chunk_hook([&hook_calls](const core::StreamChunkSpec&,
-                                        sim::Tick start, sim::Tick end) {
-    ++hook_calls;
+  profiler.forward_to(&writer);
+  std::uint64_t kernels = 0;
+  KernelTap tap;
+  tap.on_kernel = [&kernels](sim::Tick start, sim::Tick end) {
+    ++kernels;
     EXPECT_LT(start, end);
-  });
-  const std::vector<core::StreamChunkSpec> batch = identity_batch(24);
-  for (int b = 0; b < 4; ++b) {
-    if (b == 2) pipeline.memory_pass("identity-pass", 1 << 20);
-    pipeline.run_batch(batch, chain_deps, b == 0);
-  }
-  const core::RunReport traced = pipeline.finish();
+  };
+  tap.next = &profiler;
+  cfg.trace_sink = &tap;
+  const core::RunReport traced = run_identity(cfg);
 
   // Observation only: every simulated number is bit-identical with the
   // full observability stack attached.
@@ -153,8 +175,9 @@ TEST(StreamingPipeline, SinksDoNotPerturbTiming) {
             bare.counters.value("run_ticks"));
   EXPECT_EQ(traced.traffic_bytes, bare.traffic_bytes);
   EXPECT_EQ(traced.dma_commands, bare.dma_commands);
-  EXPECT_EQ(hook_calls, 4u * 24u);
+  EXPECT_EQ(kernels, 4u * 24u);
   EXPECT_GT(writer.event_count(), 0u);
+  EXPECT_FALSE(profiler.profile().empty());
 }
 
 TEST(StreamingPipeline, HorizonIsMonotoneAndGated) {
@@ -297,25 +320,16 @@ TEST(StreamingPipeline, HigherWeightWaiterPreemptsBetweenChunks) {
   // boundary -- finish all its work on the narrowed claim, and count
   // the preemption.
   core::SpeAllocator alloc(core::StreamConfig{}.chip.num_spes);
-  core::StreamConfig cfg;
-  cfg.spe_allocator = &alloc;
-  cfg.claim_weight = 1;
-
-  core::LsPlacement placement;
-  placement.resident.emplace_back("identity-constants", 2048);
-  placement.buffer_bytes = tiny_plan().ls_buffer_bytes;
-  core::StreamingPipeline pipeline(cfg, placement);  // claims all 8
-
   core::SpeAllocator::Claim heavy;
   std::atomic<bool> granted{false};
   std::thread claimant;
   std::uint64_t chunks_seen = 0;
-  // The hook runs host-side between simulated chunks: launch the heavy
+  // The tap runs host-side between simulated chunks: launch the heavy
   // claim a few chunks into the first wave, then hold the pipeline
   // thread (pure host time, no simulated tick) until the claimant is
   // visibly queued -- so the next inter-wave check reliably sees it.
-  pipeline.set_chunk_hook([&](const core::StreamChunkSpec&, sim::Tick,
-                              sim::Tick) {
+  KernelTap tap;
+  tap.on_kernel = [&](sim::Tick, sim::Tick) {
     if (++chunks_seen != 4) return;
     claimant = std::thread([&] {
       heavy = alloc.claim(1, 4, /*weight=*/3);
@@ -323,7 +337,16 @@ TEST(StreamingPipeline, HigherWeightWaiterPreemptsBetweenChunks) {
     });
     for (int spin = 0; spin < 10000 && !alloc.pressure(); ++spin)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
+  };
+  core::StreamConfig cfg;
+  cfg.spe_allocator = &alloc;
+  cfg.claim_weight = 1;
+  cfg.trace_sink = &tap;
+
+  core::LsPlacement placement;
+  placement.resident.emplace_back("identity-constants", 2048);
+  placement.buffer_bytes = tiny_plan().ls_buffer_bytes;
+  core::StreamingPipeline pipeline(cfg, placement);  // claims all 8
   const std::vector<core::StreamChunkSpec> batch = identity_batch(24);
   for (int b = 0; b < 4; ++b) pipeline.run_batch(batch, chain_deps, b == 0);
   const core::RunReport r = pipeline.finish();

@@ -1,8 +1,8 @@
 // Block fast-forward in core::TimingEngine: a run that skips repeated
 // (octant, angle-block, K-block) blocks must report, byte for byte,
 // what a full replay of every chunk reports. Attaching any trace sink
-// forces the full replay (StreamingPipeline::replays_in_full), so a
-// no-op sink gives the reference run.
+// forces the full replay (StreamingPipeline::open_block), so a no-op
+// sink gives the reference run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -462,9 +462,9 @@ TEST(TimingFastForward, RandomDecksMatchFullReplay) {
 }
 
 TEST(TimingFastForward, ClusterMatchesItsFullReplay) {
-  // simulate_cluster's isolated-chip runs fast-forward; its ranks gate
-  // each other between blocks, which turns fast-forward off for the
-  // rest of a run.
+  // simulate_cluster's isolated-chip runs fast-forward, and so do its
+  // ranks, which gate each other between blocks (the gate lands in the
+  // next block's key).
   const sweep::Grid g = sweep::Grid::cube(20);
   const std::pair<int, int> grids[] = {{1, 1}, {2, 1}, {2, 2}};
   for (const auto& [px, py] : grids) {
@@ -494,15 +494,13 @@ TEST(TimingFastForward, ClusterMatchesItsFullReplay) {
 }
 
 /// Skip count of a 6-iteration trace-driven tiny8 run with @p tweak
-/// applied to its config, gated before the first diagonal if @p gate.
-int skipped_with(const std::function<void(CellSweepConfig&)>& tweak,
-                 bool gate = false) {
+/// applied to its config.
+int skipped_with(const std::function<void(CellSweepConfig&)>& tweak) {
   Case c = make_case(kTiny8, OS::kSpeLsPoke);
   c.cfg.sweep.max_iterations = 6;
   c.cfg.sweep.fixup_from_iteration = 100;
   tweak(c.cfg);
   TimingEngine engine(c.cfg, c.deck.problem.grid(), c.nm);
-  if (gate) engine.gate(1);
   for (int iter = 0; iter < 6; ++iter)
     enumerate_sweep(
         c.deck.problem.grid(), c.angles, c.cfg.sweep, false,
@@ -521,8 +519,8 @@ TEST(TimingFastForward, EveryFullReplayConditionSkipsNothing) {
   EXPECT_EQ(skipped_with([&](CellSweepConfig& c) { c.trace_sink = &sink; }),
             0);
   sim::TimeSlicedProfiler profiler;
-  EXPECT_EQ(skipped_with([&](CellSweepConfig& c) { c.profiler = &profiler; }),
-            0);
+  EXPECT_EQ(
+      skipped_with([&](CellSweepConfig& c) { c.trace_sink = &profiler; }), 0);
   cell::MachineObserver observer;
   EXPECT_EQ(skipped_with([&](CellSweepConfig& c) { c.hazard = &observer; }),
             0);
@@ -536,16 +534,37 @@ TEST(TimingFastForward, EveryFullReplayConditionSkipsNothing) {
       0);
   const std::atomic<bool> cancel{false};
   EXPECT_EQ(skipped_with([&](CellSweepConfig& c) { c.cancel = &cancel; }), 0);
-  EXPECT_EQ(skipped_with([](CellSweepConfig&) {}, /*gate=*/true), 0);
+}
 
-  // A chunk hook can only be set on a bare pipeline.
+TEST(TimingFastForward, GatedBeforeEveryBlockMatchesFullReplay) {
+  // Gated as simulate_cluster gates its ranks: before every block, here
+  // at the horizon plus a delay of 0-3 us that cycles with the block
+  // count, so a gate is sometimes a no-op and the delays recur. A gate
+  // raises only the horizon and the reports horizon, both in the next
+  // block's key, so gated blocks still fast-forward.
   const Case c = make_case(kTiny8, OS::kSpeLsPoke);
-  StreamingPipeline pipeline(c.cfg, sweep_placement(c.cfg, 8, c.nm));
-  const bool plain = pipeline.replays_in_full();
-  pipeline.set_chunk_hook(
-      [](const StreamChunkSpec&, sim::Tick, sim::Tick) {});
-  EXPECT_EQ(plain, hazard_env());
-  EXPECT_TRUE(pipeline.replays_in_full());
+  const CellSweepConfig cfg = schedule(c, 6, 3);
+  EnginePairs pairs(c, cfg, {6});
+  TimingEngine& fast = pairs.fast(0);
+  TimingEngine& full = pairs.full(0);
+  const sim::Tick us = sim::ticks_from_seconds(1e-6);
+  int blocks = 0;
+  for (int iter = 0; iter < 6; ++iter)
+    enumerate_sweep(c.deck.problem.grid(), c.angles, cfg.sweep, iter >= 3,
+                    [&](const sweep::DiagonalWork& w) {
+                      if (w.diagonal == 0) {
+                        ASSERT_EQ(fast.horizon(), full.horizon());
+                        const sim::Tick at =
+                            fast.horizon() + (blocks++ % 4) * us;
+                        fast.gate(at);
+                        full.gate(at);
+                      }
+                      pairs.on_diagonal(w);
+                    });
+  ASSERT_EQ(blocks, 6 * blocks_per_iteration(c));
+  // 156 of the 192 blocks.
+  EXPECT_EQ(pairs.finish_and_compare("tiny8 gated before every block").front(),
+            hazard_env() ? 0 : 156);
 }
 
 /// One trace-driven source iteration of tiny8 (fixups off) at the
@@ -569,7 +588,7 @@ std::size_t first_block_length(const std::vector<sweep::DiagonalWork>& s) {
 TEST(TimingFastForward, GateAfterASkippedBlockMatchesFullReplay) {
   // Two iterations, then the first block of a third -- skipped -- then
   // a gate on both engines: the gate closes the skipped block, and the
-  // rest of the run replays in full on both sides.
+  // fast engine keeps skipping the blocks after it.
   const Case c = make_case(kTiny8, OS::kSpeLsPoke);
   const std::vector<sweep::DiagonalWork> stream = tiny8_iteration(c);
   const std::size_t first = first_block_length(stream);
@@ -591,8 +610,10 @@ TEST(TimingFastForward, GateAfterASkippedBlockMatchesFullReplay) {
   for (std::size_t d = first; d < stream.size(); ++d)
     pairs.on_diagonal(stream[d]);
   for (const sweep::DiagonalWork& w : stream) pairs.on_diagonal(w);
+  // 109 of the 128 blocks: 47 up to the gate, then each of the 63
+  // after it but the first, whose key the gate changed.
   EXPECT_EQ(pairs.finish_and_compare("gated tiny8").front(),
-            hazard_env() ? 0 : before + 1);
+            hazard_env() ? 0 : 109);
 }
 
 TEST(TimingFastForward, GateInsideASkippedBlockThrows) {
