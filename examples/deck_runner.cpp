@@ -293,6 +293,11 @@ int run_solo(const util::CliParser& cli, core::OptimizationStage stage) {
                              counters + "'");
       profile_windows = static_cast<std::size_t>(n);
     }
+    // A PPE stage streams nothing: no counters, profile or trace.
+    if (!cfg.use_spes && (profile_windows != 0 || !trace_path.empty()))
+      throw util::CliError(std::string("--counters and --trace need an SPE "
+                                       "stage, not ") +
+                           core::stage_name(stage));
   } catch (const util::CliError& e) {
     std::cerr << "deck_runner: " << e.what() << "\n";
     return 1;
@@ -344,14 +349,13 @@ int run_solo(const util::CliParser& cli, core::OptimizationStage stage) {
   core::JobResult res;
   try {
     res = input->run(cfg, mode, threads);
-  } catch (const sim::FaultError& e) {
+  } catch (const std::exception& e) {
     std::cerr << "deck_runner: " << e.what() << "\n";
     return 1;
   }
   // The utilization-over-time series, also replayed into the trace as
-  // counter events so the curves render beside the spans. A PPE run
-  // streams nothing and keeps no series.
-  if (profile_windows != 0 && profiler.end_ticks() > 0) {
+  // counter events so the curves render beside the spans.
+  if (profile_windows != 0) {
     res.report.timeseries = profiler.profile();
     if (!trace_path.empty()) profiler.emit_counter_events(writer);
   }
@@ -642,7 +646,8 @@ int main(int argc, char** argv) {
                  serve ? "write the host-time job-lifecycle timeline as a "
                          "Chrome trace-event JSON"
                        : "write a Chrome trace-event JSON of the simulated "
-                         "run (load in chrome://tracing or ui.perfetto.dev)");
+                         "SPE run (load in chrome://tracing or "
+                         "ui.perfetto.dev)");
     cli.add_flag("metrics", "",
                  serve ? "write the server telemetry document as JSON"
                        : "write run metrics (timing, stall breakdown, DMA "
@@ -659,9 +664,9 @@ int main(int argc, char** argv) {
                  "lint the input, then attach the machine-model hazard "
                  "checker; protocol violations become hard errors");
     cli.add_flag("counters", "false",
-                 "attach the time-sliced profiler and print a hardware "
-                 "counter summary; --counters=N sets the profile window "
-                 "count (default 96). Counters and the utilization "
+                 "attach the time-sliced profiler (SPE stages) and print a "
+                 "hardware counter summary; --counters=N sets the profile "
+                 "window count (default 96). Counters and the utilization "
                  "timeseries also land in --metrics and --trace output");
   }
   if (serve) {

@@ -152,6 +152,15 @@ Diagnostics lint_stencil(const stencil::StencilSpec& spec,
     return diags;  // nothing downstream is meaningful
   }
 
+  // The stencil streams through the SPEs only; a PPE stage models no
+  // stencil run.
+  if (!cfg.use_spes) {
+    diags.error("stage", "use_spes false",
+                "the stencil runs only on the SPEs; a PPE stage has no "
+                "stencil model");
+    return diags;
+  }
+
   // Machine fit of one block's working set, judged on the exact
   // transfer plan the stencil runner would stream.
   const std::size_t real_bytes = core::real_bytes_of(cfg.precision);

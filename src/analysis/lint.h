@@ -26,9 +26,10 @@ Diagnostics lint_deck(const sweep::Deck& deck,
                       const core::CellSweepConfig& cfg);
 
 /// Validates a stencil spec the same way: grid/blocking consistency,
-/// the LS budget of the block staging buffers under the configured
-/// buffer count, the MFC tag budget of the rotation, and the DMA
-/// legality of the exact requests workloads/stencil would submit.
+/// an SPE stage (the stencil has no PPE model), the LS budget of the
+/// block staging buffers under the configured buffer count, the MFC tag
+/// budget of the rotation, and the DMA legality of the exact requests
+/// workloads/stencil would submit.
 Diagnostics lint_stencil(const stencil::StencilSpec& spec,
                          const core::CellSweepConfig& cfg);
 

@@ -215,34 +215,26 @@ void SolveServer::stop() {
 
 bool SolveServer::cancel(int id) {
   Job queued;
-  bool was_queued = false;
   {
     MutexLock lock(mu_);
     if (id < 1 || id >= next_id_) return false;
     if (done_.find(id) != done_.end()) return false;  // already finished
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->id != id) continue;
-      queued = std::move(*it);
-      queue_.erase(it);
-      was_queued = true;
-      break;
+    auto it = std::find_if(queue_.begin(), queue_.end(),
+                           [id](const Job& j) { return j.id == id; });
+    if (it == queue_.end()) {
+      // Not queued and not done: the job is in a worker's hands. Flip
+      // its cooperative flag; the pipeline aborts at the next wave
+      // boundary (or the worker notices before starting the run). The
+      // flag leaves the registry only with the done_ insert, under
+      // this same lock, so it is still there.
+      cancel_flags_.at(id)->store(true, std::memory_order_relaxed);
+      return true;
     }
+    queued = std::move(*it);
+    queue_.erase(it);
   }
-  if (was_queued) {
-    publish_cancelled(std::move(queued),
-                      "cancelled: job cancelled while queued", "cancel",
-                      /*dump=*/true);
-    return true;
-  }
-  // Not queued and not done: the job is in a worker's hands. Flip its
-  // cooperative flag; the pipeline aborts at the next wave boundary
-  // (or the worker notices before starting the run). The flag may
-  // already be gone if the result was published between our two looks
-  // -- that is the benign cancel-vs-completion race.
-  MutexLock lock(cancel_mu_);
-  auto it = cancel_flags_.find(id);
-  if (it == cancel_flags_.end()) return false;
-  it->second->store(true, std::memory_order_relaxed);
+  publish_cancelled(std::move(queued), "cancelled: job cancelled while queued",
+                    "cancel", /*dump=*/true);
   return true;
 }
 
@@ -269,9 +261,9 @@ void SolveServer::publish_cancelled(Job&& job, const std::string& why,
   {
     MutexLock lock(mu_);
     ++stats_.cancelled;
+    cancel_flags_.erase(job.id);
     done_.emplace(job.id, std::move(r));
   }
-  unregister_cancel_flag(job.id);
   cv_done_.notify_all();
 }
 
@@ -286,11 +278,6 @@ int SolveServer::tenant_quota(int tenant) const noexcept {
   if (tenant < 0 || tenant >= static_cast<int>(cfg_.tenant_quotas.size()))
     return 0;
   return std::max(0, cfg_.tenant_quotas[static_cast<std::size_t>(tenant)]);
-}
-
-void SolveServer::unregister_cancel_flag(int id) {
-  MutexLock lock(cancel_mu_);
-  cancel_flags_.erase(id);
 }
 
 void SolveServer::admit(Job& job) const {
@@ -361,15 +348,9 @@ int SolveServer::submit(const JobRequest& req) {
     job.id = id;
     if (job.req.name.empty()) job.req.name = "job-" + std::to_string(id);
     job.cancel_flag = std::make_shared<std::atomic<bool>>(false);
-    {
-      // Registered before the job becomes visible to any worker (the
-      // queue push below happens under this same mu_ hold), so
-      // cancel() can always find a live job's flag and the worker's
-      // unregister after publish always finds the entry. mu_ ->
-      // cancel_mu_ is the one declared nesting of the two locks.
-      MutexLock cancel_lock(cancel_mu_);
-      cancel_flags_.emplace(id, job.cancel_flag);
-    }
+    // Registered in the same critical section that makes the job
+    // visible, so cancel() always finds a live job's flag.
+    cancel_flags_.emplace(id, job.cancel_flag);
     job.trace.enqueue_s = clock_.now_s();
     ++stats_.submitted;
     queue_.push_back(std::move(job));
@@ -510,9 +491,9 @@ void SolveServer::worker_loop(int tenant) {
         ++stats_.cancelled;
       else
         res.ok ? ++stats_.completed : ++stats_.failed;
+      cancel_flags_.erase(job.id);
       done_.emplace(job.id, std::move(res));
     }
-    unregister_cancel_flag(job.id);
     cv_done_.notify_all();
   }
 }

@@ -335,9 +335,6 @@ class SolveServer {
   /// tenant worker.
   int tenant_weight(int tenant) const noexcept;
   int tenant_quota(int tenant) const noexcept;
-  /// Drops job @p id's entry from the cancel-flag registry (after its
-  /// result is published; cancel() then reports "already finished").
-  void unregister_cancel_flag(int id) EXCLUDES(cancel_mu_);
   /// Runs one job to completion: plan-cache lookup (building and
   /// inserting on a miss), then JobInput::run on the shared pool. mu_
   /// is never held here: a solve may take seconds and claims SPEs /
@@ -361,11 +358,10 @@ class SolveServer {
   FlightRecorder recorder_;
   std::atomic<int> dump_seq_{0};  ///< flight-dump file suffix
 
-  /// Guards the job queue, the result map and the server stats -- the
-  /// only state tenant workers and clients share directly. Jobs run
-  /// outside it; the only lock ever acquired while it is held is
-  /// cancel_mu_ (rank-increasing, declared in lock_ranks.h), so it
-  /// cannot participate in a deadlock cycle.
+  /// Guards the job queue, the result map, the cancel-flag registry and
+  /// the server stats -- the only state tenant workers and clients
+  /// share directly. Jobs run outside it, and no other lock is acquired
+  /// while it is held, so it cannot participate in a deadlock cycle.
   mutable util::Mutex mu_{util::lockrank::kSolveServer, "SolveServer::mu_"};
   util::CondVar cv_queue_;  ///< workers wait on mu_ for jobs
   util::CondVar cv_done_;   ///< clients wait on mu_ for results
@@ -375,15 +371,10 @@ class SolveServer {
   bool stopping_ GUARDED_BY(mu_) = false;
   bool joined_ GUARDED_BY(mu_) = false;  ///< workers already joined
   Stats stats_ GUARDED_BY(mu_);
-
-  /// Guards the job-id -> cancel-flag registry, so cancel() can find a
-  /// running job's flag without touching the queue lock. Ranked after
-  /// mu_: submit() registers the flag while holding mu_ (the one
-  /// declared nesting); every other path takes the two one at a time.
-  mutable util::Mutex cancel_mu_{util::lockrank::kSolveServerCancel,
-                                 "SolveServer::cancel_mu_"};
+  /// Job id -> cancel flag of every submitted job not yet published:
+  /// registered with the enqueue, erased with the done_ insert.
   std::map<int, std::shared_ptr<std::atomic<bool>>> cancel_flags_
-      GUARDED_BY(cancel_mu_);
+      GUARDED_BY(mu_);
 
   std::vector<std::thread> workers_;
 };

@@ -13,132 +13,80 @@ int block_tag(const BlockCtx& ctx, int kind) {
 constexpr int kTagI = 0;
 constexpr int kTagJ = 1;
 constexpr int kTagGather = 1 << 22;
-constexpr int kTagResult = 1 << 23;
 
 /// BoundaryIO implementation that exchanges block faces with the
-/// upstream/downstream wavefront neighbors (Figure 2's RECV/SEND).
+/// upstream/downstream wavefront neighbors (Figure 2's RECV/SEND). At a
+/// domain face it returns false and SweepState applies the domain rule.
 class MpiBoundary final : public BoundaryIO<double> {
  public:
-  MpiBoundary(msg::Communicator& comm, const msg::CartGrid2D& cart,
-              const SnQuadrature& quad, const Grid& tile)
-      : comm_(comm), cart_(cart), quad_(quad), tile_(tile) {}
+  MpiBoundary(msg::Communicator& comm, const msg::CartGrid2D& cart)
+      : comm_(comm), cart_(cart) {}
 
-  const LeakageTally& leakage() const noexcept { return tally_; }
-  void reset_tally() noexcept { tally_ = LeakageTally{}; }
-
-  void fetch_i_inflow(const BlockCtx& ctx, double* phi_i) override {
-    const int up = upstream_i(ctx.octant);
-    const std::size_t count =
-        static_cast<std::size_t>(ctx.mmi) * ctx.mk * ctx.jt;
-    if (up < 0) {
-      std::fill_n(phi_i, count, 0.0);
-    } else {
-      comm_.recv_into(up, block_tag(ctx, kTagI), {phi_i, count});
-    }
+  bool fetch_i_inflow(const BlockCtx& ctx, double* phi_i) override {
+    const int up = neighbor(ctx.octant, /*j=*/false, /*downstream=*/false);
+    if (up < 0) return false;
+    comm_.recv_into(up, block_tag(ctx, kTagI), {phi_i, i_count(ctx)});
+    return true;
   }
 
-  void fetch_j_inflow(const BlockCtx& ctx, double* phi_j,
+  bool fetch_j_inflow(const BlockCtx& ctx, double* phi_j,
                       int row_stride) override {
-    const int up = upstream_j(ctx.octant);
+    const int up = neighbor(ctx.octant, /*j=*/true, /*downstream=*/false);
+    if (up < 0) return false;
     const int rows = ctx.mmi * ctx.mk;
-    if (up < 0) {
-      for (int r = 0; r < rows; ++r)
-        std::fill_n(phi_j + static_cast<std::size_t>(r) * row_stride, ctx.it,
-                    0.0);
-    } else {
-      std::vector<double> buf =
-          comm_.recv(up, block_tag(ctx, kTagJ));
-      if (buf.size() != static_cast<std::size_t>(rows) * ctx.it)
-        throw msg::MsgError("J-inflow size mismatch");
-      for (int r = 0; r < rows; ++r)
-        std::memcpy(phi_j + static_cast<std::size_t>(r) * row_stride,
-                    buf.data() + static_cast<std::size_t>(r) * ctx.it,
-                    sizeof(double) * ctx.it);
-    }
+    std::vector<double> buf = comm_.recv(up, block_tag(ctx, kTagJ));
+    if (buf.size() != static_cast<std::size_t>(rows) * ctx.it)
+      throw msg::MsgError("J-inflow size mismatch");
+    for (int r = 0; r < rows; ++r)
+      std::memcpy(phi_j + static_cast<std::size_t>(r) * row_stride,
+                  buf.data() + static_cast<std::size_t>(r) * ctx.it,
+                  sizeof(double) * ctx.it);
+    return true;
   }
 
-  void emit_i_outflow(const BlockCtx& ctx, const double* phi_i) override {
-    const int down = downstream_i(ctx.octant);
-    const std::size_t count =
-        static_cast<std::size_t>(ctx.mmi) * ctx.mk * ctx.jt;
-    if (down >= 0) {
-      comm_.send(down, block_tag(ctx, kTagI), {phi_i, count});
-      return;
-    }
-    // Domain boundary: tally I leakage.
-    const Octant oct = all_octants()[ctx.octant];
-    const double face = tile_.dy * tile_.dz;
-    double leak = 0.0;
-    for (int mh = 0; mh < ctx.mmi; ++mh) {
-      const Ordinate& o =
-          quad_.octant_ordinates()[ctx.ablock * ctx.mmi + mh];
-      double sum = 0.0;
-      for (int kk = 0; kk < ctx.mk; ++kk)
-        for (int jj = 0; jj < ctx.jt; ++jj)
-          sum += phi_i[(static_cast<std::size_t>(mh) * ctx.mk + kk) * ctx.jt +
-                       jj];
-      leak += o.w * o.mu * face * sum;
-    }
-    if (oct.sx > 0) tally_.east += leak; else tally_.west += leak;
+  bool emit_i_outflow(const BlockCtx& ctx, const double* phi_i) override {
+    const int down = neighbor(ctx.octant, /*j=*/false, /*downstream=*/true);
+    if (down < 0) return false;
+    comm_.send(down, block_tag(ctx, kTagI), {phi_i, i_count(ctx)});
+    return true;
   }
 
-  void emit_j_outflow(const BlockCtx& ctx, const double* phi_j,
+  bool emit_j_outflow(const BlockCtx& ctx, const double* phi_j,
                       int row_stride) override {
-    const int down = downstream_j(ctx.octant);
+    const int down = neighbor(ctx.octant, /*j=*/true, /*downstream=*/true);
+    if (down < 0) return false;
     const int rows = ctx.mmi * ctx.mk;
-    if (down >= 0) {
-      std::vector<double> buf(static_cast<std::size_t>(rows) * ctx.it);
-      for (int r = 0; r < rows; ++r)
-        std::memcpy(buf.data() + static_cast<std::size_t>(r) * ctx.it,
-                    phi_j + static_cast<std::size_t>(r) * row_stride,
-                    sizeof(double) * ctx.it);
-      comm_.send(down, block_tag(ctx, kTagJ), buf);
-      return;
-    }
-    const Octant oct = all_octants()[ctx.octant];
-    const double face = tile_.dx * tile_.dz;
-    double leak = 0.0;
-    for (int mh = 0; mh < ctx.mmi; ++mh) {
-      const Ordinate& o =
-          quad_.octant_ordinates()[ctx.ablock * ctx.mmi + mh];
-      double sum = 0.0;
-      for (int kk = 0; kk < ctx.mk; ++kk) {
-        const double* row =
-            phi_j + (static_cast<std::size_t>(mh) * ctx.mk + kk) * row_stride;
-        for (int i = 0; i < ctx.it; ++i) sum += row[i];
-      }
-      leak += o.w * o.eta * face * sum;
-    }
-    if (oct.sy > 0) tally_.south += leak; else tally_.north += leak;
+    std::vector<double> buf(static_cast<std::size_t>(rows) * ctx.it);
+    for (int r = 0; r < rows; ++r)
+      std::memcpy(buf.data() + static_cast<std::size_t>(r) * ctx.it,
+                  phi_j + static_cast<std::size_t>(r) * row_stride,
+                  sizeof(double) * ctx.it);
+    comm_.send(down, block_tag(ctx, kTagJ), buf);
+    return true;
+  }
+
+  double global_max(double local) override {
+    return comm_.allreduce_max(local);
   }
 
  private:
-  int upstream_i(int iq) const {
-    const Octant o = all_octants()[iq];
-    return cart_.neighbor(comm_.rank(), o.sx > 0 ? msg::Direction::kWest
-                                                 : msg::Direction::kEast);
+  static std::size_t i_count(const BlockCtx& ctx) {
+    return static_cast<std::size_t>(ctx.mmi) * ctx.mk * ctx.jt;
   }
-  int downstream_i(int iq) const {
+
+  /// Rank across the I (or J) face that octant @p iq's sweep enters
+  /// (or, when @p downstream, leaves); -1 at a domain face.
+  int neighbor(int iq, bool j, bool downstream) const {
     const Octant o = all_octants()[iq];
-    return cart_.neighbor(comm_.rank(), o.sx > 0 ? msg::Direction::kEast
-                                                 : msg::Direction::kWest);
-  }
-  int upstream_j(int iq) const {
-    const Octant o = all_octants()[iq];
-    return cart_.neighbor(comm_.rank(), o.sy > 0 ? msg::Direction::kNorth
-                                                 : msg::Direction::kSouth);
-  }
-  int downstream_j(int iq) const {
-    const Octant o = all_octants()[iq];
-    return cart_.neighbor(comm_.rank(), o.sy > 0 ? msg::Direction::kSouth
-                                                 : msg::Direction::kNorth);
+    const bool positive = ((j ? o.sy : o.sx) > 0) == downstream;
+    const msg::Direction d =
+        j ? (positive ? msg::Direction::kSouth : msg::Direction::kNorth)
+          : (positive ? msg::Direction::kEast : msg::Direction::kWest);
+    return cart_.neighbor(comm_.rank(), d);
   }
 
   msg::Communicator& comm_;
   const msg::CartGrid2D& cart_;
-  const SnQuadrature& quad_;
-  Grid tile_;
-  LeakageTally tally_;
 };
 
 }  // namespace
@@ -164,7 +112,7 @@ MpiSolveResult solve_mpi(msg::World& world, const Problem& global,
   if (global.any_reflective())
     throw std::logic_error(
         "solve_mpi: reflective boundaries are only supported by the serial "
-        "sweeper (the MPI boundary exchanges I/J faces itself)");
+        "sweeper");
   if (px * py != world.size())
     throw std::invalid_argument("solve_mpi: px*py must equal world size");
   if (g.it % px != 0 || g.jt % py != 0)
@@ -173,88 +121,58 @@ MpiSolveResult solve_mpi(msg::World& world, const Problem& global,
   const int nj = g.jt / py;
   msg::CartGrid2D cart(px, py);
 
-  std::vector<MpiSolveResult> results(world.size());
+  MpiSolveResult result;  // written by rank 0
 
   world.run([&](msg::Communicator& comm) {
     const int r = comm.rank();
-    const int x = cart.x_of(r);
-    const int y = cart.y_of(r);
-    Problem tile = extract_tile(global, x * ni, ni, y * nj, nj);
+    Problem tile = extract_tile(global, cart.x_of(r) * ni, ni,
+                                cart.y_of(r) * nj, nj);
     SweepState<double> state(tile, quad, l_max, nm_cap);
-    MpiBoundary boundary(comm, cart, quad, tile.grid());
+    MpiBoundary boundary(comm, cart);
     state.set_boundary(&boundary);
+    const SolveResult solve = solve_source_iteration(state, cfg);
 
-    MomentField<double> previous(tile.grid(), state.nm());
-    SolveResult solve;
-    for (int iter = 0; iter < cfg.max_iterations; ++iter) {
-      previous = state.flux();
-      state.build_source();
-      state.reset_leakage();
-      boundary.reset_tally();
-      const bool fixup = iter >= cfg.fixup_from_iteration;
-      const SweepRunStats s = state.sweep(cfg, fixup);
-      solve.totals.lines += s.lines;
-      solve.totals.chunks += s.chunks;
-      solve.totals.cells += s.cells;
-      solve.totals.fixup_cells += s.fixup_cells;
-      ++solve.iterations;
-      const double change =
-          comm.allreduce_max(state.flux_change(previous));
-      solve.final_change = change;
-      if (cfg.epsilon > 0.0 && change < cfg.epsilon) {
-        solve.converged = true;
-        break;
-      }
-    }
+    // Global reductions: absorption and the six leakage faces (each
+    // domain face is tallied by the ranks that own part of it).
+    const double absorption = comm.allreduce_sum(state.absorption_rate());
+    const LeakageTally& local = state.leakage();
+    LeakageTally leakage;
+    leakage.west = comm.allreduce_sum(local.west);
+    leakage.east = comm.allreduce_sum(local.east);
+    leakage.north = comm.allreduce_sum(local.north);
+    leakage.south = comm.allreduce_sum(local.south);
+    leakage.bottom = comm.allreduce_sum(local.bottom);
+    leakage.top = comm.allreduce_sum(local.top);
 
-    MpiSolveResult& out = results[r];
-    out.solve = solve;
-
-    // Global reductions: absorption and leakage faces. The K-faces are
-    // tallied inside SweepState (K is not decomposed); I/J domain faces
-    // live in the MpiBoundary of edge ranks.
-    out.absorption = comm.allreduce_sum(state.absorption_rate());
-    const LeakageTally& local_k = state.leakage();
-    const LeakageTally& local_ij = boundary.leakage();
-    out.leakage.west = comm.allreduce_sum(local_ij.west);
-    out.leakage.east = comm.allreduce_sum(local_ij.east);
-    out.leakage.north = comm.allreduce_sum(local_ij.north);
-    out.leakage.south = comm.allreduce_sum(local_ij.south);
-    out.leakage.bottom = comm.allreduce_sum(local_k.bottom);
-    out.leakage.top = comm.allreduce_sum(local_k.top);
-
-    // Gather the scalar flux on rank 0 and redistribute.
+    // Gather the scalar flux on rank 0.
     std::vector<double> mine(static_cast<std::size_t>(g.kt) * nj * ni);
     for (int k = 0; k < g.kt; ++k)
       for (int j = 0; j < nj; ++j)
         for (int i = 0; i < ni; ++i)
           mine[(static_cast<std::size_t>(k) * nj + j) * ni + i] =
               state.flux().at(0, k, j, i);
-    if (r == 0) {
-      std::vector<double> flux0(static_cast<std::size_t>(g.kt) * g.jt * g.it);
-      auto place = [&](int rank, const std::vector<double>& tile_data) {
-        const int tx = cart.x_of(rank);
-        const int ty = cart.y_of(rank);
-        for (int k = 0; k < g.kt; ++k)
-          for (int j = 0; j < nj; ++j)
-            for (int i = 0; i < ni; ++i)
-              flux0[(static_cast<std::size_t>(k) * g.jt + ty * nj + j) * g.it +
-                    tx * ni + i] =
-                  tile_data[(static_cast<std::size_t>(k) * nj + j) * ni + i];
-      };
-      place(0, mine);
-      for (int src = 1; src < comm.size(); ++src)
-        place(src, comm.recv(src, kTagGather));
-      for (int dst = 1; dst < comm.size(); ++dst)
-        comm.send(dst, kTagResult, flux0);
-      out.flux0 = std::move(flux0);
-    } else {
+    if (r != 0) {
       comm.send(0, kTagGather, mine);
-      out.flux0 = comm.recv(0, kTagResult);
+      return;
     }
+    std::vector<double> flux0(static_cast<std::size_t>(g.kt) * g.jt * g.it);
+    auto place = [&](int rank, const std::vector<double>& tile_data) {
+      const int tx = cart.x_of(rank);
+      const int ty = cart.y_of(rank);
+      for (int k = 0; k < g.kt; ++k)
+        for (int j = 0; j < nj; ++j)
+          for (int i = 0; i < ni; ++i)
+            flux0[(static_cast<std::size_t>(k) * g.jt + ty * nj + j) * g.it +
+                  tx * ni + i] =
+                tile_data[(static_cast<std::size_t>(k) * nj + j) * ni + i];
+    };
+    place(0, mine);
+    for (int src = 1; src < comm.size(); ++src)
+      place(src, comm.recv(src, kTagGather));
+    result = MpiSolveResult{solve, leakage, std::move(flux0), absorption};
   });
 
-  return results[0];
+  return result;
 }
 
 }  // namespace cellsweep::sweep

@@ -6,9 +6,12 @@
 // each block of MK K-planes and MMI angles triggers a RECV of I- and
 // J-inflows from the upstream neighbors and a SEND of outflows
 // downstream, exactly the structure of Figure 2's sweep() pseudo-code.
-// The per-rank computation reuses SweepState with an MpiBoundary
-// installed, so the physics code is byte-for-byte the same as the
-// serial path -- the migration-path argument of the paper.
+// Each rank runs solve_source_iteration on a SweepState with an
+// MpiBoundary installed. The boundary only exchanges the faces shared
+// with another rank and reduces the convergence metric; SweepState
+// applies the domain-face rules as in a serial run, so the physics
+// code is byte-for-byte the serial path -- the migration-path argument
+// of the paper.
 #pragma once
 
 #include <vector>
@@ -24,7 +27,7 @@ namespace cellsweep::sweep {
 /// sliced.
 Problem extract_tile(const Problem& global, int i0, int ni, int j0, int nj);
 
-/// Result of a distributed solve, gathered on every rank.
+/// Result of a distributed solve, gathered on rank 0.
 struct MpiSolveResult {
   SolveResult solve;
   LeakageTally leakage;               ///< global (reduced) leakage
@@ -33,9 +36,9 @@ struct MpiSolveResult {
 };
 
 /// Runs source iteration on @p world.size() ranks over a px x py
-/// decomposition of @p global. Every rank returns the same gathered
-/// result. @p px * py must equal the world size, and px / py must
-/// divide it / jt.
+/// decomposition of @p global and returns rank 0's gathered result.
+/// @p px * py must equal the world size, and px / py must divide
+/// it / jt. Reflective faces are rejected.
 MpiSolveResult solve_mpi(msg::World& world, const Problem& global,
                          const SnQuadrature& quad, int l_max,
                          const SweepConfig& cfg, int px, int py,

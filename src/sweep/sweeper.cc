@@ -1,7 +1,6 @@
 #include "sweep/sweeper.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "sweep/plan.h"
@@ -9,11 +8,18 @@
 namespace cellsweep::sweep {
 namespace {
 
-// Octant index bit layout in all_octants(): bit 0 flips sx, bit 1
-// flips sy, bit 2 flips sz (verified by a unit test).
-constexpr int mirror_octant_i(int iq) { return iq ^ 1; }
-constexpr int mirror_octant_j(int iq) { return iq ^ 2; }
-constexpr int mirror_octant_k(int iq) { return iq ^ 4; }
+// Octant index bit layout in all_octants(): bit a flips the sweep
+// direction along axis a (verified by a unit test), so the mirror
+// octant across a face of axis a is iq ^ (1 << a). Face f lies on axis
+// f / 2, on its positive side when f is odd; f ^ 1 is the opposite
+// face.
+constexpr int mirror_octant(int iq, int face) {
+  return iq ^ (1 << (face / 2));
+}
+
+constexpr double LeakageTally::*kFaceTally[6] = {
+    &LeakageTally::west,  &LeakageTally::east,   &LeakageTally::north,
+    &LeakageTally::south, &LeakageTally::bottom, &LeakageTally::top};
 
 }  // namespace
 
@@ -70,7 +76,6 @@ SweepState<Real>::SweepState(const Problem& problem, const SnQuadrature& quad,
   }
 
   // Kernel constants per (octant, angle).
-  const auto octants = all_octants();
   angle_consts_.resize(8 * static_cast<std::size_t>(mm));
   for (int iq = 0; iq < 8; ++iq) {
     const double* pn = moments_.pn(iq);
@@ -86,7 +91,6 @@ SweepState<Real>::SweepState(const Problem& problem, const SnQuadrature& quad,
         c.pn_src[n] = static_cast<Real>(pn[m * nm + n]);
         c.pn_acc[n] = static_cast<Real>(o.w * pn[m * nm + n]);
       }
-      (void)octants;
     }
   }
 
@@ -96,8 +100,7 @@ SweepState<Real>::SweepState(const Problem& problem, const SnQuadrature& quad,
   phi_j_face_.assign(static_cast<std::size_t>(mm) * g.kt * it_pad, Real(0));
   phi_i_face_.assign(static_cast<std::size_t>(mm) * g.kt * g.jt, Real(0));
 
-  reflective_ = problem.any_reflective();
-  if (reflective_) {
+  if (problem.any_reflective()) {
     refl_i_.assign(2ull * 8 * mm * g.kt * g.jt, Real(0));
     refl_j_.assign(2ull * 8 * mm * g.kt * it_pad, Real(0));
     refl_k_.assign(2ull * 8 * mm * g.jt * it_pad, Real(0));
@@ -140,57 +143,16 @@ void SweepState<Real>::sweep_block(const SweepConfig& cfg, bool fixup, int iq,
   const std::int64_t mstride = flux_.moment_stride();
   const BlockCtx ctx{iq, ab, kb, cfg.mmi, cfg.mk, g.jt, g.it};
 
-  // Block inflows: I (one scalar per line) and J (one row per (m,kk)).
-  if (boundary_ != nullptr) {
-    boundary_->fetch_i_inflow(ctx, phi_i_face_.data());
-    boundary_->fetch_j_inflow(ctx, phi_j_face_.data(), it_pad);
-  } else {
-    std::fill_n(phi_i_face_.data(),
-                static_cast<std::size_t>(cfg.mmi) * cfg.mk * g.jt, Real(0));
-    std::fill_n(phi_j_face_.data(),
-                static_cast<std::size_t>(cfg.mmi) * cfg.mk * it_pad, Real(0));
-    if (reflective_) {
-      const int face_i = oct.sx > 0 ? kFaceWest : kFaceEast;
-      if (problem_->boundary(face_i) == FaceBc::kReflective) {
-        const int src_iq = mirror_octant_i(iq);
-        const int side = oct.sx > 0 ? 0 : 1;
-        for (int mh = 0; mh < cfg.mmi; ++mh) {
-          const int m = ab * cfg.mmi + mh;
-          for (int kk = 0; kk < cfg.mk; ++kk) {
-            const int kl = kb * cfg.mk + kk;
-            const int k = oct.sz > 0 ? kl : g.kt - 1 - kl;
-            for (int jj = 0; jj < g.jt; ++jj) {
-              const int j = oct.sy > 0 ? jj : g.jt - 1 - jj;
-              phi_i_face_[(static_cast<std::size_t>(mh) * cfg.mk + kk) *
-                              g.jt + jj] =
-                  refl_i_[((static_cast<std::size_t>(side) * 8 + src_iq) *
-                               mm + m) * (g.kt * g.jt) + k * g.jt + j];
-            }
-          }
-        }
-      }
-      const int face_j = oct.sy > 0 ? kFaceNorth : kFaceSouth;
-      if (problem_->boundary(face_j) == FaceBc::kReflective) {
-        const int src_iq = mirror_octant_j(iq);
-        const int side = oct.sy > 0 ? 0 : 1;
-        for (int mh = 0; mh < cfg.mmi; ++mh) {
-          const int m = ab * cfg.mmi + mh;
-          for (int kk = 0; kk < cfg.mk; ++kk) {
-            const int kl = kb * cfg.mk + kk;
-            const int k = oct.sz > 0 ? kl : g.kt - 1 - kl;
-            std::copy_n(
-                refl_j_.data() +
-                    ((static_cast<std::size_t>(side) * 8 + src_iq) * mm + m) *
-                        (g.kt * it_pad) +
-                    static_cast<std::size_t>(k) * it_pad,
-                it_pad,
-                phi_j_face_.data() +
-                    (static_cast<std::size_t>(mh) * cfg.mk + kk) * it_pad);
-          }
-        }
-      }
-    }
-  }
+  // Block inflows, I (one scalar per line) and J (one row per (m,kk)):
+  // from the upstream rank, else by the domain face's rule. The block
+  // leaves through the opposite faces.
+  const int face_i = oct.sx > 0 ? kFaceWest : kFaceEast;
+  const int face_j = oct.sy > 0 ? kFaceNorth : kFaceSouth;
+  if (!(boundary_ && boundary_->fetch_i_inflow(ctx, phi_i_face_.data())))
+    domain_face(face_i, ctx, /*exit=*/false);
+  if (!(boundary_ &&
+        boundary_->fetch_j_inflow(ctx, phi_j_face_.data(), it_pad)))
+    domain_face(face_j, ctx, /*exit=*/false);
 
   const int ndiags = ChunkPlan::diagonals_per_block(cfg, g.jt);
 
@@ -255,104 +217,130 @@ void SweepState<Real>::sweep_block(const SweepConfig& cfg, bool fixup, int iq,
     }
   }
 
-  // Block outflows.
-  if (boundary_ != nullptr) {
-    boundary_->emit_i_outflow(ctx, phi_i_face_.data());
-    boundary_->emit_j_outflow(ctx, phi_j_face_.data(), it_pad);
-    return;
-  }
-  const int face_i_out = oct.sx > 0 ? kFaceEast : kFaceWest;
-  if (reflective_ && problem_->boundary(face_i_out) == FaceBc::kReflective) {
-    // Store the I-outflow for the mirror octant to consume.
-    const int side = oct.sx > 0 ? 1 : 0;
-    for (int mh = 0; mh < cfg.mmi; ++mh) {
-      const int m = ab * cfg.mmi + mh;
-      for (int kk = 0; kk < cfg.mk; ++kk) {
-        const int kl = kb * cfg.mk + kk;
-        const int k = oct.sz > 0 ? kl : g.kt - 1 - kl;
-        for (int jj = 0; jj < g.jt; ++jj) {
-          const int j = oct.sy > 0 ? jj : g.jt - 1 - jj;
-          refl_i_[((static_cast<std::size_t>(side) * 8 + iq) * mm + m) *
-                      (g.kt * g.jt) + k * g.jt + j] =
-              phi_i_face_[(static_cast<std::size_t>(mh) * cfg.mk + kk) *
-                              g.jt + jj];
-        }
-      }
-    }
-  } else {
-    // Vacuum: tally I leakage out of the domain face.
-    const double face_i = g.dy * g.dz;
-    double leak_i = 0.0;
-    for (int mh = 0; mh < cfg.mmi; ++mh) {
-      const Ordinate& o = quad_->octant_ordinates()[ab * cfg.mmi + mh];
-      double sum_i = 0.0;
-      for (int kk = 0; kk < cfg.mk; ++kk)
-        for (int jj = 0; jj < g.jt; ++jj)
-          sum_i += static_cast<double>(
-              phi_i_face_[(static_cast<std::size_t>(mh) * cfg.mk + kk) * g.jt +
-                          jj]);
-      leak_i += o.w * o.mu * face_i * sum_i;
-    }
-    if (oct.sx > 0) leakage_.east += leak_i; else leakage_.west += leak_i;
-  }
+  // Block outflows: to the downstream rank, else by the domain face's
+  // rule.
+  if (!(boundary_ && boundary_->emit_i_outflow(ctx, phi_i_face_.data())))
+    domain_face(face_i ^ 1, ctx, /*exit=*/true);
+  if (!(boundary_ &&
+        boundary_->emit_j_outflow(ctx, phi_j_face_.data(), it_pad)))
+    domain_face(face_j ^ 1, ctx, /*exit=*/true);
+}
 
-  const int face_j_out = oct.sy > 0 ? kFaceSouth : kFaceNorth;
-  if (reflective_ && problem_->boundary(face_j_out) == FaceBc::kReflective) {
-    const int side = oct.sy > 0 ? 1 : 0;
-    for (int mh = 0; mh < cfg.mmi; ++mh) {
-      const int m = ab * cfg.mmi + mh;
-      for (int kk = 0; kk < cfg.mk; ++kk) {
-        const int kl = kb * cfg.mk + kk;
-        const int k = oct.sz > 0 ? kl : g.kt - 1 - kl;
-        std::copy_n(phi_j_face_.data() +
-                        (static_cast<std::size_t>(mh) * cfg.mk + kk) * it_pad,
-                    it_pad,
-                    refl_j_.data() +
-                        ((static_cast<std::size_t>(side) * 8 + iq) * mm + m) *
-                            (g.kt * it_pad) +
-                        static_cast<std::size_t>(k) * it_pad);
-      }
-    }
-  } else {
-    const double face_j = g.dx * g.dz;
-    double leak_j = 0.0;
-    for (int mh = 0; mh < cfg.mmi; ++mh) {
-      const Ordinate& o = quad_->octant_ordinates()[ab * cfg.mmi + mh];
-      double sum_j = 0.0;
-      for (int kk = 0; kk < cfg.mk; ++kk) {
-        const Real* row = phi_j_face_.data() +
-                          (static_cast<std::size_t>(mh) * cfg.mk + kk) * it_pad;
-        for (int i = 0; i < g.it; ++i) sum_j += static_cast<double>(row[i]);
-      }
-      leak_j += o.w * o.eta * face_j * sum_j;
-    }
-    if (oct.sy > 0) leakage_.south += leak_j; else leakage_.north += leak_j;
+template <typename Real>
+typename SweepState<Real>::FaceBlock SweepState<Real>::face_block(
+    int face, const BlockCtx& ctx) {
+  const int it_pad = flux_.it_padded();
+  switch (face / 2) {
+    case 0: return {phi_i_face_.data(), ctx.mk, ctx.jt, ctx.jt};
+    case 1: return {phi_j_face_.data(), ctx.mk, ctx.it, it_pad};
+    default: return {phi_k_face_.data(), ctx.jt, ctx.it, it_pad};
   }
 }
 
 template <typename Real>
-void SweepState<Real>::tally_k_leakage(int iq, int ab) {
-  // Called after the last K-block of one (octant, angle-block): the
-  // K-face array holds the domain-exit flux. Only meaningful for the
-  // vacuum boundary (K is never decomposed).
-  const Grid& g = problem_->grid();
-  const Octant oct = all_octants()[iq];
-  const int it_pad = flux_.it_padded();
-  const double face_k = g.dx * g.dy;
-  double leak = 0.0;
-  // ab * mmi is only valid with the current config's mmi; the caller
-  // passes mh-resolved angles via this loop instead.
-  for (int mh = 0; mh < current_mmi_; ++mh) {
-    const Ordinate& o = quad_->octant_ordinates()[ab * current_mmi_ + mh];
-    double sum = 0.0;
-    for (int j = 0; j < g.jt; ++j) {
-      const Real* row = phi_k_face_.data() +
-                        (static_cast<std::size_t>(mh) * g.jt + j) * it_pad;
-      for (int i = 0; i < g.it; ++i) sum += static_cast<double>(row[i]);
-    }
-    leak += o.w * o.xi * face_k * sum;
+void SweepState<Real>::domain_face(int face, const BlockCtx& ctx,
+                                   bool exit) {
+  if (problem_->boundary(face) == FaceBc::kReflective) {
+    if (face / 2 == 0)
+      reflect_i(face, ctx, exit);
+    else
+      reflect_rows(face, ctx, exit);
+  } else if (exit) {
+    tally_leakage(face, ctx);
+  } else {
+    const FaceBlock b = face_block(face, ctx);
+    std::fill_n(b.data, static_cast<std::size_t>(ctx.mmi) * b.rows * b.stride,
+                Real(0));
   }
-  if (oct.sz > 0) leakage_.top += leak; else leakage_.bottom += leak;
+}
+
+template <typename Real>
+void SweepState<Real>::tally_leakage(int face, const BlockCtx& ctx) {
+  // Per angle: the rows' sum, times w * cosine * face area.
+  const Grid& g = problem_->grid();
+  const FaceBlock b = face_block(face, ctx);
+  const int axis = face / 2;
+  const double area =
+      axis == 0 ? g.dy * g.dz : axis == 1 ? g.dx * g.dz : g.dx * g.dy;
+  double leak = 0.0;
+  for (int mh = 0; mh < ctx.mmi; ++mh) {
+    const Ordinate& o =
+        quad_->octant_ordinates()[ctx.ablock * ctx.mmi + mh];
+    const double cosine = axis == 0 ? o.mu : axis == 1 ? o.eta : o.xi;
+    double sum = 0.0;
+    for (int r = 0; r < b.rows; ++r) {
+      const Real* row =
+          b.data + (static_cast<std::size_t>(mh) * b.rows + r) * b.stride;
+      for (int e = 0; e < b.len; ++e) sum += static_cast<double>(row[e]);
+    }
+    leak += o.w * cosine * area * sum;
+  }
+  leakage_.*kFaceTally[face] += leak;
+}
+
+template <typename Real>
+Real* SweepState<Real>::refl_slab(int face, int writer, int m) {
+  const Grid& g = problem_->grid();
+  const std::size_t it_pad = flux_.it_padded();
+  const int axis = face / 2;
+  util::AlignedVector<Real>& store =
+      axis == 0 ? refl_i_ : axis == 1 ? refl_j_ : refl_k_;
+  const std::size_t slab = axis == 0 ? static_cast<std::size_t>(g.kt) * g.jt
+                           : axis == 1 ? g.kt * it_pad
+                                       : g.jt * it_pad;
+  return store.data() +
+         ((static_cast<std::size_t>(face & 1) * 8 + writer) *
+              quad_->angles_per_octant() + m) * slab;
+}
+
+template <typename Real>
+void SweepState<Real>::reflect_i(int face, const BlockCtx& ctx, bool exit) {
+  const Grid& g = problem_->grid();
+  const Octant oct = all_octants()[ctx.octant];
+  const int writer = exit ? ctx.octant : mirror_octant(ctx.octant, face);
+  for (int mh = 0; mh < ctx.mmi; ++mh) {
+    Real* slab = refl_slab(face, writer, ctx.ablock * ctx.mmi + mh);
+    for (int kk = 0; kk < ctx.mk; ++kk) {
+      const int kl = ctx.kblock * ctx.mk + kk;
+      const int k = oct.sz > 0 ? kl : g.kt - 1 - kl;
+      Real* line = phi_i_face_.data() +
+                   (static_cast<std::size_t>(mh) * ctx.mk + kk) * g.jt;
+      for (int jj = 0; jj < g.jt; ++jj) {
+        const int j = oct.sy > 0 ? jj : g.jt - 1 - jj;
+        Real& stored = slab[k * g.jt + j];
+        if (exit)
+          stored = line[jj];
+        else
+          line[jj] = stored;
+      }
+    }
+  }
+}
+
+template <typename Real>
+void SweepState<Real>::reflect_rows(int face, const BlockCtx& ctx,
+                                    bool exit) {
+  // A J-face row is a K plane along the sweep (stored by global k); a
+  // K-face row is a J line (stored in place).
+  const Grid& g = problem_->grid();
+  const FaceBlock b = face_block(face, ctx);
+  const bool k_face = face / 2 == 2;
+  const bool k_down = all_octants()[ctx.octant].sz < 0;
+  const int writer = exit ? ctx.octant : mirror_octant(ctx.octant, face);
+  for (int mh = 0; mh < ctx.mmi; ++mh) {
+    Real* slab = refl_slab(face, writer, ctx.ablock * ctx.mmi + mh);
+    for (int r = 0; r < b.rows; ++r) {
+      const int kl = ctx.kblock * ctx.mk + r;
+      const int sr = k_face ? r : k_down ? g.kt - 1 - kl : kl;
+      Real* stored = slab + static_cast<std::size_t>(sr) * b.stride;
+      Real* row =
+          b.data + (static_cast<std::size_t>(mh) * b.rows + r) * b.stride;
+      if (exit)
+        std::copy_n(row, b.stride, stored);
+      else
+        std::copy_n(stored, b.stride, row);
+    }
+  }
 }
 
 template <typename Real>
@@ -361,7 +349,6 @@ SweepRunStats SweepState<Real>::sweep(const SweepConfig& cfg, bool fixup,
   const Grid& g = problem_->grid();
   const int mm = quad_->angles_per_octant();
   cfg.validate(g.kt, mm);
-  current_mmi_ = cfg.mmi;
 
   // Host executor: an injected shared pool wins (its width sets the
   // worker count); otherwise one owned pool sized by cfg.threads, kept
@@ -383,70 +370,18 @@ SweepRunStats SweepState<Real>::sweep(const SweepConfig& cfg, bool fixup,
 
   flux_.fill(Real(0));
   SweepRunStats stats;
-  const int it_pad = flux_.it_padded();
   const int nkb = g.kt / cfg.mk;
   const int nab = mm / cfg.mmi;
 
-  if (reflective_ && boundary_ != nullptr)
-    throw std::logic_error(
-        "SweepState: reflective boundaries require the built-in (serial) "
-        "boundary handling");
-
   for (int iq = 0; iq < 8; ++iq) {
-    const Octant oct = all_octants()[iq];
+    const int face_k = all_octants()[iq].sz > 0 ? kFaceBottom : kFaceTop;
     for (int ab = 0; ab < nab; ++ab) {
-      // K faces at the entry boundary of this octant's sweep: vacuum or
-      // the mirror octant's stored outflow.
-      const int face_k_in = oct.sz > 0 ? kFaceBottom : kFaceTop;
-      if (reflective_ &&
-          problem_->boundary(face_k_in) == FaceBc::kReflective) {
-        const int src_iq = mirror_octant_k(iq);
-        const int side = oct.sz > 0 ? 0 : 1;
-        const int mm_all = quad_->angles_per_octant();
-        for (int mh = 0; mh < cfg.mmi; ++mh) {
-          const int m = ab * cfg.mmi + mh;
-          for (int j = 0; j < g.jt; ++j)
-            std::copy_n(refl_k_.data() +
-                            ((static_cast<std::size_t>(side) * 8 + src_iq) *
-                                 mm_all + m) * (g.jt * it_pad) +
-                            static_cast<std::size_t>(j) * it_pad,
-                        it_pad,
-                        phi_k_face_.data() +
-                            (static_cast<std::size_t>(mh) * g.jt + j) *
-                                it_pad);
-        }
-      } else {
-        std::fill_n(phi_k_face_.data(),
-                    static_cast<std::size_t>(cfg.mmi) * g.jt * it_pad,
-                    Real(0));
-      }
-
+      // K is never decomposed: both K faces are always domain faces.
+      const BlockCtx ctx{iq, ab, 0, cfg.mmi, cfg.mk, g.jt, g.it};
+      domain_face(face_k, ctx, /*exit=*/false);
       for (int kb = 0; kb < nkb; ++kb)
         sweep_block(cfg, fixup, iq, ab, kb, observer, stats);
-
-      // K exit face: store for the mirror octant, or tally leakage.
-      // K is never decomposed, so this is always handled here (the MPI
-      // boundary only exchanges I/J faces).
-      const int face_k_out = oct.sz > 0 ? kFaceTop : kFaceBottom;
-      if (reflective_ &&
-          problem_->boundary(face_k_out) == FaceBc::kReflective) {
-        const int side = oct.sz > 0 ? 1 : 0;
-        const int mm_all = quad_->angles_per_octant();
-        for (int mh = 0; mh < cfg.mmi; ++mh) {
-          const int m = ab * cfg.mmi + mh;
-          for (int j = 0; j < g.jt; ++j)
-            std::copy_n(phi_k_face_.data() +
-                            (static_cast<std::size_t>(mh) * g.jt + j) *
-                                it_pad,
-                        it_pad,
-                        refl_k_.data() +
-                            ((static_cast<std::size_t>(side) * 8 + iq) *
-                                 mm_all + m) * (g.jt * it_pad) +
-                            static_cast<std::size_t>(j) * it_pad);
-        }
-      } else {
-        tally_k_leakage(iq, ab);
-      }
+      domain_face(face_k ^ 1, ctx, /*exit=*/true);
     }
   }
 

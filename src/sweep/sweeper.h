@@ -13,9 +13,11 @@
 // face entries, so the result is bitwise identical to the serial run).
 // A DiagonalObserver hook exposes each diagonal's work list so the Cell
 // orchestrator (src/core) can replay the same stream through the
-// machine model; a BoundaryIO hook injects/extracts block
-// inflows/outflows so the MPI-level decomposition (src/sweep/
-// mpi_sweeper) reuses this driver unchanged.
+// machine model. SweepState applies the domain-face rules (vacuum
+// leakage, reflective mirror storage); a BoundaryIO hook only exchanges
+// the block faces shared with another rank, so the MPI-level
+// decomposition (src/sweep/mpi_sweeper) runs sweep() and
+// solve_source_iteration unchanged.
 #pragma once
 
 #include <cstdint>
@@ -99,24 +101,27 @@ struct BlockCtx {
   int it;
 };
 
-/// Injects block inflows and consumes block outflows. The default
-/// (vacuum) zeroes inflows and tallies leakage; the MPI sweeper
-/// replaces it with neighbor sends/receives (Figure 2's RECV/SEND).
+/// Exchanges the block faces shared with a neighboring rank (Figure
+/// 2's RECV/SEND). Each face call returns false when the face is a
+/// domain face instead; SweepState then applies the domain rule itself,
+/// exactly as in a serial run.
 template <typename Real>
 class BoundaryIO {
  public:
   virtual ~BoundaryIO() = default;
 
-  /// Fills I-inflow scalars, one per line: layout [m][kk][jj].
-  virtual void fetch_i_inflow(const BlockCtx& ctx, Real* phi_i) = 0;
-  /// Fills J-inflow rows: layout [m][kk] rows of it_pad reals.
-  virtual void fetch_j_inflow(const BlockCtx& ctx, Real* phi_j,
+  /// Receives I-inflow scalars, one per line: layout [m][kk][jj].
+  virtual bool fetch_i_inflow(const BlockCtx& ctx, Real* phi_i) = 0;
+  /// Receives J-inflow rows: layout [m][kk] rows of it_pad reals.
+  virtual bool fetch_j_inflow(const BlockCtx& ctx, Real* phi_j,
                               int row_stride) = 0;
-  /// Consumes I-outflows (same layout as fetch_i_inflow).
-  virtual void emit_i_outflow(const BlockCtx& ctx, const Real* phi_i) = 0;
-  /// Consumes J-outflows.
-  virtual void emit_j_outflow(const BlockCtx& ctx, const Real* phi_j,
+  /// Sends I-outflows (same layout as fetch_i_inflow).
+  virtual bool emit_i_outflow(const BlockCtx& ctx, const Real* phi_i) = 0;
+  /// Sends J-outflows.
+  virtual bool emit_j_outflow(const BlockCtx& ctx, const Real* phi_j,
                               int row_stride) = 0;
+  /// Max of a per-rank convergence metric over all ranks.
+  virtual double global_max(double local) { return local; }
 };
 
 /// Leakage tallies for the particle-balance audit (per global face).
@@ -162,7 +167,8 @@ class SweepState {
   SweepRunStats sweep(const SweepConfig& cfg, bool fixup,
                       const DiagonalObserver& observer = {});
 
-  /// Installs a boundary handler (default: vacuum with leakage tally).
+  /// Installs the rank-face exchange (default none: every face is a
+  /// domain face).
   void set_boundary(BoundaryIO<Real>* boundary) noexcept {
     boundary_ = boundary;
   }
@@ -173,9 +179,12 @@ class SweepState {
   /// Total absorption rate with the current flux (sigma_a * phi0 * V).
   double absorption_rate() const;
 
-  /// Max |delta flux0| between the current flux and @p previous.
+  /// Max |delta flux0| between the current flux and @p previous, over
+  /// every rank when a BoundaryIO is installed.
   double flux_change(const MomentField<Real>& previous) const {
-    return MomentField<Real>::max_abs_diff_moment0(flux_, previous);
+    const double local =
+        MomentField<Real>::max_abs_diff_moment0(flux_, previous);
+    return boundary_ != nullptr ? boundary_->global_max(local) : local;
   }
 
  private:
@@ -188,7 +197,29 @@ class SweepState {
   void sweep_block(const SweepConfig& cfg, bool fixup, int iq, int ab,
                    int kb, const DiagonalObserver& observer,
                    SweepRunStats& stats);
-  void tally_k_leakage(int iq, int ab);
+
+  // Domain-face rules, applied to every block face that is not shared
+  // with another rank.
+  /// The wavefront face array on @p face's axis for block @p ctx:
+  /// `rows` rows of `len` reals (row stride `stride`) per angle.
+  struct FaceBlock {
+    Real* data;
+    int rows, len, stride;
+  };
+  FaceBlock face_block(int face, const BlockCtx& ctx);
+  /// Inflow (or, when @p exit, outflow) of block @p ctx through domain
+  /// face @p face: the mirror octant's stored outflow (stored for the
+  /// mirror octant) at a reflective face, zero (tallied as leakage) at
+  /// a vacuum one.
+  void domain_face(int face, const BlockCtx& ctx, bool exit);
+  void tally_leakage(int face, const BlockCtx& ctx);
+  /// Reflective store of @p face, slab of (writer octant, angle m).
+  Real* refl_slab(int face, int writer, int m);
+  /// Copies @p face's block to (@p exit: the octant's own slab) or from
+  /// (the mirror octant's slab) the reflective store: the I-face
+  /// scalars, or the J- or K-face rows.
+  void reflect_i(int face, const BlockCtx& ctx, bool exit);
+  void reflect_rows(int face, const BlockCtx& ctx, bool exit);
 
   const Problem* problem_;
   const SnQuadrature* quad_;
@@ -215,15 +246,14 @@ class SweepState {
   // side (0 = negative face, 1 = positive), writer octant and angle.
   // A sweep entering a reflective face reads the mirror octant's
   // stored outflow (same angle index; lagged one iteration when the
-  // mirror octant sweeps later in the octant order).
-  bool reflective_ = false;
+  // mirror octant sweeps later in the octant order). Empty when no face
+  // is reflective.
   util::AlignedVector<Real> refl_i_;  // [2][8][mm][kt*jt]
   util::AlignedVector<Real> refl_j_;  // [2][8][mm][kt][it_pad]
   util::AlignedVector<Real> refl_k_;  // [2][8][mm][jt][it_pad]
 
   BoundaryIO<Real>* boundary_ = nullptr;
   LeakageTally leakage_;
-  int current_mmi_ = 1;  // mmi of the sweep in progress (for K tally)
 
   // Host execution resources, sized at sweep() entry: the shared
   // SweepConfig::pool when one is injected, else an owned pool sized by

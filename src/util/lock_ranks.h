@@ -20,7 +20,6 @@
 //
 // Declared nestings (outer -> inner; each edge must be rank-increasing):
 // LOCK_ORDER: kThreadPoolFork -> kThreadPoolState
-// LOCK_ORDER: kSolveServer -> kSolveServerCancel
 #pragma once
 
 namespace cellsweep::util::lockrank {
@@ -31,14 +30,10 @@ namespace cellsweep::util::lockrank {
 /// practice it never does (leaf usage on the driver thread).
 inline constexpr int kArrivalDriver = 5;
 
-/// SolveServer::mu_ -- job queue, result map, server stats. Held only
-/// around queue/result bookkeeping; never while running a job.
+/// SolveServer::mu_ -- job queue, result map, cancel-flag registry,
+/// server stats. Held only around that bookkeeping; never while
+/// running a job.
 inline constexpr int kSolveServer = 10;
-
-/// SolveServer::cancel_mu_ -- the job-id -> cooperative-cancel-flag
-/// registry. submit() registers a flag while holding kSolveServer
-/// (the declared edge); all other paths take the two one at a time.
-inline constexpr int kSolveServerCancel = 12;
 
 /// ThreadPool::fork_mu_ -- serializes whole fork/join sections; held
 /// across the join wait, and across kThreadPoolState acquisitions.

@@ -202,6 +202,9 @@ CellStencil::CellStencil(const StencilSpec& spec,
                          const core::CellSweepConfig& cfg)
     : spec_(spec), cfg_(cfg) {
   spec_.validate();
+  if (!cfg_.use_spes)
+    throw StencilError("the stencil runs only on the SPEs; a PPE stage "
+                       "has no stencil model");
 }
 
 StencilReport CellStencil::run(core::RunMode mode, int threads,

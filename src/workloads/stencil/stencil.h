@@ -124,6 +124,8 @@ struct StencilReport {
 /// color) phase through a core::StreamingPipeline.
 class CellStencil {
  public:
+  /// Throws StencilError for an invalid spec or a PPE stage
+  /// (cfg.use_spes false).
   CellStencil(const StencilSpec& spec, const core::CellSweepConfig& cfg);
 
   /// kTraceDriven replays the loop structure only; kFunctional also

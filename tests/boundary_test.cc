@@ -113,8 +113,8 @@ TEST(Boundary, HalfReflectiveRaisesFluxOnThatSide) {
 }
 
 TEST(Boundary, ReflectiveRejectsExternalBoundaryIo) {
-  // The MPI decomposition handles I/J faces itself; reflective global
-  // faces are only supported by the built-in serial handling.
+  // Reflective global faces are only supported by the serial solver;
+  // solve_mpi refuses them.
   const Problem p = Problem::infinite_medium(4);
   SnQuadrature quad(6);
   msg::World world(1);

@@ -37,14 +37,18 @@ TEST(ExtractTile, RejectsOutOfRange) {
   EXPECT_THROW(extract_tile(p, -1, 4, 0, 8), std::invalid_argument);
 }
 
+// (px, py) decomposition x error-mode acceleration on/off: the
+// extrapolation step must see the same global change ratio as serial.
 class Decompositions
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::tuple<int, int>, bool>> {
+};
 
 TEST_P(Decompositions, BitIdenticalToSerial) {
-  const auto [px, py] = GetParam();
+  const auto [px, py] = std::get<0>(GetParam());
   const Problem p = Problem::benchmark_cube(12);
   SnQuadrature quad(6);
-  const SweepConfig cfg = config(3);
+  SweepConfig cfg = config(3);
+  cfg.accelerate = std::get<1>(GetParam());
 
   SweepState<double> serial(p, quad, 2, kBenchmarkMoments);
   solve_source_iteration(serial, cfg);
@@ -59,16 +63,18 @@ TEST_P(Decompositions, BitIdenticalToSerial) {
       for (int i = 0; i < g.it; ++i)
         ASSERT_EQ(r.flux0[(static_cast<std::size_t>(k) * g.jt + j) * g.it + i],
                   serial.flux().at(0, k, j, i))
-            << px << "x" << py << " @ " << i << "," << j << "," << k;
+            << px << "x" << py << (cfg.accelerate ? " accelerated" : "")
+            << " @ " << i << "," << j << "," << k;
 }
 
-INSTANTIATE_TEST_SUITE_P(Grids, Decompositions,
-                         ::testing::Values(std::tuple{1, 1}, std::tuple{2, 1},
-                                           std::tuple{1, 2}, std::tuple{2, 2},
-                                           std::tuple{4, 1}, std::tuple{3, 2},
-                                           std::tuple{4, 4}, std::tuple{6, 1},
-                                           std::tuple{1, 4}, std::tuple{1, 6},
-                                           std::tuple{2, 6}));
+INSTANTIATE_TEST_SUITE_P(
+    Grids, Decompositions,
+    ::testing::Combine(
+        ::testing::Values(std::tuple{1, 1}, std::tuple{2, 1}, std::tuple{1, 2},
+                          std::tuple{2, 2}, std::tuple{4, 1}, std::tuple{3, 2},
+                          std::tuple{4, 4}, std::tuple{6, 1}, std::tuple{1, 4},
+                          std::tuple{1, 6}, std::tuple{2, 6}),
+        ::testing::Bool()));
 
 TEST(MpiSweeper, DegradedNodeSweepBitIdentical) {
   // One straggler node (slow sends: failing NIC / throttled CPU) may

@@ -207,6 +207,17 @@ TEST(StencilLint, RejectsLocalStoreOverflow) {
   EXPECT_THROW(stencil::CellStencil(spec, cfg).run(), cell::LocalStoreOverflow);
 }
 
+TEST(StencilLint, RejectsPpeStage) {
+  // The stencil has no PPE model: lint refuses a PPE stage, and the
+  // runner throws instead of streaming the SPE pipeline under it.
+  const core::CellSweepConfig cfg =
+      core::CellSweepConfig::from_stage(core::OptimizationStage::kPpeXlc);
+  const analysis::Diagnostics diags = analysis::lint_stencil(tiny_spec(), cfg);
+  ASSERT_TRUE(diags.has_errors());
+  EXPECT_EQ(diags.entries()[0].rule, "stage");
+  EXPECT_THROW(stencil::CellStencil(tiny_spec(), cfg), stencil::StencilError);
+}
+
 TEST(StencilLint, RejectsTagBudgetOverflow) {
   const stencil::StencilSpec spec = tiny_spec();
   core::CellSweepConfig cfg =
