@@ -278,6 +278,7 @@ int run_solo(const util::CliParser& cli, core::OptimizationStage stage) {
   core::CellSweepConfig cfg = core::CellSweepConfig::from_stage(stage);
   int threads = 1;
   std::size_t profile_windows = 0;  // 0: profiler off
+  bool check = false;
   try {
     threads = positive_flag(cli, "threads");
     trace_path = cli.get_string("trace");
@@ -293,10 +294,13 @@ int run_solo(const util::CliParser& cli, core::OptimizationStage stage) {
                              counters + "'");
       profile_windows = static_cast<std::size_t>(n);
     }
-    // A PPE stage streams nothing: no counters, profile or trace.
-    if (!cfg.use_spes && (profile_windows != 0 || !trace_path.empty()))
-      throw util::CliError(std::string("--counters and --trace need an SPE "
-                                       "stage, not ") +
+    check = cli.get_bool("check");
+    // A PPE stage streams nothing: no counters, profile or trace, and
+    // no machine events for the hazard checker.
+    if (!cfg.use_spes &&
+        (profile_windows != 0 || !trace_path.empty() || check))
+      throw util::CliError(std::string("--counters, --trace and --check "
+                                       "need an SPE stage, not ") +
                            core::stage_name(stage));
   } catch (const util::CliError& e) {
     std::cerr << "deck_runner: " << e.what() << "\n";
@@ -334,7 +338,6 @@ int run_solo(const util::CliParser& cli, core::OptimizationStage stage) {
 
   // --check: lint the input, then observe the run with the hazard
   // checker; any finding is a hard error.
-  const bool check = cli.get_bool("check");
   analysis::Diagnostics diags;
   analysis::HazardChecker checker(&diags, cfg.chip);
   if (check) {

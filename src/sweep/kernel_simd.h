@@ -28,10 +28,6 @@
 
 namespace cellsweep::sweep {
 
-/// Maximum I-lines per SPE work chunk ("chunks of four iterations",
-/// paper Section 6).
-inline constexpr int kBundleLines = 4;
-
 /// SIMD shape per precision: vec type, lanes per vector, and how many
 /// vector chains cover the four logical threads.
 template <typename Real>

@@ -1,5 +1,6 @@
 #include "sweep/mpi_sweeper.h"
 
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -130,7 +131,19 @@ MpiSolveResult solve_mpi(msg::World& world, const Problem& global,
     SweepState<double> state(tile, quad, l_max, nm_cap);
     MpiBoundary boundary(comm, cart);
     state.set_boundary(&boundary);
-    const SolveResult solve = solve_source_iteration(state, cfg);
+    SolveResult solve = solve_source_iteration(state, cfg);
+
+    // Work totals summed over the ranks (integer sums below 2^53 are
+    // exact in double, in any order).
+    const auto sum = [&comm](std::uint64_t local) {
+      return static_cast<std::uint64_t>(
+          comm.allreduce_sum(static_cast<double>(local)));
+    };
+    SweepRunStats& totals = solve.totals;
+    totals.lines = sum(totals.lines);
+    totals.chunks = sum(totals.chunks);
+    totals.cells = sum(totals.cells);
+    totals.fixup_cells = sum(totals.fixup_cells);
 
     // Global reductions: absorption and the six leakage faces (each
     // domain face is tallied by the ranks that own part of it).

@@ -29,6 +29,10 @@ Problem extract_tile(const Problem& global, int i0, int ni, int j0, int nj);
 
 /// Result of a distributed solve, gathered on rank 0.
 struct MpiSolveResult {
+  /// Rank 0's iteration count and convergence; the work totals summed
+  /// over the ranks. cells and fixup_cells equal the serial solve's;
+  /// lines and chunks count each rank's own lines (a global I-line
+  /// split over px ranks counts px times).
   SolveResult solve;
   LeakageTally leakage;               ///< global (reduced) leakage
   std::vector<double> flux0;          ///< global scalar flux [k][j][i]

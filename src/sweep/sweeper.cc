@@ -105,8 +105,6 @@ SweepState<Real>::SweepState(const Problem& problem, const SnQuadrature& quad,
     refl_j_.assign(2ull * 8 * mm * g.kt * it_pad, Real(0));
     refl_k_.assign(2ull * 8 * mm * g.jt * it_pad, Real(0));
   }
-
-  worker_stats_.resize(1);
 }
 
 template <typename Real>
@@ -195,12 +193,12 @@ void SweepState<Real>::sweep_block(const SweepConfig& cfg, bool fixup, int iq,
                 lc.jj;
     }
 
-    // Both kernel kinds solve with the scalar kernel (see KernelKind).
+    // Both kernel kinds solve with the chunk kernel (see KernelKind).
     const auto run_chunk = [&](int c, int worker) {
       const ChunkDesc& ch = plan.chunks()[c];
-      KernelStats& ks = worker_stats_[worker];
-      for (int b = 0; b < ch.nlines; ++b)
-        sweep_line_scalar(diag_args_[ch.first_line + b], fixup, &ks);
+      WorkerSlot& w = workers_[worker];
+      sweep_chunk(&diag_args_[ch.first_line], ch.nlines, fixup,
+                  w.scratch.data(), &w.stats);
     };
     const int nchunks = static_cast<int>(plan.chunks().size());
     if (active_pool_) {
@@ -353,7 +351,7 @@ SweepRunStats SweepState<Real>::sweep(const SweepConfig& cfg, bool fixup,
   // Host executor: an injected shared pool wins (its width sets the
   // worker count); otherwise one owned pool sized by cfg.threads, kept
   // across sweeps and rebuilt only when the thread count changes. One
-  // stats slot per worker either way.
+  // slot (kernel counters + chunk scratch) per worker either way.
   int threads = cfg.threads;
   if (cfg.pool != nullptr) {
     threads = cfg.pool->size();
@@ -366,7 +364,11 @@ SweepRunStats SweepState<Real>::sweep(const SweepConfig& cfg, bool fixup,
     }
     active_pool_ = pool_.get();
   }
-  worker_stats_.assign(threads, KernelStats{});
+  workers_.resize(threads);
+  for (WorkerSlot& w : workers_) {
+    w.stats = KernelStats{};
+    w.scratch.resize(chunk_scratch_reals(g.it));
+  }
 
   flux_.fill(Real(0));
   SweepRunStats stats;
@@ -387,9 +389,9 @@ SweepRunStats SweepState<Real>::sweep(const SweepConfig& cfg, bool fixup,
 
   // Fold the per-worker kernel counters (fixed order, so totals are
   // deterministic regardless of the parallel schedule).
-  for (const KernelStats& ks : worker_stats_) {
-    stats.cells += ks.cells;
-    stats.fixup_cells += ks.fixups_applied;
+  for (const WorkerSlot& w : workers_) {
+    stats.cells += w.stats.cells;
+    stats.fixup_cells += w.stats.fixups_applied;
   }
   return stats;
 }

@@ -27,18 +27,19 @@
 
 #include "sweep/field.h"
 #include "sweep/kernel.h"
-#include "sweep/kernel_simd.h"  // kBundleLines, the chunk width
 #include "sweep/problem.h"
 #include "sweep/quadrature.h"
+#include "util/aligned.h"
 #include "util/thread_pool.h"
 
 namespace cellsweep::sweep {
 
 /// Which SPE chunk kernel the timing model prices
 /// (DiagonalWork::kernel -> core::KernelCostModel::chunk_cost). The
-/// functional sweep solves with sweep_line_scalar for either kind: the
-/// SIMD bundle kernel gives bit-identical flux, so it runs only where
-/// its instruction trace is recorded.
+/// functional sweep solves every chunk with sweep_chunk for either
+/// kind: all three kernels give bit-identical flux, so the emulated
+/// SIMD bundle kernel runs only where its instruction trace is
+/// recorded.
 enum class KernelKind : std::uint8_t {
   kScalar,  ///< Figure 8 scalar code (PPE / pre-SIMD SPE path)
   kSimd,    ///< Figure 7 four-logical-thread SIMD bundles
@@ -60,9 +61,9 @@ struct SweepConfig {
   /// scattering problems; off by default to match the classic deck.
   bool accelerate = false;
   /// Host threads executing a diagonal's chunks in the functional
-  /// sweep (1 = serial). Purely a host-side execution knob: results
-  /// are bitwise identical for any value, and simulated Cell timing
-  /// never depends on it.
+  /// sweep (1 = serial), each with its own sweep_chunk scratch. Purely
+  /// a host-side execution knob: results are bitwise identical for any
+  /// value, and simulated Cell timing never depends on it.
   int threads = 1;
   /// Externally shared host pool (non-owning, may be null). When set
   /// it overrides `threads`: the sweep runs its chunks on this pool --
@@ -257,11 +258,16 @@ class SweepState {
 
   // Host execution resources, sized at sweep() entry: the shared
   // SweepConfig::pool when one is injected, else an owned pool sized by
-  // SweepConfig::threads. Per-worker KernelStats keep the counters
-  // race-free (summed into SweepRunStats after the sweep).
+  // SweepConfig::threads, and one slot per worker, each on its own
+  // cache line: the worker's KernelStats (race-free counters, summed
+  // into SweepRunStats after the sweep) and its sweep_chunk scratch.
+  struct alignas(util::kCacheLineBytes) WorkerSlot {
+    KernelStats stats;
+    util::AlignedVector<Real> scratch;  // chunk_scratch_reals(it)
+  };
   std::unique_ptr<util::ThreadPool> pool_;  // null when threads == 1
   util::ThreadPool* active_pool_ = nullptr;  // the pool this sweep uses
-  std::vector<KernelStats> worker_stats_;
+  std::vector<WorkerSlot> workers_;
   std::vector<LineArgs<Real>> diag_args_;  // one diagonal's line args
 };
 

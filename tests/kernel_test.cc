@@ -1,8 +1,13 @@
 // Tests for the Sn solve kernels: per-cell physics properties of the
-// diamond-difference solve, fixup behavior, and bit-equality between
-// the scalar kernel (Figure 8) and the SIMD bundle kernel (Figure 7).
+// diamond-difference solve, fixup behavior, and bit-equality of the
+// chunk kernel and the emulated SIMD bundle kernel (Figure 7) with the
+// scalar kernel (Figure 8).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -87,138 +92,200 @@ TEST(SolveCell, SinglePrecisionVariantWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// Line kernels: scalar vs SIMD bundle, parameterized over shapes
+// Line kernels: scalar vs chunk vs SIMD bundle
 // ---------------------------------------------------------------------------
 
+/// Lines 0-1 and 2-3 take different angles, as in a chunk that
+/// straddles two.
+constexpr std::array<int, kBundleLines> kStraddlingAngles = {0, 0, 1, 1};
+
+/// The inputs and outputs of up to four I-lines: each line has its own
+/// source, cross-section, flux and face rows, and the angle given by
+/// @p angle_of (its constants ci/cj/ck and pn_src/pn_acc).
 template <typename Real>
 struct LineProblem {
-  LineProblem(int nlines, int it, int nm, bool thick, std::uint64_t seed)
-      : nlines_(nlines), it_(it), nm_(nm) {
+  LineProblem(int nlines, int it, int nm, bool thick, std::uint64_t seed,
+              const std::array<int, kBundleLines>& angle_of =
+                  kStraddlingAngles)
+      : nlines_(nlines), it_(it), nm_(nm), angle_of_(angle_of) {
     util::SplitMix64 rng(seed);
     const std::size_t pad = util::padded_extent<Real>(it);
-    src.assign(static_cast<std::size_t>(nm) * pad, Real(0));
-    for (auto& x : src) x = static_cast<Real>(rng.next_double(0.0, 2.0));
-    sigt.assign(pad, Real(1));
-    for (int i = 0; i < it; ++i)
-      sigt[i] = static_cast<Real>(
-          thick ? rng.next_double(20.0, 60.0) : rng.next_double(0.5, 2.0));
-    pn_src.resize(nm);
-    pn_acc.resize(nm);
-    for (int n = 0; n < nm; ++n) {
+    for (int m = 0; m < kBundleLines; ++m) {
       // Nonnegative coefficients keep q >= 0, so the thin-cell cases
       // genuinely exercise the no-fixup path.
-      pn_src[n] = static_cast<Real>(rng.next_double(0.0, 1.0));
-      pn_acc[n] = static_cast<Real>(rng.next_double(0.0, 0.2));
+      pn_src[m].resize(nm);
+      pn_acc[m].resize(nm);
+      for (int n = 0; n < nm; ++n) {
+        pn_src[m][n] = static_cast<Real>(rng.next_double(0.0, 1.0));
+        pn_acc[m][n] = static_cast<Real>(rng.next_double(0.0, 0.2));
+      }
+      pn_src[m][0] = Real(1);
+      ci[m] = static_cast<Real>(rng.next_double(1.0, 10.0));
+      cj[m] = static_cast<Real>(rng.next_double(1.0, 10.0));
+      ck[m] = static_cast<Real>(rng.next_double(1.0, 10.0));
     }
-    pn_src[0] = Real(1);
+    const double face_max = thick ? 5.0 : 1.0;
     for (int l = 0; l < nlines; ++l) {
+      src[l].assign(static_cast<std::size_t>(nm) * pad, Real(0));
+      for (auto& x : src[l]) x = static_cast<Real>(rng.next_double(0.0, 2.0));
+      sigt[l].assign(pad, Real(1));
+      for (int i = 0; i < it; ++i)
+        sigt[l][i] = static_cast<Real>(
+            thick ? rng.next_double(20.0, 60.0) : rng.next_double(0.5, 2.0));
       flux[l].assign(static_cast<std::size_t>(nm) * pad, Real(0));
+      for (auto& x : flux[l]) x = static_cast<Real>(rng.next_double(0.0, 1.0));
       phi_j[l].assign(pad, Real(0));
       phi_k[l].assign(pad, Real(0));
       for (int i = 0; i < it; ++i) {
-        phi_j[l][i] = static_cast<Real>(rng.next_double(0.0, thick ? 5.0 : 1.0));
-        phi_k[l][i] = static_cast<Real>(rng.next_double(0.0, thick ? 5.0 : 1.0));
+        phi_j[l][i] = static_cast<Real>(rng.next_double(0.0, face_max));
+        phi_k[l][i] = static_cast<Real>(rng.next_double(0.0, face_max));
       }
       phi_i[l] = static_cast<Real>(rng.next_double(0.0, 1.0));
-      ci[l] = static_cast<Real>(rng.next_double(1.0, 10.0));
-      cj[l] = static_cast<Real>(rng.next_double(1.0, 10.0));
-      ck[l] = static_cast<Real>(rng.next_double(1.0, 10.0));
     }
   }
 
   LineArgs<Real> args(int l, int dir) {
+    const int m = angle_of_[l];
     LineArgs<Real> a;
     a.it = it_;
     a.dir = dir;
-    a.sigt = sigt.data();
-    a.src = src.data();
+    a.sigt = sigt[l].data();
+    a.src = src[l].data();
     a.flux = flux[l].data();
     a.mstride = static_cast<std::int64_t>(util::padded_extent<Real>(it_));
-    a.pn_src = pn_src.data();
-    a.pn_acc = pn_acc.data();
+    a.pn_src = pn_src[m].data();
+    a.pn_acc = pn_acc[m].data();
     a.nm = nm_;
-    a.ci = ci[l];
-    a.cj = cj[l];
-    a.ck = ck[l];
+    a.ci = ci[m];
+    a.cj = cj[m];
+    a.ck = ck[m];
     a.phi_j = phi_j[l].data();
     a.phi_k = phi_k[l].data();
     a.phi_i = &phi_i[l];
     return a;
   }
 
+  std::vector<LineArgs<Real>> chunk(int dir) {
+    std::vector<LineArgs<Real>> lines;
+    for (int l = 0; l < nlines_; ++l) lines.push_back(args(l, dir));
+    return lines;
+  }
+
   int nlines_, it_, nm_;
-  util::AlignedVector<Real> src, sigt;
-  std::vector<Real> pn_src, pn_acc;
-  util::AlignedVector<Real> flux[kBundleLines], phi_j[kBundleLines],
-      phi_k[kBundleLines];
-  Real phi_i[kBundleLines];
-  Real ci[kBundleLines], cj[kBundleLines], ck[kBundleLines];
+  std::array<int, kBundleLines> angle_of_;
+  // Per line.
+  util::AlignedVector<Real> src[kBundleLines], sigt[kBundleLines],
+      flux[kBundleLines], phi_j[kBundleLines], phi_k[kBundleLines];
+  Real phi_i[kBundleLines] = {};
+  // Per angle.
+  std::vector<Real> pn_src[kBundleLines], pn_acc[kBundleLines];
+  Real ci[kBundleLines] = {}, cj[kBundleLines] = {}, ck[kBundleLines] = {};
 };
+
+/// The three kernels over one LineProblem.
+enum class LineKernel { kScalar, kChunk, kBundle };
+
+template <typename Real>
+KernelStats run_kernel(LineKernel kernel, LineProblem<Real>& prob, int dir,
+                       bool fixup) {
+  KernelStats stats;
+  std::vector<LineArgs<Real>> lines = prob.chunk(dir);
+  const int nlines = static_cast<int>(lines.size());
+  switch (kernel) {
+    case LineKernel::kScalar:
+      for (const LineArgs<Real>& a : lines) sweep_line_scalar(a, fixup, &stats);
+      break;
+    case LineKernel::kChunk: {
+      std::vector<Real> scratch(chunk_scratch_reals(prob.it_));
+      sweep_chunk(lines.data(), nlines, fixup, scratch.data(), &stats);
+      break;
+    }
+    case LineKernel::kBundle: {
+      BundleScratch<Real> scratch(prob.it_);
+      sweep_bundle_simd(lines.data(), nlines, fixup, scratch, &stats);
+      break;
+    }
+  }
+  return stats;
+}
+
+/// The bits of @p x, so that -0 != +0 and NaN payloads count.
+template <typename Real>
+auto bits(Real x) {
+  if constexpr (sizeof(Real) == 8)
+    return std::bit_cast<std::uint64_t>(x);
+  else
+    return std::bit_cast<std::uint32_t>(x);
+}
+
+/// Requires every output of @p got to match @p want bit for bit: all
+/// flux moments, the J/K outflow rows, the I outflow and both stats.
+template <typename Real>
+void expect_bit_equal(const LineProblem<Real>& want, const KernelStats& want_s,
+                      const LineProblem<Real>& got, const KernelStats& got_s) {
+  const int it = want.it_;
+  for (int l = 0; l < want.nlines_; ++l) {
+    for (int n = 0; n < want.nm_; ++n)
+      for (int i = 0; i < it; ++i) {
+        const std::size_t idx =
+            static_cast<std::size_t>(n) * util::padded_extent<Real>(it) + i;
+        ASSERT_EQ(bits(want.flux[l][idx]), bits(got.flux[l][idx]))
+            << want.flux[l][idx] << " vs " << got.flux[l][idx] << ": line "
+            << l << " moment " << n << " cell " << i;
+      }
+    for (int i = 0; i < it; ++i) {
+      ASSERT_EQ(bits(want.phi_j[l][i]), bits(got.phi_j[l][i]))
+          << want.phi_j[l][i] << " vs " << got.phi_j[l][i] << ": line " << l
+          << " cell " << i;
+      ASSERT_EQ(bits(want.phi_k[l][i]), bits(got.phi_k[l][i]))
+          << want.phi_k[l][i] << " vs " << got.phi_k[l][i] << ": line " << l
+          << " cell " << i;
+    }
+    ASSERT_EQ(bits(want.phi_i[l]), bits(got.phi_i[l]))
+        << want.phi_i[l] << " vs " << got.phi_i[l] << ": line " << l;
+  }
+  EXPECT_EQ(want_s.cells, got_s.cells);
+  EXPECT_EQ(want_s.fixups_applied, got_s.fixups_applied);
+}
 
 // (nlines, it, nm, fixup&thick, dir)
 using ShapeParam = std::tuple<int, int, int, bool, int>;
 
-// Solves the same lines with the scalar kernel, one line at a time, and
-// with one SIMD bundle, then requires every output to match bit for bit:
-// all flux moments, the J/K outflow rows, the I outflow and both stats.
-// The functional sweep runs the scalar kernel in place of the bundle,
-// so this is what keeps its flux equal to the emulated kernel's.
+/// Solves the same lines with the scalar kernel, one line at a time,
+/// and with @p kernel as one chunk, and requires bit-equal outputs.
 template <typename Real>
-void expect_bundle_bit_equals_scalar(const ShapeParam& shape,
+void expect_kernel_bit_equals_scalar(LineKernel kernel,
+                                     const ShapeParam& shape,
                                      std::uint64_t seed) {
   const auto [nlines, it, nm, thick, dir] = shape;
-  LineProblem<Real> scalar_prob(nlines, it, nm, thick, seed);
-  LineProblem<Real> simd_prob(nlines, it, nm, thick, seed);
-
-  KernelStats s1, s2;
-  for (int l = 0; l < nlines; ++l) {
-    LineArgs<Real> a = scalar_prob.args(l, dir);
-    sweep_line_scalar(a, thick, &s1);
-  }
-  std::vector<LineArgs<Real>> bundle;
-  for (int l = 0; l < nlines; ++l) bundle.push_back(simd_prob.args(l, dir));
-  BundleScratch<Real> scratch(it);
-  sweep_bundle_simd(bundle.data(), nlines, thick, scratch, &s2);
-
-  for (int l = 0; l < nlines; ++l) {
-    for (int n = 0; n < nm; ++n)
-      for (int i = 0; i < it; ++i) {
-        const std::size_t idx =
-            static_cast<std::size_t>(n) * util::padded_extent<Real>(it) + i;
-        ASSERT_EQ(scalar_prob.flux[l][idx], simd_prob.flux[l][idx])
-            << "line " << l << " moment " << n << " cell " << i;
-      }
-    for (int i = 0; i < it; ++i) {
-      ASSERT_EQ(scalar_prob.phi_j[l][i], simd_prob.phi_j[l][i])
-          << "line " << l << " cell " << i;
-      ASSERT_EQ(scalar_prob.phi_k[l][i], simd_prob.phi_k[l][i])
-          << "line " << l << " cell " << i;
-    }
-    ASSERT_EQ(scalar_prob.phi_i[l], simd_prob.phi_i[l]) << "line " << l;
-  }
-  EXPECT_EQ(s1.cells, s2.cells);
-  EXPECT_EQ(s1.fixups_applied, s2.fixups_applied);
-}
-
-class KernelEquivalence : public ::testing::TestWithParam<ShapeParam> {};
-
-TEST_P(KernelEquivalence, SimdBundleBitEqualsScalarDouble) {
-  expect_bundle_bit_equals_scalar<double>(GetParam(), 99);
+  LineProblem<Real> want(nlines, it, nm, thick, seed);
+  LineProblem<Real> got(nlines, it, nm, thick, seed);
+  const KernelStats ws = run_kernel(LineKernel::kScalar, want, dir, thick);
+  const KernelStats gs = run_kernel(kernel, got, dir, thick);
+  expect_bit_equal(want, ws, got, gs);
 }
 
 // nm = 16 is the full P3 moment set, the bundle's register limit.
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, KernelEquivalence,
+const auto kShapes =
     ::testing::Combine(::testing::Values(1, 2, 3, 4),    // nlines
                        ::testing::Values(1, 7, 50),      // it
                        ::testing::Values(1, 6, 9, 16),   // nm
                        ::testing::Bool(),                // thick/fixup
-                       ::testing::Values(+1, -1)));      // direction
+                       ::testing::Values(+1, -1));       // direction
+
+// The emulated SIMD bundle kernel.
+class KernelEquivalence : public ::testing::TestWithParam<ShapeParam> {};
+
+TEST_P(KernelEquivalence, SimdBundleBitEqualsScalarDouble) {
+  expect_kernel_bit_equals_scalar<double>(LineKernel::kBundle, GetParam(), 99);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, KernelEquivalence, kShapes);
 
 class KernelEquivalenceSp : public ::testing::TestWithParam<ShapeParam> {};
 
 TEST_P(KernelEquivalenceSp, SimdBundleBitEqualsScalarSingle) {
-  expect_bundle_bit_equals_scalar<float>(GetParam(), 7);
+  expect_kernel_bit_equals_scalar<float>(LineKernel::kBundle, GetParam(), 7);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -228,6 +295,73 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 6, 9, 16),   // nm
                        ::testing::Bool(),                // thick/fixup
                        ::testing::Values(+1, -1)));      // direction
+
+// The chunk kernel, which computes the flux of every functional solve.
+class ChunkEquivalence : public ::testing::TestWithParam<ShapeParam> {};
+
+TEST_P(ChunkEquivalence, ChunkBitEqualsScalarDouble) {
+  expect_kernel_bit_equals_scalar<double>(LineKernel::kChunk, GetParam(), 99);
+}
+
+TEST_P(ChunkEquivalence, ChunkBitEqualsScalarSingle) {
+  expect_kernel_bit_equals_scalar<float>(LineKernel::kChunk, GetParam(), 7);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ChunkEquivalence, kShapes);
+
+/// One random case: shape, per-line angles, thickness, fixup and
+/// direction all drawn from @p seed; the chunk and bundle kernels must
+/// match the scalar kernel bit for bit.
+template <typename Real>
+void expect_random_case_bit_equal(std::uint64_t seed) {
+  util::SplitMix64 rng(seed);
+  const int it = 1 + static_cast<int>(rng.next_below(64));
+  const int nm = 1 + static_cast<int>(rng.next_below(16));
+  const int nlines = 1 + static_cast<int>(rng.next_below(kBundleLines));
+  std::array<int, kBundleLines> angle_of{};
+  for (int& m : angle_of) m = static_cast<int>(rng.next_below(kBundleLines));
+  const bool thick = rng.next_below(2) == 1;
+  const bool fixup = rng.next_below(2) == 1;
+  const int dir = rng.next_below(2) == 1 ? +1 : -1;
+  const std::uint64_t data_seed = rng();
+  SCOPED_TRACE(::testing::Message()
+               << "it " << it << " nm " << nm << " nlines " << nlines
+               << " thick " << thick << " fixup " << fixup << " dir " << dir);
+
+  LineProblem<Real> want(nlines, it, nm, thick, data_seed, angle_of);
+  const KernelStats ws = run_kernel(LineKernel::kScalar, want, dir, fixup);
+  for (const LineKernel kernel : {LineKernel::kChunk, LineKernel::kBundle}) {
+    SCOPED_TRACE(kernel == LineKernel::kChunk ? "sweep_chunk"
+                                           : "sweep_bundle_simd");
+    LineProblem<Real> got(nlines, it, nm, thick, data_seed, angle_of);
+    const KernelStats gs = run_kernel(kernel, got, dir, fixup);
+    expect_bit_equal(want, ws, got, gs);
+  }
+}
+
+// Random shapes for a fixed time budget (at least kMinCases cases). The
+// case seeds are a fixed sequence, so a slower build runs a prefix of
+// the same cases; a failure prints its seed, which
+// expect_random_case_bit_equal<Real>(seed) replays.
+TEST(KernelRandom, ScalarChunkBundleBitEqual) {
+  constexpr int kMinCases = 64;
+  constexpr auto kBudget = std::chrono::milliseconds(400);
+  const auto start = std::chrono::steady_clock::now();
+  util::SplitMix64 seeds(2026);
+  int cases = 0;
+  while (cases < kMinCases ||
+         std::chrono::steady_clock::now() - start < kBudget) {
+    const std::uint64_t seed = seeds();
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    if (cases % 2 == 0)
+      expect_random_case_bit_equal<double>(seed);
+    else
+      expect_random_case_bit_equal<float>(seed);
+    ++cases;
+    if (::testing::Test::HasFailure()) break;
+  }
+  RecordProperty("cases", cases);
+}
 
 TEST(Kernel, FixupsReportedInThickCells) {
   LineProblem<double> prob(1, 20, 6, /*thick=*/true, 3);
@@ -256,6 +390,22 @@ TEST(Kernel, BundleValidatesShape) {
                std::invalid_argument);
   EXPECT_THROW(sweep_bundle_simd(bundle, 5, false, scratch, nullptr),
                std::invalid_argument);
+}
+
+TEST(Kernel, ChunkValidatesShape) {
+  LineProblem<double> prob(2, 10, 6, false, 5);
+  LineArgs<double> chunk[2] = {prob.args(0, +1), prob.args(1, -1)};
+  std::vector<double> scratch(chunk_scratch_reals(10));
+  EXPECT_THROW(sweep_chunk(chunk, 2, false, scratch.data()),
+               std::invalid_argument);  // mixed directions
+  EXPECT_THROW(sweep_chunk(chunk, 0, false, scratch.data()),
+               std::invalid_argument);
+  EXPECT_THROW(sweep_chunk(chunk, 5, false, scratch.data()),
+               std::invalid_argument);
+  LineProblem<double> wide(1, 10, 17, false, 5);
+  const LineArgs<double> a = wide.args(0, +1);
+  EXPECT_THROW(sweep_chunk(&a, 1, false, scratch.data()),
+               std::invalid_argument);  // nm 17
 }
 
 TEST(Kernel, FlopAccountingFormula) {

@@ -142,12 +142,15 @@ TEST(MpiSweeper, FixupsWorkAcrossRanks) {
   const SweepConfig cfg = config(3, /*fixup_from=*/0);
 
   SweepState<double> serial(p, quad, 2, kBenchmarkMoments);
-  solve_source_iteration(serial, cfg);
+  const SolveResult want = solve_source_iteration(serial, cfg);
+  ASSERT_GT(want.totals.fixup_cells, 0u);
 
   msg::World world(4);
   const MpiSolveResult r =
       solve_mpi(world, p, quad, 2, cfg, 2, 2, kBenchmarkMoments);
-  EXPECT_GT(r.solve.totals.fixup_cells, 0u);
+  // The work totals are summed over the ranks.
+  EXPECT_EQ(r.solve.totals.cells, want.totals.cells);
+  EXPECT_EQ(r.solve.totals.fixup_cells, want.totals.fixup_cells);
   const auto& g = p.grid();
   double maxdiff = 0;
   for (int k = 0; k < g.kt; ++k)

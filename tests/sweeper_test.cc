@@ -49,8 +49,8 @@ std::uint64_t flux_checksum(const SweepState<double>& state) {
 // Exact results of one solve. The values below were recorded from the
 // emulated SIMD bundle kernel (sweep_bundle_simd), which computed the
 // flux of KernelKind::kSimd solves until the functional sweep switched
-// to sweep_line_scalar for both kinds. Both kinds must still reproduce
-// them bit for bit.
+// to sweep_line_scalar, and then to sweep_chunk, for both kinds. Both
+// kinds must still reproduce them bit for bit.
 struct PinnedSolve {
   double absorption;
   double final_change;
