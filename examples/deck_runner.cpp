@@ -574,8 +574,7 @@ int run_serve(const util::CliParser& cli, core::OptimizationStage stage) {
             << " completed, " << st.failed << " failed, " << st.rejected
             << " rejected\n"
             << "Plan cache: " << pc.hits << " hit(s), " << pc.misses
-            << " miss(es), " << pc.evictions << " eviction(s), "
-            << pc.entries << " plan(s)\n"
+            << " miss(es)\n"
             << "SPE allocator: " << al.claims << " claim(s), " << al.expands
             << " expand(s), " << al.shrinks << " shrink(s), "
             << al.waited_claims << " waited, peak " << al.peak_tenants

@@ -1,10 +1,10 @@
 #include "core/arrival.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 #include "util/rng.h"
+#include "util/spec_grammar.h"
 
 namespace cellsweep::core {
 namespace {
@@ -13,62 +13,9 @@ namespace {
   throw ArrivalSpecError("arrival spec entry '" + entry + "': " + why);
 }
 
-/// Splits @p s on @p sep. Empty fields are preserved so "tenant=0:" is
-/// diagnosed rather than silently collapsing.
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t from = 0;
-  while (true) {
-    const std::size_t at = s.find(sep, from);
-    if (at == std::string::npos) {
-      out.push_back(s.substr(from));
-      return out;
-    }
-    out.push_back(s.substr(from, at - from));
-    from = at + 1;
-  }
-}
-
-double parse_double(const std::string& entry, const std::string& v, double lo,
-                    double hi) {
-  const char* b = v.data();
-  const char* e = b + v.size();
-  double x = 0.0;
-  const auto [p, ec] = std::from_chars(b, e, x);
-  if (ec != std::errc{} || p != e) fail(entry, "'" + v + "' is not a number");
-  if (!(x >= lo && x <= hi)) fail(entry, "'" + v + "' out of range");
-  return x;
-}
-
-std::int64_t parse_int(const std::string& entry, const std::string& v,
-                       std::int64_t lo, std::int64_t hi) {
-  const char* b = v.data();
-  const char* e = b + v.size();
-  std::int64_t x = 0;
-  const auto [p, ec] = std::from_chars(b, e, x);
-  if (ec != std::errc{} || p != e) fail(entry, "'" + v + "' is not an integer");
-  if (x < lo || x > hi) fail(entry, "'" + v + "' out of range");
-  return x;
-}
-
-std::uint64_t parse_u64(const std::string& entry, const std::string& v) {
-  const char* b = v.data();
-  const char* e = b + v.size();
-  std::uint64_t x = 0;
-  const auto [p, ec] = std::from_chars(b, e, x);
-  if (ec != std::errc{} || p != e)
-    fail(entry, "'" + v + "' is not an unsigned integer");
-  return x;
-}
-
-/// splitmix64's output permutation as a standalone mixer for chaining
-/// key material into one decision seed (same mixer as sim::FaultPlan).
-constexpr std::uint64_t mix(std::uint64_t z) {
-  z ^= z >> 30;
-  z *= 0xbf58476d1ce4e5b9ULL;
-  z ^= z >> 27;
-  z *= 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+/// Reports a bad field of @p entry (the util::parse_field messages).
+auto bad_field(const std::string& entry) {
+  return [&entry](const std::string& why) { fail(entry, why); };
 }
 
 /// Domain salt so an ArrivalPlan and a FaultPlan sharing a seed still
@@ -83,48 +30,50 @@ constexpr std::int64_t kMaxStreamJobs = 1 << 20;
 
 ArrivalSpec parse_arrival_spec(const std::string& text) {
   ArrivalSpec spec;
-  for (const std::string& entry : split(text, ',')) {
+  for (const std::string& entry : util::split_fields(text, ',')) {
     if (entry.empty()) continue;  // tolerate "a,,b" and trailing commas
+    const auto bad = bad_field(entry);
     const std::size_t eq = entry.find('=');
     if (eq == std::string::npos)
       fail(entry, "expected key=value (keys: seed, tenant)");
     const std::string key = entry.substr(0, eq);
     const std::string value = entry.substr(eq + 1);
     if (key == "seed") {
-      spec.seed = parse_u64(entry, value);
+      spec.seed = util::parse_field<std::uint64_t>(value, bad);
     } else if (key == "tenant") {
-      const auto parts = split(value, ':');
+      const auto parts = util::split_fields(value, ':');
       if (parts.size() < 2)
         fail(entry,
              "expected tenant=<index>:rate:<jobs_per_s>:<count>[:<start_s>] | "
              "tenant=<index>:burst:<count>[:<at_s>] | "
              "tenant=<index>:trace:<t0>;<t1>;...");
       TenantArrivals t;
-      t.tenant = static_cast<int>(parse_int(entry, parts[0], 0, 4095));
+      t.tenant = static_cast<int>(
+          util::parse_field<std::int64_t>(parts[0], 0, 4095, bad));
       if (parts[1] == "rate") {
         if (parts.size() < 4 || parts.size() > 5)
           fail(entry, "expected tenant=<index>:rate:<jobs_per_s>:<count>"
                       "[:<start_s>]");
         t.kind = ArrivalKind::kRate;
-        t.rate_per_s = parse_double(entry, parts[2], 1e-9, 1e9);
+        t.rate_per_s = util::parse_field<double>(parts[2], 1e-9, 1e9, bad);
         t.count = static_cast<std::uint64_t>(
-            parse_int(entry, parts[3], 1, kMaxStreamJobs));
+            util::parse_field<std::int64_t>(parts[3], 1, kMaxStreamJobs, bad));
         if (parts.size() == 5)
-          t.start_s = parse_double(entry, parts[4], 0.0, 1e9);
+          t.start_s = util::parse_field<double>(parts[4], 0.0, 1e9, bad);
       } else if (parts[1] == "burst") {
         if (parts.size() < 3 || parts.size() > 4)
           fail(entry, "expected tenant=<index>:burst:<count>[:<at_s>]");
         t.kind = ArrivalKind::kBurst;
         t.count = static_cast<std::uint64_t>(
-            parse_int(entry, parts[2], 1, kMaxStreamJobs));
+            util::parse_field<std::int64_t>(parts[2], 1, kMaxStreamJobs, bad));
         if (parts.size() == 4)
-          t.start_s = parse_double(entry, parts[3], 0.0, 1e9);
+          t.start_s = util::parse_field<double>(parts[3], 0.0, 1e9, bad);
       } else if (parts[1] == "trace") {
         if (parts.size() != 3 || parts[2].empty())
           fail(entry, "expected tenant=<index>:trace:<t0>;<t1>;...");
         t.kind = ArrivalKind::kTrace;
-        for (const std::string& ts : split(parts[2], ';'))
-          t.times.push_back(parse_double(entry, ts, 0.0, 1e9));
+        for (const std::string& ts : util::split_fields(parts[2], ';'))
+          t.times.push_back(util::parse_field<double>(ts, 0.0, 1e9, bad));
         t.count = t.times.size();
       } else {
         fail(entry, "unknown arrival kind '" + parts[1] +
@@ -201,11 +150,12 @@ double ArrivalPlan::gap_s(const TenantArrivals& t, std::uint64_t seq) const {
   // SplitMix64 produce the uniform draw -- pure in all arguments, so
   // query order, host thread count and `--tenants` never change the
   // schedule.
+  using util::splitmix64_mix;
   std::uint64_t z = spec_.seed;
-  z = mix(z + 0x9e3779b97f4a7c15ULL * kArrivalDomain);
-  z = mix(z + 0x9e3779b97f4a7c15ULL *
-                  (static_cast<std::uint64_t>(t.tenant) + 1));
-  z = mix(z + seq);
+  z = splitmix64_mix(z + 0x9e3779b97f4a7c15ULL * kArrivalDomain);
+  z = splitmix64_mix(z + 0x9e3779b97f4a7c15ULL *
+                             (static_cast<std::uint64_t>(t.tenant) + 1));
+  z = splitmix64_mix(z + seq);
   util::SplitMix64 g(z);
   const double u = g.next_double();  // [0, 1)
   // Inverse-CDF exponential: -ln(1 - u) / rate. log1p keeps precision

@@ -136,17 +136,16 @@ struct CellSweepConfig : StreamConfig {
   /// Blocking parameters forwarded to the sweep driver.
   sweep::SweepConfig sweep;
 
-  /// Plan-cache hints (non-owning, may be null): pure functions of the
-  /// deck that the solve server memoizes across jobs. When set they
-  /// must describe *this* deck and chip -- the cache key (workload
-  /// kind, stage, deck bytes) guarantees it.
-  ///   * quadrature: a prebuilt SnQuadrature of the deck's sn order;
-  ///     CellSweep3D uses it instead of rebuilding the tables per run.
-  ///   * warm_kernels: a KernelCostModel whose chunk-cost cache was
-  ///     already calibrated (SPU trace recording is the expensive
-  ///     part); the timing engine copies it instead of starting cold.
-  /// Cold and warm runs produce byte-identical reports -- the cached
-  /// values are deterministic functions of the deck (pinned by tests).
+  /// Plan hints (non-owning, may be null): shared tables keyed by
+  /// shape, not by deck, which a solve server keeps for all its jobs.
+  ///   * quadrature: a prebuilt SnQuadrature; CellSweep3D uses it when
+  ///     its order is the deck's, instead of building the tables.
+  ///   * warm_kernels: a KernelCostModel for this chip (SPU trace
+  ///     recording is the expensive part); the timing engine prices
+  ///     every chunk through it, filling shapes it lacks, instead of
+  ///     starting a model of its own.
+  /// Runs with and without them produce byte-identical reports -- each
+  /// entry is a deterministic function of its key (pinned by tests).
   const sweep::SnQuadrature* quadrature = nullptr;
   const KernelCostModel* warm_kernels = nullptr;
 

@@ -224,7 +224,7 @@ spu::Trace record_scalar_chunk_trace(Precision precision, int nlines, int it,
 
 cell::ScheduleResult KernelCostModel::schedule_simd_chunk(
     Precision precision, int nlines, int it, int nm, bool fixup,
-    spu::Trace* out_trace) {
+    spu::Trace* out_trace) const {
   spu::Trace trace = record_simd_chunk_trace(precision, nlines, it, nm, fixup);
   const cell::ScheduleResult r = pipeline_.schedule(trace);
   if (out_trace) *out_trace = std::move(trace);
@@ -233,7 +233,7 @@ cell::ScheduleResult KernelCostModel::schedule_simd_chunk(
 
 cell::ScheduleResult KernelCostModel::schedule_scalar_chunk(
     Precision precision, int nlines, int it, int nm, bool fixup,
-    bool gotos_eliminated, spu::Trace* out_trace) {
+    bool gotos_eliminated, spu::Trace* out_trace) const {
   spu::Trace trace =
       record_scalar_chunk_trace(precision, nlines, it, nm, fixup,
                                 gotos_eliminated);
@@ -245,10 +245,16 @@ cell::ScheduleResult KernelCostModel::schedule_scalar_chunk(
 const ChunkCost& KernelCostModel::chunk_cost(sweep::KernelKind kind,
                                              Precision precision, int nlines,
                                              int it, int nm, bool fixup,
-                                             bool gotos_eliminated) {
+                                             bool gotos_eliminated,
+                                             bool* priced) const {
   const Key key{static_cast<int>(kind), static_cast<int>(precision), nlines,
                 it, nm, fixup, gotos_eliminated};
+  // Pricing runs under the lock, so a shape that several threads miss
+  // at once is still priced once. std::map nodes never move: the
+  // returned reference outlives the lock.
+  util::MutexLock lock(mu_);
   auto it_cache = cache_.find(key);
+  if (priced != nullptr) *priced = it_cache == cache_.end();
   if (it_cache != cache_.end()) return it_cache->second;
 
   const cell::ScheduleResult sched =

@@ -22,6 +22,9 @@
 #include "core/config.h"
 #include "spu/trace.h"
 #include "sweep/sweeper.h"
+#include "util/lock_ranks.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace cellsweep::core {
 
@@ -37,33 +40,42 @@ struct ChunkCost {
   cell::PipelineStats stats;
 };
 
-/// Trace-driven chunk cost cache for one chip spec.
+/// Trace-driven chunk cost memo for one chip spec. A chunk's cost
+/// depends only on its shape (kernel kind, precision, lines, it, nm,
+/// fixup, gotos), never on the deck, so one model serves every run on
+/// the chip: a solve server shares one across its tenants
+/// (CellSweepConfig::warm_kernels). Thread-safe: each shape is priced
+/// once, under the model's lock, and an entry never changes once
+/// built, so a returned reference stays valid for the model's life.
 class KernelCostModel {
  public:
   explicit KernelCostModel(const cell::CellSpec& spec) : pipeline_(spec) {}
 
   /// Cycles (and stats) to process one chunk of @p nlines I-lines of
-  /// length @p it with @p nm moments.
+  /// length @p it with @p nm moments. @p priced, when given, is set to
+  /// whether this call had to price the shape.
   const ChunkCost& chunk_cost(sweep::KernelKind kind, Precision precision,
                               int nlines, int it, int nm, bool fixup,
-                              bool gotos_eliminated);
+                              bool gotos_eliminated,
+                              bool* priced = nullptr) const EXCLUDES(mu_);
 
   /// Full pipeline schedule of a SIMD chunk (the Section 5.1 bench
   /// reports these directly). Optionally returns the recorded trace.
-  cell::ScheduleResult schedule_simd_chunk(Precision precision, int nlines,
-                                           int it, int nm, bool fixup,
-                                           spu::Trace* out_trace = nullptr);
+  cell::ScheduleResult schedule_simd_chunk(
+      Precision precision, int nlines, int it, int nm, bool fixup,
+      spu::Trace* out_trace = nullptr) const;
 
   /// Full pipeline schedule of a synthesized scalar-SPE chunk.
-  cell::ScheduleResult schedule_scalar_chunk(Precision precision, int nlines,
-                                             int it, int nm, bool fixup,
-                                             bool gotos_eliminated,
-                                             spu::Trace* out_trace = nullptr);
+  cell::ScheduleResult schedule_scalar_chunk(
+      Precision precision, int nlines, int it, int nm, bool fixup,
+      bool gotos_eliminated, spu::Trace* out_trace = nullptr) const;
 
  private:
   using Key = std::tuple<int, int, int, int, int, bool, bool>;
-  cell::SpuPipeline pipeline_;
-  std::map<Key, ChunkCost> cache_;
+  const cell::SpuPipeline pipeline_;
+  mutable util::Mutex mu_{util::lockrank::kKernelCostModel,
+                          "KernelCostModel::mu_"};
+  mutable std::map<Key, ChunkCost> cache_ GUARDED_BY(mu_);
 };
 
 /// Records the SIMD bundle kernel on synthetic data. @p force_fixups

@@ -55,14 +55,14 @@ TimingEngine::TimingEngine(const CellSweepConfig& cfg,
     : cfg_(cfg),
       grid_(grid),
       nm_(nm),
-      kernels_(cfg.chip),
+      kernels_(cfg.warm_kernels),
       pipeline_(cfg, sweep_placement(cfg, grid.it, nm)) {
-  // Plan-cache hint: start from an already calibrated cost model (the
-  // trace-scheduled chunk costs are the expensive part) instead of a
-  // cold cache. Pure memoization -- the cached costs are deterministic
-  // functions of (chip, chunk shape), so warm and cold runs report
-  // byte-identical timing (pinned by a test).
-  if (cfg.warm_kernels) kernels_ = *cfg.warm_kernels;
+  // Plan hint: price through a shared, possibly warm cost model (the
+  // trace-scheduled chunk costs are the expensive part). Pure
+  // memoization -- a cost is a deterministic function of (chip, chunk
+  // shape), so shared and own models report byte-identical timing
+  // (pinned by a test).
+  if (kernels_ == nullptr) kernels_ = &own_kernels_.emplace(cfg.chip);
 }
 
 TimingEngine::~TimingEngine() = default;
@@ -113,8 +113,8 @@ const StreamChunkSpec& TimingEngine::priced_shape(
       shapes_[w.fixup ? 1 : 0][static_cast<std::size_t>(nlines - 1)];
   if (!shape.priced || shape.kernel != w.kernel || shape.it != w.it) {
     const ChunkCost& cost =
-        kernels_.chunk_cost(w.kernel, cfg_.precision, nlines, w.it, nm_,
-                            w.fixup, cfg_.gotos_eliminated);
+        kernels_->chunk_cost(w.kernel, cfg_.precision, nlines, w.it, nm_,
+                             w.fixup, cfg_.gotos_eliminated);
     StreamChunkSpec sc;
     sc.plan = plan_chunk(ChunkShape{nlines, w.it, nm_,
                                     real_bytes_of(cfg_.precision),
@@ -166,27 +166,19 @@ void TimingEngine::gate(sim::Tick at) {
   pipeline_.gate(at);
 }
 
-const sweep::SnQuadrature& CellSweep3D::quadrature(
-    std::optional<sweep::SnQuadrature>& own) const {
-  // Plan-cache hint: a prebuilt quadrature of the right order (the
-  // solve server memoizes the LQn tables per deck) replaces the
-  // per-run rebuild; the tables are a pure function of the order, so
-  // results are byte-identical either way.
-  if (cfg_.quadrature && cfg_.quadrature->order() == sn_order_)
-    return *cfg_.quadrature;
-  own.emplace(sn_order_);
-  return *own;
-}
-
 CellSweep3D::CellSweep3D(const sweep::Problem& problem,
                          const CellSweepConfig& cfg, int sn_order, int l_max,
                          int nm_cap)
-    : problem_(&problem), cfg_(cfg), sn_order_(sn_order), l_max_(l_max) {
+    : problem_(&problem), cfg_(cfg), l_max_(l_max), quad_(cfg.quadrature) {
   cfg_.sweep.kernel = cfg_.kernel;
-  std::optional<sweep::SnQuadrature> own;
-  const sweep::SnQuadrature& quad = quadrature(own);
-  cfg_.sweep.validate(problem.grid().kt, quad.angles_per_octant());
-  nm_ = sweep::MomentTable(quad, l_max_, nm_cap).nm();
+  // Plan hint: a prebuilt quadrature of the right order (a solve
+  // server keeps one per Sn order) replaces the build; the tables are a
+  // pure function of the order, so results are byte-identical either
+  // way.
+  if (quad_ == nullptr || quad_->order() != sn_order)
+    quad_ = &own_quad_.emplace(sn_order);
+  cfg_.sweep.validate(problem.grid().kt, quad_->angles_per_octant());
+  nm_ = sweep::MomentTable(*quad_, l_max_, nm_cap).nm();
   nm_cap_ = nm_cap;
 }
 
@@ -197,9 +189,7 @@ RunReport CellSweep3D::run(RunMode mode) {
 template <typename Real>
 void CellSweep3D::run_functional(RunReport& report,
                                  const sweep::DiagonalObserver& obs) {
-  std::optional<sweep::SnQuadrature> own;
-  const sweep::SnQuadrature& quad = quadrature(own);
-  sweep::SweepState<Real> state(*problem_, quad, l_max_, nm_cap_);
+  sweep::SweepState<Real> state(*problem_, *quad_, l_max_, nm_cap_);
   report.solve = sweep::solve_source_iteration(state, cfg_.sweep, obs);
   report.absorption = state.absorption_rate();
   report.leakage = state.leakage();
@@ -215,10 +205,8 @@ RunReport CellSweep3D::run_on_ppe(RunMode mode) {
     run_functional<double>(r, {});
     priced.sweep.max_iterations = r.solve->iterations;
   }
-  std::optional<sweep::SnQuadrature> own;
-  const sweep::SnQuadrature& quad = quadrature(own);
   const WorkloadTotals totals =
-      audit_workload(problem_->grid(), quad.angles_per_octant(), priced, nm_);
+      audit_workload(problem_->grid(), quad_->angles_per_octant(), priced, nm_);
 
   const perf::ProcessorModel ppe =
       cfg_.xlc ? perf::ppe_xlc() : perf::ppe_gcc();
@@ -234,10 +222,7 @@ RunReport CellSweep3D::run_on_ppe(RunMode mode) {
 }
 
 RunReport CellSweep3D::run_on_spes(RunMode mode) {
-  std::optional<sweep::SnQuadrature> own;
-  const sweep::SnQuadrature& quad = quadrature(own);
-  const int nm = nm_;
-  TimingEngine engine(cfg_, problem_->grid(), nm);
+  TimingEngine engine(cfg_, problem_->grid(), nm_);
   const sweep::DiagonalObserver obs = [&](const sweep::DiagonalWork& w) {
     engine.on_diagonal(w);
   };
@@ -251,8 +236,8 @@ RunReport CellSweep3D::run_on_spes(RunMode mode) {
   } else {
     for (int iter = 0; iter < cfg_.sweep.max_iterations; ++iter) {
       const bool fixup = iter >= cfg_.sweep.fixup_from_iteration;
-      enumerate_sweep(problem_->grid(), quad.angles_per_octant(), cfg_.sweep,
-                      fixup, obs);
+      enumerate_sweep(problem_->grid(), quad_->angles_per_octant(),
+                      cfg_.sweep, fixup, obs);
     }
   }
 

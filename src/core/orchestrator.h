@@ -113,7 +113,9 @@ class TimingEngine {
   CellSweepConfig cfg_;
   sweep::Grid grid_;
   int nm_;
-  KernelCostModel kernels_;
+  /// The engine's own cost model, when cfg.warm_kernels shares none.
+  std::optional<KernelCostModel> own_kernels_;
+  const KernelCostModel* kernels_;  ///< cfg.warm_kernels or own_kernels_
   StreamingPipeline pipeline_;
   /// (octant, angle block, K block) of the block being fed.
   std::array<int, 3> block_{-1, -1, -1};
@@ -135,6 +137,10 @@ class CellSweep3D {
               int sn_order = 6, int l_max = 2,
               int nm_cap = sweep::kBenchmarkMoments);
 
+  /// quad_ may point into the runner itself.
+  CellSweep3D(const CellSweep3D&) = delete;
+  CellSweep3D& operator=(const CellSweep3D&) = delete;
+
   /// Runs the configured stage and returns the report. kFunctional
   /// additionally solves the physics and fills the solve fields.
   RunReport run(RunMode mode = RunMode::kTraceDriven);
@@ -145,18 +151,16 @@ class CellSweep3D {
   RunReport run_on_ppe(RunMode mode);
   RunReport run_on_spes(RunMode mode);
 
-  /// The quadrature for this run: cfg_.quadrature when the hint is
-  /// present and of the right order, else one built into @p own.
-  const sweep::SnQuadrature& quadrature(
-      std::optional<sweep::SnQuadrature>& own) const;
-
   template <typename Real>
   void run_functional(RunReport& report, const sweep::DiagonalObserver& obs);
 
   const sweep::Problem* problem_;
   CellSweepConfig cfg_;
-  int sn_order_;
   int l_max_;
+  /// The run's quadrature, built once: cfg.quadrature when the hint has
+  /// the deck's order, else own_quad_.
+  std::optional<sweep::SnQuadrature> own_quad_;
+  const sweep::SnQuadrature* quad_;
   int nm_ = 0;
   int nm_cap_ = 0;
 };

@@ -1,61 +1,48 @@
 #include "server/plan_cache.h"
 
+#include "sweep/kernel.h"
+
 namespace cellsweep::core {
-namespace {
 
-inline void fnv1a(std::uint64_t& h, std::string_view bytes) {
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
+int deck_moments(const sweep::Deck& deck, const sweep::SnQuadrature& quad) {
+  return sweep::MomentTable(quad, 2, deck.nm_cap).nm();
+}
+
+PlanCache::Plan PlanCache::plan(const sweep::Deck& deck,
+                                const CellSweepConfig& cfg) {
+  Plan p;
+  bool built = false;
+  {
+    util::MutexLock lock(mu_);
+    const auto [it, inserted] =
+        quadratures_.try_emplace(deck.sn_order, deck.sn_order);
+    p.quadrature = &it->second;
+    built = inserted;
   }
-}
-
-}  // namespace
-
-std::uint64_t PlanCache::fingerprint(std::string_view workload_kind,
-                                     OptimizationStage stage,
-                                     std::string_view content) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  fnv1a(h, workload_kind);
-  const char sep[2] = {'\0', static_cast<char>(stage)};
-  fnv1a(h, std::string_view(sep, 2));
-  fnv1a(h, std::string_view("\0", 1));
-  fnv1a(h, content);
-  return h;
-}
-
-std::shared_ptr<const CachedPlan> PlanCache::find(std::uint64_t key) {
+  if (cfg.use_spes) {
+    // Diagonals bundle into chunks of 1..kBundleLines lines, and the
+    // fixup iterations price differently. Pricing a shape here is
+    // exactly the work a run would otherwise do lazily.
+    const int nm = deck_moments(deck, *p.quadrature);
+    for (int fixup = 0; fixup < 2; ++fixup)
+      for (int nlines = 1; nlines <= sweep::kBundleLines; ++nlines) {
+        bool priced = false;
+        kernels_.chunk_cost(cfg.kernel, cfg.precision, nlines,
+                            deck.problem.grid().it, nm, fixup != 0,
+                            cfg.gotos_eliminated, &priced);
+        built = built || priced;
+      }
+    p.kernels = &kernels_;
+  }
+  p.hit = !built;
   util::MutexLock lock(mu_);
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return it->second;
-}
-
-std::shared_ptr<const CachedPlan> PlanCache::insert(
-    std::uint64_t key, std::shared_ptr<const CachedPlan> plan) {
-  util::MutexLock lock(mu_);
-  const auto [it, inserted] = entries_.emplace(key, std::move(plan));
-  if (inserted) {
-    order_.push_back(key);
-    // FIFO eviction once over capacity: drop the oldest insertion.
-    // Running jobs keep their plan alive through their own shared_ptr;
-    // only the cache's canonical copy is released.
-    while (max_entries_ > 0 && entries_.size() > max_entries_) {
-      entries_.erase(order_.front());
-      order_.pop_front();
-      ++evictions_;
-    }
-  }
-  return it->second;
+  ++(built ? misses_ : hits_);
+  return p;
 }
 
 PlanCache::Stats PlanCache::stats() const {
   util::MutexLock lock(mu_);
-  return Stats{hits_, misses_, evictions_, entries_.size()};
+  return Stats{hits_, misses_};
 }
 
 }  // namespace cellsweep::core

@@ -1,32 +1,27 @@
-// PlanCache: deck-fingerprint-keyed memoization of the pure planning
-// artifacts a solve recomputes per run.
+// PlanCache: the shape-keyed planning tables a solve server shares
+// across all its jobs.
 //
-// Submitting the same deck to the solve server twice used to pay the
-// full setup twice: the Sn quadrature tables and -- much worse -- the
-// trace-scheduled kernel calibration (KernelCostModel records the real
-// SIMD instruction stream per chunk shape and schedules it on the SPU
-// pipeline model). All of those are pure functions of (workload kind,
-// optimization stage, deck bytes), so the server caches them under a
-// fingerprint of exactly that triple. The workload kind is folded into
-// the key so identical bytes submitted as a .deck and as a .stencil
-// spec can never collide (pinned by a test); warm and cold runs
-// produce byte-identical reports because the cached values are
-// deterministic (also pinned).
+// A solve needs two pure planning artifacts: the Sn quadrature tables,
+// a function of the Sn order alone, and the trace-scheduled chunk
+// costs (KernelCostModel records the real SIMD instruction stream per
+// chunk shape and schedules it on the SPU pipeline model), a function
+// of the chip and the chunk shape alone. Neither depends on the rest
+// of the deck, so the cache keeps one quadrature per Sn order and one
+// cost model for the server's chip: decks that differ only in their
+// materials, spacing or blocking plan nothing new. Shared and cold
+// tables produce byte-identical reports (pinned by tests).
 //
-// Thread-safe: tenants race through find/insert concurrently. Two
-// tenants may build the same missing entry in parallel; insert keeps
-// the first and hands the loser the canonical copy -- both are
-// identical by construction, so the race is benign.
+// Thread-safe: tenants plan concurrently. Each entry is built once,
+// under its table's lock, and never changes afterwards, so the
+// pointers plan() returns stay valid for the cache's life.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
-#include <string_view>
 
 #include "core/config.h"
 #include "core/kernel_timing.h"
+#include "sweep/deck.h"
 #include "sweep/quadrature.h"
 #include "util/lock_ranks.h"
 #include "util/mutex.h"
@@ -34,65 +29,45 @@
 
 namespace cellsweep::core {
 
-/// One cached plan (built by JobInput::plan). Sweep decks fill both
-/// members; stencil specs leave them null (their block plans and costs
-/// are cheap arithmetic the runner derives per run -- the entry only
-/// pins the key space).
-struct CachedPlan {
-  /// Prebuilt LQn tables of the deck's sn order.
-  std::shared_ptr<const sweep::SnQuadrature> quadrature;
-  /// Cost model whose chunk-cost cache was warmed for every chunk
-  /// shape the deck can produce (nlines 1..kBundleLines x fixup
-  /// on/off).
-  std::shared_ptr<const KernelCostModel> kernels;
-};
+/// Flux moments a deck's run carries (P2 scattering, capped).
+int deck_moments(const sweep::Deck& deck, const sweep::SnQuadrature& quad);
 
 class PlanCache {
  public:
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
   };
 
-  /// @p max_entries bounds the cache; 0 (the default) is unbounded.
-  /// When full, insert evicts in FIFO (insertion) order -- evicting
-  /// only drops the canonical pointer, so plans still in use by a
-  /// running job stay alive through their own shared_ptrs.
-  explicit PlanCache(std::size_t max_entries = 0)
-      : max_entries_(max_entries) {}
+  /// The plan hints of one deck (CellSweepConfig::quadrature and
+  /// warm_kernels).
+  struct Plan {
+    const sweep::SnQuadrature* quadrature = nullptr;
+    /// The cache's cost model; null on a PPE stage, which prices no
+    /// chunk.
+    const KernelCostModel* kernels = nullptr;
+    /// The call built nothing: the deck's quadrature and all
+    /// 2 x kBundleLines of its chunk shapes were already there.
+    bool hit = false;
+  };
 
-  /// FNV-1a over (workload kind, stage, content bytes), with
-  /// separators so no two distinct triples concatenate identically.
-  static std::uint64_t fingerprint(std::string_view workload_kind,
-                                   OptimizationStage stage,
-                                   std::string_view content);
+  explicit PlanCache(const cell::CellSpec& chip) : kernels_(chip) {}
 
-  /// The cached plan under @p key, or null (counts a hit / miss).
-  std::shared_ptr<const CachedPlan> find(std::uint64_t key) EXCLUDES(mu_);
-
-  /// Stores @p plan under @p key and returns the canonical entry: the
-  /// already-present one when another tenant won the build race.
-  std::shared_ptr<const CachedPlan> insert(
-      std::uint64_t key, std::shared_ptr<const CachedPlan> plan)
+  /// The quadrature of @p deck's Sn order and, when @p cfg runs on the
+  /// SPEs, the cost model priced for every chunk shape the deck can
+  /// produce (1..kBundleLines lines, with and without fixups), each
+  /// built if missing. Counts a hit or a miss.
+  Plan plan(const sweep::Deck& deck, const CellSweepConfig& cfg)
       EXCLUDES(mu_);
 
   Stats stats() const EXCLUDES(mu_);
 
  private:
-  /// Leaf lock over the entry map and counters; plan *contents* are
-  /// immutable once published (shared_ptr<const>), so only the map
-  /// itself needs the guard.
-  const std::size_t max_entries_;
+  KernelCostModel kernels_;
   mutable util::Mutex mu_{util::lockrank::kPlanCache, "PlanCache::mu_"};
-  std::map<std::uint64_t, std::shared_ptr<const CachedPlan>> entries_
-      GUARDED_BY(mu_);
-  /// Keys in insertion order (FIFO eviction victims from the front).
-  std::deque<std::uint64_t> order_ GUARDED_BY(mu_);
+  std::map<int, sweep::SnQuadrature> quadratures_ GUARDED_BY(mu_);
   std::uint64_t hits_ GUARDED_BY(mu_) = 0;
   std::uint64_t misses_ GUARDED_BY(mu_) = 0;
-  std::uint64_t evictions_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace cellsweep::core

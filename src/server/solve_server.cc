@@ -10,8 +10,6 @@
 #include "core/orchestrator.h"
 #include "core/streaming_pipeline.h"
 #include "core/workload.h"
-#include "sweep/kernel_simd.h"
-#include "sweep/plan.h"
 #include "util/units.h"
 #include "workloads/stencil/stencil.h"
 
@@ -50,11 +48,6 @@ std::variant<sweep::Deck, stencil::StencilSpec> parse_input(
   } catch (const stencil::StencilError& e) {
     throw AdmissionError(AdmissionError::Reason::kParse, e.what());
   }
-}
-
-/// Flux moments a deck's run carries (P2 scattering, capped).
-int deck_moments(const sweep::Deck& deck, const sweep::SnQuadrature& quad) {
-  return sweep::MomentTable(quad, 2, deck.nm_cap).nm();
 }
 
 }  // namespace
@@ -106,30 +99,6 @@ std::size_t JobInput::ls_footprint(const CellSweepConfig& cfg) const {
       .footprint(cfg.buffers);
 }
 
-std::shared_ptr<const CachedPlan> JobInput::plan(
-    const CellSweepConfig& cfg) const {
-  auto built = std::make_shared<CachedPlan>();
-  const sweep::Deck* d = deck();
-  if (d == nullptr) return built;
-  auto quad = std::make_shared<sweep::SnQuadrature>(d->sn_order);
-  if (cfg.use_spes) {
-    // Warm the chunk-cost cache for every shape this deck can produce:
-    // diagonals bundle into chunks of 1..kBundleLines lines, and the
-    // fixup iterations price differently. The trace recording here is
-    // exactly the work a cold run would do lazily.
-    auto kernels = std::make_shared<KernelCostModel>(cfg.chip);
-    const int nm = deck_moments(*d, *quad);
-    for (int fixup = 0; fixup < 2; ++fixup)
-      for (int nlines = 1; nlines <= sweep::kBundleLines; ++nlines)
-        kernels->chunk_cost(cfg.kernel, cfg.precision, nlines,
-                            d->problem.grid().it, nm, fixup != 0,
-                            cfg.gotos_eliminated);
-    built->kernels = std::move(kernels);
-  }
-  built->quadrature = std::move(quad);
-  return built;
-}
-
 JobResult JobInput::run(CellSweepConfig cfg, RunMode mode, int threads,
                         util::ThreadPool* pool) const {
   JobResult r;
@@ -157,7 +126,7 @@ SolveServer::SolveServer(const ServerConfig& cfg)
       base_(CellSweepConfig::from_stage(cfg.stage)),
       pool_(std::max(1, cfg.host_threads)),
       alloc_(base_.chip.num_spes),
-      cache_(cfg.plan_cache_capacity),
+      cache_(base_.chip),
       recorder_(cfg.flight_recorder_capacity) {
   cfg_.tenants = std::max(1, cfg_.tenants);
   cfg_.queue_limit = std::max<std::size_t>(1, cfg_.queue_limit);
@@ -502,15 +471,15 @@ JobResult SolveServer::run_job(Job& job) {
   JobResult r;
   try {
     CellSweepConfig cfg = job_config(job);
-    const std::uint64_t key = PlanCache::fingerprint(
-        job_kind_name(job.req.kind), cfg_.stage, job.req.text);
-    job.trace.plan_start_s = clock_.now_s();
-    std::shared_ptr<const CachedPlan> plan = cache_.find(key);
-    const bool hit = plan != nullptr;
-    if (!hit) plan = cache_.insert(key, job.input->plan(cfg));
-    job.trace.plan_end_s = clock_.now_s();
-    cfg.quadrature = plan->quadrature.get();
-    cfg.warm_kernels = plan->kernels.get();
+    bool hit = false;
+    job.trace.plan_start_s = job.trace.plan_end_s = clock_.now_s();
+    if (const sweep::Deck* d = job.input->deck()) {
+      const PlanCache::Plan plan = cache_.plan(*d, cfg);
+      job.trace.plan_end_s = clock_.now_s();
+      cfg.quadrature = plan.quadrature;
+      cfg.warm_kernels = plan.kernels;
+      hit = plan.hit;
+    }
 
     // The solver claims SPEs on this thread: the thread-local
     // accumulator attributes exactly this job's blocked time.
@@ -666,14 +635,6 @@ MetricsRegistry::Snapshot SolveServer::metrics_snapshot() const {
   extra.push_back(derived_family("cellsweep_plan_cache_misses_total",
                                  MetricType::kCounter, "Plan-cache misses",
                                  static_cast<double>(cs.misses)));
-  extra.push_back(derived_family("cellsweep_plan_cache_evictions_total",
-                                 MetricType::kCounter,
-                                 "Plan-cache FIFO evictions",
-                                 static_cast<double>(cs.evictions)));
-  extra.push_back(derived_family("cellsweep_plan_cache_entries",
-                                 MetricType::kGauge,
-                                 "Plans currently cached",
-                                 static_cast<double>(cs.entries)));
   extra.push_back(derived_family("cellsweep_pool_forks_total",
                                  MetricType::kCounter,
                                  "Host-pool parallel_for dispatches",
@@ -717,8 +678,7 @@ void write_server_metrics_json(std::ostream& os, const SolveServer& server) {
      << ", \"rejected\": " << st.rejected
      << ", \"cancelled\": " << st.cancelled << "},\n"
      << "    \"plan_cache\": {\"hits\": " << cs.hits
-     << ", \"misses\": " << cs.misses << ", \"evictions\": " << cs.evictions
-     << ", \"entries\": " << cs.entries << "},\n"
+     << ", \"misses\": " << cs.misses << "},\n"
      << "    \"spe_allocator\": {\"claims\": " << as.claims
      << ", \"expands\": " << as.expands << ", \"shrinks\": " << as.shrinks
      << ", \"waited_claims\": " << as.waited_claims

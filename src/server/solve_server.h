@@ -17,9 +17,11 @@
 //     util::ThreadPool (the functional kernels) and one SpeAllocator
 //     (the simulated chip: runs claim SPEs worst-fit and yield them
 //     under pressure at batch boundaries);
-//   * a PlanCache keyed by deck fingerprint, so resubmitted decks skip
-//     the quadrature build and the trace-scheduled kernel calibration
-//     (byte-identical reports either way, pinned by tests).
+//   * one PlanCache of shape-keyed tables -- a quadrature per Sn order
+//     and one chunk-cost model for the chip -- so a sweep deck whose
+//     order and chunk shapes the server has seen skips the quadrature
+//     build and the trace-scheduled kernel calibration, whatever its
+//     materials (byte-identical reports either way, pinned by tests).
 //
 // Host concurrency only ever decides *which SPEs* a tenant holds and
 // *when in host time* work runs -- each tenant's simulated clocks
@@ -117,8 +119,6 @@ struct ServerConfig {
   /// Fault plan applied to every job's simulated machine (SPE deaths,
   /// DMA flakiness -- see sim::parse_fault_spec). Default: no faults.
   sim::FaultSpec faults;
-  /// Plan-cache entry bound (FIFO eviction when full); 0 = unbounded.
-  std::size_t plan_cache_capacity = 0;
   /// Flight-recorder ring size (events kept for post-mortem dumps).
   std::size_t flight_recorder_capacity = FlightRecorder::kDefaultCapacity;
   /// When non-empty, notable events (job failure, queue-full storm,
@@ -157,7 +157,9 @@ struct JobResult {
   // Stencil functional results (kFunctional stencil jobs only).
   double checksum = 0;
   double residual = 0;
-  /// This job reused a cached plan (quadrature + kernel calibration).
+  /// A sweep job's plan built nothing: its quadrature and chunk costs
+  /// were already in the server's tables. Always false for stencils,
+  /// which have no plan step.
   bool plan_cache_hit = false;
   /// The job was cancelled (cancel(), deadline expiry, or stop())
   /// rather than failing on its own; ok is false and `error` starts
@@ -172,7 +174,7 @@ struct JobResult {
 
 /// One parsed input of either grammar -- a Sweep3D deck or a stencil
 /// spec -- owning every per-workload branch of the job path: parse,
-/// lint, admission sizing, plan build and run. SolveServer admission
+/// lint, admission sizing and run. SolveServer admission
 /// and workers and deck_runner's run, lint and serve all go through
 /// it, so a solo run and a served run of one input execute the same
 /// code.
@@ -205,11 +207,6 @@ class JobInput {
   /// admission budgets.
   long long cells() const;
   std::size_t ls_footprint(const CellSweepConfig& cfg) const;
-  /// The pure planning artifacts the plan cache keeps: a deck's LQn
-  /// tables and a cost model warmed for every chunk shape it can
-  /// produce (nlines 1..kBundleLines x fixup on/off); nothing for a
-  /// stencil spec, whose block plans are cheap per-run arithmetic.
-  std::shared_ptr<const CachedPlan> plan(const CellSweepConfig& cfg) const;
   /// One CellSweep3D::run (under the deck's sweep settings) or
   /// CellStencil::run under @p cfg; the functional physics runs on
   /// @p threads host threads, or on @p pool when one is given. Fills
@@ -335,10 +332,10 @@ class SolveServer {
   /// tenant worker.
   int tenant_weight(int tenant) const noexcept;
   int tenant_quota(int tenant) const noexcept;
-  /// Runs one job to completion: plan-cache lookup (building and
-  /// inserting on a miss), then JobInput::run on the shared pool. mu_
-  /// is never held here: a solve may take seconds and claims SPEs /
-  /// the host pool on its own locks.
+  /// Runs one job to completion: a sweep deck's plan from the shared
+  /// tables (stencil specs have no plan step), then JobInput::run on
+  /// the shared pool. mu_ is never held here: a solve may take seconds
+  /// and claims SPEs / the host pool on its own locks.
   JobResult run_job(Job& job) EXCLUDES(mu_);
   /// base_ plus the job's SPE claim: the shared allocator, its
   /// tenant's QoS weight and quota, and its cancel flag.
@@ -348,7 +345,7 @@ class SolveServer {
   CellSweepConfig base_;  ///< from_stage(cfg_.stage), + cfg_.faults
   util::ThreadPool pool_;
   SpeAllocator alloc_;
-  PlanCache cache_;
+  PlanCache cache_;  ///< shared quadrature and chunk-cost tables
 
   // Telemetry: all observation-only (nothing below feeds a scheduling
   // or admission decision), all on internal locks ranked above mu_, so
@@ -380,10 +377,11 @@ class SolveServer {
 };
 
 /// Writes the serve-mode metrics document: {"schema":
-/// "cellsweep-metrics-v4", "server": {"stats": ..., "plan_cache": ...,
-/// "spe_allocator": ..., "host_pool": ..., "flight_recorder": ...,
-/// "families": [...]}} -- the server-side sibling of
-/// write_metrics_json's solo-run object (whose "server" key is null).
+/// "cellsweep-metrics-v4", "server": {"stats": ..., "plan_cache":
+/// {"hits", "misses"} (sweep jobs only), "spe_allocator": ...,
+/// "host_pool": ..., "flight_recorder": ..., "families": [...]}} -- the
+/// server-side sibling of write_metrics_json's solo-run object (whose
+/// "server" key is null).
 void write_server_metrics_json(std::ostream& os, const SolveServer& server);
 
 }  // namespace cellsweep::core

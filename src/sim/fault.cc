@@ -1,8 +1,6 @@
 #include "sim/fault.h"
 
-#include <cctype>
-#include <charconv>
-#include <cstdlib>
+#include "util/spec_grammar.h"
 
 namespace cellsweep::sim {
 namespace {
@@ -11,80 +9,31 @@ namespace {
   throw FaultSpecError("fault spec entry '" + entry + "': " + why);
 }
 
-/// Splits @p s on @p sep. Empty fields are preserved so "spe=3:" is
-/// diagnosed rather than silently collapsing.
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t from = 0;
-  while (true) {
-    const std::size_t at = s.find(sep, from);
-    if (at == std::string::npos) {
-      out.push_back(s.substr(from));
-      return out;
-    }
-    out.push_back(s.substr(from, at - from));
-    from = at + 1;
-  }
+/// Reports a bad field of @p entry (the util::parse_field messages).
+auto bad_field(const std::string& entry) {
+  return [&entry](const std::string& why) { fail(entry, why); };
 }
 
 double parse_rate(const std::string& entry, const std::string& v) {
-  const char* b = v.data();
-  const char* e = b + v.size();
-  double x = 0.0;
-  const auto [p, ec] = std::from_chars(b, e, x);
-  if (ec != std::errc{} || p != e) fail(entry, "'" + v + "' is not a number");
+  const double x = util::parse_field<double>(v, bad_field(entry));
   if (!(x >= 0.0 && x <= 1.0)) fail(entry, "rate must be in [0, 1]");
-  return x;
-}
-
-std::int64_t parse_int(const std::string& entry, const std::string& v,
-                       std::int64_t lo, std::int64_t hi) {
-  const char* b = v.data();
-  const char* e = b + v.size();
-  std::int64_t x = 0;
-  const auto [p, ec] = std::from_chars(b, e, x);
-  if (ec != std::errc{} || p != e) fail(entry, "'" + v + "' is not an integer");
-  if (x < lo || x > hi) fail(entry, "'" + v + "' out of range");
-  return x;
-}
-
-std::uint64_t parse_u64(const std::string& entry, const std::string& v) {
-  const char* b = v.data();
-  const char* e = b + v.size();
-  std::uint64_t x = 0;
-  const auto [p, ec] = std::from_chars(b, e, x);
-  if (ec != std::errc{} || p != e)
-    fail(entry, "'" + v + "' is not an unsigned integer");
   return x;
 }
 
 double parse_factor(const std::string& entry, const std::string& v, double lo,
                     double hi) {
-  const char* b = v.data();
-  const char* e = b + v.size();
-  double x = 0.0;
-  const auto [p, ec] = std::from_chars(b, e, x);
-  if (ec != std::errc{} || p != e) fail(entry, "'" + v + "' is not a number");
+  const double x = util::parse_field<double>(v, bad_field(entry));
   if (!(x >= lo && x <= hi)) fail(entry, "factor '" + v + "' out of range");
   return x;
-}
-
-/// splitmix64's output permutation as a standalone mixer for chaining
-/// key material into one decision seed.
-constexpr std::uint64_t mix(std::uint64_t z) {
-  z ^= z >> 30;
-  z *= 0xbf58476d1ce4e5b9ULL;
-  z ^= z >> 27;
-  z *= 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
 }
 
 }  // namespace
 
 FaultSpec parse_fault_spec(const std::string& text) {
   FaultSpec spec;
-  for (const std::string& entry : split(text, ',')) {
+  for (const std::string& entry : util::split_fields(text, ',')) {
     if (entry.empty()) continue;  // tolerate "a,,b" and trailing commas
+    const auto bad = bad_field(entry);
     const std::size_t eq = entry.find('=');
     if (eq == std::string::npos)
       fail(entry, "expected key=value (keys: seed, dma, timeout, drop, "
@@ -92,7 +41,7 @@ FaultSpec parse_fault_spec(const std::string& text) {
     const std::string key = entry.substr(0, eq);
     const std::string value = entry.substr(eq + 1);
     if (key == "seed") {
-      spec.seed = parse_u64(entry, value);
+      spec.seed = util::parse_field<std::uint64_t>(value, bad);
     } else if (key == "dma") {
       spec.dma_fail_rate = parse_rate(entry, value);
     } else if (key == "timeout") {
@@ -100,7 +49,7 @@ FaultSpec parse_fault_spec(const std::string& text) {
     } else if (key == "drop") {
       spec.mailbox_drop_rate = parse_rate(entry, value);
     } else if (key == "throttle") {
-      const auto parts = split(value, ':');
+      const auto parts = util::split_fields(value, ':');
       spec.mic_throttle_rate = parse_rate(entry, parts[0]);
       if (parts.size() == 2) {
         spec.mic_throttle_factor = parse_factor(entry, parts[1], 0.01, 1.0);
@@ -108,22 +57,23 @@ FaultSpec parse_fault_spec(const std::string& text) {
         fail(entry, "expected throttle=<rate>[:<factor>]");
       }
     } else if (key == "retries") {
-      spec.max_dma_retries =
-          static_cast<int>(parse_int(entry, value, 0, 30));
+      spec.max_dma_retries = static_cast<int>(
+          util::parse_field<std::int64_t>(value, 0, 30, bad));
     } else if (key == "spe") {
-      const auto parts = split(value, ':');
+      const auto parts = util::split_fields(value, ':');
       if (parts.size() < 2)
         fail(entry, "expected spe=<index>:down | spe=<index>:after:<chunks> "
                     "| spe=<index>:slow:<factor>");
       SpeFault f;
-      f.spe = static_cast<int>(parse_int(entry, parts[0], 0, 255));
+      f.spe = static_cast<int>(
+          util::parse_field<std::int64_t>(parts[0], 0, 255, bad));
       if (parts[1] == "down") {
         if (parts.size() != 2) fail(entry, "spe=<index>:down takes no value");
         f.fail_after_chunks = 0;
       } else if (parts[1] == "after") {
         if (parts.size() != 3) fail(entry, "expected spe=<index>:after:<chunks>");
-        f.fail_after_chunks =
-            parse_int(entry, parts[2], 1, std::int64_t{1} << 40);
+        f.fail_after_chunks = util::parse_field<std::int64_t>(
+            parts[2], 1, std::int64_t{1} << 40, bad);
       } else if (parts[1] == "slow") {
         if (parts.size() != 3) fail(entry, "expected spe=<index>:slow:<factor>");
         f.compute_scale = parse_factor(entry, parts[2], 1.0, 1000.0);
@@ -172,11 +122,14 @@ double FaultPlan::draw(FaultDomain domain, int unit, std::uint64_t seq,
   // SplitMix64 produce the uniform draw. Pure in all arguments: query
   // order never matters, which is what makes the schedule identical
   // across thread counts and run modes.
+  using util::splitmix64_mix;
   std::uint64_t z = spec_.seed;
-  z = mix(z + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(domain) + 1));
-  z = mix(z + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(unit) + 1));
-  z = mix(z + seq);
-  z = mix(z + attempt);
+  z = splitmix64_mix(
+      z + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(domain) + 1));
+  z = splitmix64_mix(
+      z + 0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(unit) + 1));
+  z = splitmix64_mix(z + seq);
+  z = splitmix64_mix(z + attempt);
   util::SplitMix64 g(z);
   return g.next_double();
 }

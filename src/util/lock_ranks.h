@@ -46,8 +46,14 @@ inline constexpr int kThreadPoolState = 21;
 /// fair-share state of the shared chip.
 inline constexpr int kSpeAllocator = 30;
 
-/// PlanCache::mu_ -- the fingerprint -> plan map and hit/miss stats.
+/// PlanCache::mu_ -- the Sn-order -> quadrature table and hit/miss
+/// stats. Never held while pricing a chunk shape.
 inline constexpr int kPlanCache = 40;
+
+/// KernelCostModel::mu_ -- the chunk-shape -> cost memo; held while a
+/// missing shape is priced (SPU trace recording and scheduling, which
+/// take no lock). Leaf usage.
+inline constexpr int kKernelCostModel = 45;
 
 /// msg::World mailbox mutexes (one per rank; never nested).
 inline constexpr int kMsgMailbox = 50;

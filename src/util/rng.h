@@ -11,6 +11,15 @@
 
 namespace cellsweep::util {
 
+/// splitmix64's output permutation, also a standalone mixer for
+/// chaining key material into one decision seed (sim::FaultPlan,
+/// core::ArrivalPlan).
+constexpr std::uint64_t splitmix64_mix(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// splitmix64: tiny, high-quality, fully deterministic PRNG.
 /// Satisfies std::uniform_random_bit_generator.
 class SplitMix64 {
@@ -26,10 +35,7 @@ class SplitMix64 {
   }
 
   constexpr result_type operator()() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    return splitmix64_mix(state_ += 0x9e3779b97f4a7c15ULL);
   }
 
   /// Uniform double in [0, 1).

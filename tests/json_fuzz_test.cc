@@ -1,22 +1,28 @@
-// Seeded fuzz / property tests for the two text parsers.
+// Seeded fuzz / property tests for the four text parsers.
 //
 // Property under test: for any input -- valid, mutated, truncated or
 // pure garbage -- util::parse_json either returns a value or throws
-// util::JsonError, and sweep::parse_deck_string either returns a deck
-// or throws sweep::DeckError. Neither may crash, hang, allocate
-// unboundedly, or leak a foreign exception type. All randomness flows
-// through util::SplitMix64, so every failure reproduces from the case
-// number printed in the assertion message.
+// util::JsonError, sweep::parse_deck_string either returns a deck or
+// throws sweep::DeckError, and the --faults and --arrivals spec
+// grammars either yield a plan or throw sim::FaultSpecError /
+// core::ArrivalSpecError. None may crash, hang, allocate unboundedly,
+// or leak a foreign exception type. All randomness flows through
+// util::SplitMix64, so every failure reproduces from the case number
+// printed in the assertion message.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/arrival.h"
+#include "sim/fault.h"
 #include "sweep/deck.h"
 #include "util/json.h"
 #include "util/rng.h"
+#include "util/units.h"
 
 namespace cellsweep {
 namespace {
@@ -27,9 +33,14 @@ namespace {
 /// Outcome of one parse attempt, for determinism comparisons.
 enum class Outcome : unsigned char { kOk, kTypedError, kForeignError };
 
-/// Mutates @p text in place: byte flips, inserts, deletes, span
-/// duplication and truncation, all drawn from @p rng.
-void mutate(std::string& text, util::SplitMix64& rng) {
+/// Structural bytes of the JSON grammar, which inserts favour.
+constexpr std::string_view kJsonBytes = "{}[]\",:0123456789.eE+-tfn \\";
+
+/// Mutates @p text in place: byte flips, inserts (biased toward
+/// @p alphabet), deletes, span duplication and truncation, all drawn
+/// from @p rng.
+void mutate(std::string& text, util::SplitMix64& rng,
+            std::string_view alphabet = kJsonBytes) {
   const int edits = 1 + static_cast<int>(rng.next_below(4));
   for (int e = 0; e < edits; ++e) {
     if (text.empty()) {
@@ -42,7 +53,7 @@ void mutate(std::string& text, util::SplitMix64& rng) {
         text[pos] = static_cast<char>(rng.next_below(256));
         break;
       case 1:  // insert a byte biased toward structural characters
-        text.insert(pos, 1, "{}[]\",:0123456789.eE+-tfn \\"[rng.next_below(27)]);
+        text.insert(pos, 1, alphabet[rng.next_below(alphabet.size())]);
         break;
       case 2:  // delete a short span
         text.erase(pos, 1 + rng.next_below(4));
@@ -291,6 +302,155 @@ TEST(DeckFuzz, OversizedGridsAreRejectedBeforeAllocation) {
                    "it 8 jt 8 kt 8 moments 5000\n"
                    "material m 1.0 0.5 source 1.0\n"),
                sweep::DeckError);
+}
+
+// ---------------------------------------------------------------------------
+// The --faults and --arrivals spec grammars: sim::parse_fault_spec +
+// sim::FaultPlan, core::parse_arrival_spec + core::ArrivalPlan.
+
+/// Runs @p Digest on @p text under the fuzz contract: it returns a
+/// digest of the plan's first scheduled decisions, or throws @p Error,
+/// which becomes "error: <message>". One seed must produce the same
+/// text on every run. Any other exception fails the test under
+/// @p label, which names the seed.
+template <typename Error, std::string (*Digest)(const std::string&)>
+std::string outcome_of(const std::string& text, const std::string& label) {
+  try {
+    return Digest(text);
+  } catch (const Error& e) {
+    return std::string("error: ") + e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << label << ": foreign exception " << e.what()
+                  << " for spec: " << text;
+  } catch (...) {
+    ADD_FAILURE() << label << ": non-std exception for spec: " << text;
+  }
+  return "foreign";
+}
+
+std::string hex(double v) { return util::cformat("%a", v); }
+
+std::string fault_digest(const std::string& text) {
+  const sim::FaultPlan plan(sim::parse_fault_spec(text));
+  std::string d = "ok";
+  for (std::uint64_t seq = 0; seq < 16; ++seq) {
+    const int unit = static_cast<int>(seq % 8);
+    d += ' ' + std::to_string(plan.dma_failures(unit, seq)) +
+         (plan.tag_timeout(unit, seq) ? 't' : '-') +
+         std::to_string(plan.dispatch_drops(seq)) +
+         (plan.mic_throttle(seq) ? 'm' : '-');
+  }
+  d += " x" + hex(plan.mic_throttle_factor());
+  for (int spe = 0; spe < 8; ++spe)
+    d += ' ' + std::to_string(plan.spe_fail_after(spe)) + '/' +
+         hex(plan.spe_compute_scale(spe));
+  return d;
+}
+
+std::string arrival_digest(const std::string& text) {
+  const core::ArrivalPlan plan(core::parse_arrival_spec(text));
+  std::string d = "ok " + std::to_string(plan.total());
+  for (const core::TenantArrivals& t : plan.spec().tenants)
+    for (std::uint64_t seq = 0; seq < std::min<std::uint64_t>(t.count, 4);
+         ++seq)
+      d += ' ' + hex(plan.arrival_s(t.tenant, seq));
+  return d;
+}
+
+/// One comma-separated key=value grammar under fuzz.
+struct SpecGrammar {
+  const char* name;
+  std::vector<std::string> corpus;  ///< valid specs
+  std::vector<std::string> keys;    ///< entry keys, real and junk
+  std::vector<std::string> values;  ///< ':'-separated value fields
+  std::string (*outcome)(const std::string& text, const std::string& label);
+};
+
+const SpecGrammar kFaultGrammar{
+    "faults",
+    {"seed=42,dma=0.001,spe=7:down",
+     "seed=7,dma=0.05,timeout=0.01,drop=0.02,throttle=0.5:0.25,retries=3",
+     "spe=0:after:120,spe=3:slow:2.5,,",
+     "throttle=1,retries=0,seed=18446744073709551615"},
+    {"seed", "dma", "timeout", "drop", "throttle", "retries", "spe", "zz", ""},
+    {"0", "1", "7", "30", "31", "255", "256", "0.5", "0.001", "2.5", "1e-3",
+     "-1", "nan", "inf", "down", "after", "slow", "99999999999999999999",
+     " 1", ""},
+    outcome_of<sim::FaultSpecError, fault_digest>};
+
+const SpecGrammar kArrivalGrammar{
+    "arrivals",
+    {"seed=42,tenant=0:rate:50:6,tenant=1:burst:4",
+     "tenant=0:rate:8:24:0.5,tenant=1:burst:6:0.25",
+     "seed=3,tenant=2:trace:0.1;0.5;0.9,"},
+    {"seed", "tenant", "zz", ""},
+    {"0", "1", "2", "8", "4095", "4096", "0.5", "1e-9", "1e9", "1e10", "-1",
+     "nan", "inf", "rate", "burst", "trace", "0.1;0.5", "0.5;0.1", "1;",
+     "1048576", "1048577", "99999999999999999999", " 1", ""},
+    outcome_of<core::ArrivalSpecError, arrival_digest>};
+
+const SpecGrammar* const kSpecGrammars[] = {&kFaultGrammar, &kArrivalGrammar};
+
+/// Spec case @p seed of @p g: a mutated corpus entry (even seeds), or
+/// 1-4 entries of a key and 1-4 value fields drawn from the grammar's
+/// own tokens (odd seeds).
+std::string spec_case(const SpecGrammar& g, std::uint64_t seed) {
+  util::SplitMix64 rng(0x5bec5bec00ULL + seed);
+  std::string text;
+  if (seed % 2 == 0) {
+    text = g.corpus[rng.next_below(g.corpus.size())];
+    mutate(text, rng, "=,:;.0123456789-e ");
+    return text;
+  }
+  const int entries = 1 + static_cast<int>(rng.next_below(4));
+  for (int e = 0; e < entries; ++e) {
+    text += (e > 0 ? "," : "") + g.keys[rng.next_below(g.keys.size())] + '=';
+    const int fields = 1 + static_cast<int>(rng.next_below(4));
+    for (int f = 0; f < fields; ++f)
+      text += (f > 0 ? ":" : "") + g.values[rng.next_below(g.values.size())];
+  }
+  return text;
+}
+
+/// Every case outcome of @p g for seeds [0, n), in seed order.
+std::vector<std::string> spec_outcomes(const SpecGrammar& g,
+                                       std::uint64_t n) {
+  std::vector<std::string> out;
+  for (std::uint64_t seed = 0; seed < n; ++seed)
+    out.push_back(g.outcome(spec_case(g, seed),
+                            std::string(g.name) + " case seed " +
+                                std::to_string(seed)));
+  return out;
+}
+
+TEST(SpecFuzz, CorporaParseClean) {
+  for (const SpecGrammar* g : kSpecGrammars)
+    for (const std::string& spec : g->corpus)
+      EXPECT_EQ(g->outcome(spec, g->name).rfind("ok", 0), 0u)
+          << g->name << ": " << spec;
+}
+
+TEST(SpecFuzz, CasesYieldAPlanOrTheTypedError) {
+  for (const SpecGrammar* g : kSpecGrammars) {
+    int ok = 0, errors = 0;
+    for (const std::string& o : spec_outcomes(*g, 600)) {
+      ok += o.rfind("ok", 0) == 0 ? 1 : 0;
+      errors += o.rfind("error: ", 0) == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(ok + errors, 600) << g->name;
+    // Both sides of the grammar are exercised.
+    EXPECT_GT(ok, 0) << g->name;
+    EXPECT_GT(errors, 0) << g->name;
+  }
+}
+
+TEST(SpecFuzz, OutcomesAreDeterministicPerSeed) {
+  for (const SpecGrammar* g : kSpecGrammars) {
+    const std::vector<std::string> a = spec_outcomes(*g, 200);
+    const std::vector<std::string> b = spec_outcomes(*g, 200);
+    for (std::size_t seed = 0; seed < a.size(); ++seed)
+      EXPECT_EQ(a[seed], b[seed]) << g->name << " case seed " << seed;
+  }
 }
 
 }  // namespace

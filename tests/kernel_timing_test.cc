@@ -2,6 +2,11 @@
 // the paper's Section 5.1 cycle counts.
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+#include <tuple>
+#include <vector>
+
 #include "core/kernel_timing.h"
 
 namespace cellsweep::core {
@@ -156,6 +161,82 @@ TEST_F(KernelTimingTest, ScalarTraceUsesQuadwordRmw) {
                                                  false, true);
   EXPECT_GT(t.count(spu::Op::kShuffle), t.count(spu::Op::kStore));
   EXPECT_GT(t.count(spu::Op::kLoad), t.count(spu::Op::kStore));
+}
+
+/// Every counter of @p s, for field-by-field comparison.
+auto fields(const cell::PipelineStats& s) {
+  return std::tie(s.kernels, s.cycles, s.issue_cycles, s.instructions,
+                  s.dual_issues, s.even_pipe_insts, s.odd_pipe_insts,
+                  s.dep_stall_cycles, s.block_stall_cycles, s.flops);
+}
+
+// A solve server shares one model across its tenants: threads that
+// miss the same fresh shapes at once must price each exactly once, and
+// every cost must equal a cold model's, field for field.
+TEST(SharedKernelCostModel, ConcurrentMissesPriceEachShapeOnce) {
+  struct Shape {
+    sweep::KernelKind kind;
+    int nlines, it, nm;
+    bool fixup, gotos;
+  };
+  std::vector<Shape> shapes;
+  for (const int it : {8, 12})
+    for (int nlines = 1; nlines <= sweep::kBundleLines; ++nlines)
+      for (const bool fixup : {false, true})
+        shapes.push_back(
+            {sweep::KernelKind::kSimd, nlines, it, 4, fixup, true});
+  shapes.push_back({sweep::KernelKind::kScalar, 2, 8, 4, false, false});
+  shapes.push_back({sweep::KernelKind::kScalar, 2, 8, 4, true, true});
+
+  const cell::CellSpec spec;
+  const KernelCostModel shared(spec);
+  constexpr int kThreads = 4;
+  const int n = static_cast<int>(shapes.size());
+  std::vector<std::vector<char>> priced(kThreads, std::vector<char>(n, 0));
+  std::vector<std::vector<const ChunkCost*>> got(
+      kThreads, std::vector<const ChunkCost*>(n, nullptr));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      // Each thread walks the shapes from its own offset, so every
+      // shape sees racing first requests.
+      for (int k = 0; k < n; ++k) {
+        const int i = (k + t * n / kThreads) % n;
+        const Shape& s = shapes[i];
+        bool p = false;
+        got[t][i] = &shared.chunk_cost(s.kind, Precision::kDouble, s.nlines,
+                                       s.it, s.nm, s.fixup, s.gotos, &p);
+        priced[t][i] = p;
+      }
+    });
+  for (std::thread& th : threads) th.join();
+
+  const KernelCostModel cold(spec);
+  for (int i = 0; i < n; ++i) {
+    const Shape& s = shapes[i];
+    int pricings = 0;
+    for (int t = 0; t < kThreads; ++t) {
+      pricings += priced[t][i];
+      EXPECT_EQ(got[t][i], got[0][i]) << "shape " << i;  // one entry
+    }
+    EXPECT_EQ(pricings, 1) << "shape " << i;
+    const ChunkCost& a = *got[0][i];
+    const ChunkCost& b = cold.chunk_cost(s.kind, Precision::kDouble, s.nlines,
+                                         s.it, s.nm, s.fixup, s.gotos);
+    EXPECT_EQ(a.cycles, b.cycles) << "shape " << i;
+    EXPECT_EQ(a.flops, b.flops) << "shape " << i;
+    EXPECT_EQ(a.instructions, b.instructions) << "shape " << i;
+    EXPECT_EQ(a.dual_issues, b.dual_issues) << "shape " << i;
+    EXPECT_EQ(fields(a.stats), fields(b.stats)) << "shape " << i;
+  }
+  // A warm model reports a lookup as nothing priced.
+  bool p = true;
+  shared.chunk_cost(shapes[0].kind, Precision::kDouble, shapes[0].nlines,
+                    shapes[0].it, shapes[0].nm, shapes[0].fixup,
+                    shapes[0].gotos, &p);
+  EXPECT_FALSE(p);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 //     another tenant shares the chip produces the same solve, checksum
 //     and residual as a solo run (only host scheduling and the
 //     simulated SPE partition differ);
-//   * a plan-cache hit is invisible in the results: resubmitting a deck
-//     yields a byte-identical RunReport, just cheaper to plan;
+//   * a plan-cache hit is invisible in the results: a deck whose Sn
+//     order and chunk shapes the server has seen -- whatever its
+//     materials -- yields the same RunReport timing, just cheaper to
+//     plan;
 //   * admission is typed and airtight: unparsable, lint-rejected and
 //     over-budget jobs throw AdmissionError with the right reason and
 //     never reach a worker.
@@ -23,6 +25,7 @@
 #include "server/plan_cache.h"
 #include "server/solve_server.h"
 #include "sim/fault.h"
+#include "sweep/deck.h"
 
 namespace cellsweep::core {
 namespace {
@@ -201,37 +204,51 @@ TEST(SolveServer, TenancyNeverPerturbsThePhysics) {
   }
 }
 
+/// @p deck with its first @p from replaced by @p to.
+std::string with(std::string deck, const std::string& from,
+                 const std::string& to) {
+  deck.replace(deck.find(from), from.size(), to);
+  return deck;
+}
+
+/// @p deck with another material: other physics, the same Sn order and
+/// chunk shapes.
+std::string other_material(const std::string& deck) {
+  return with(deck, "material benchmark 1.0 0.5 0.2 0.05 source 1.0",
+              "material shield 4.0 0.3 0.1 0.02 source 0.5");
+}
+
 TEST(SolveServer, PlanCacheHitIsByteIdentical) {
   SolveServer server(ServerConfig{});  // one tenant: runs serialize
+  JobRequest shield = sweep_req("shield");
+  shield.text = other_material(kTinyDeck);
   const JobResult first = server.wait(server.submit(sweep_req("cold")));
-  const JobResult second = server.wait(server.submit(sweep_req("warm")));
+  const JobResult second = server.wait(server.submit(shield));
   ASSERT_TRUE(first.ok);
   ASSERT_TRUE(second.ok);
   EXPECT_FALSE(first.plan_cache_hit);
   EXPECT_TRUE(second.plan_cache_hit);
-  // The cached quadrature + warmed kernel calibration must change
-  // nothing observable: every metric byte-identical.
+  // The shared quadrature and chunk costs change nothing observable:
+  // every timing metric byte-identical, though the physics differs.
   EXPECT_EQ(first.report.seconds, second.report.seconds);
   EXPECT_EQ(first.report.grind_seconds, second.report.grind_seconds);
   EXPECT_EQ(first.report.traffic_bytes, second.report.traffic_bytes);
   EXPECT_EQ(first.report.flops, second.report.flops);
   EXPECT_EQ(first.report.dma_commands, second.report.dma_commands);
-  EXPECT_EQ(first.report.solve->final_change,
-            second.report.solve->final_change);
+  EXPECT_NE(first.report.absorption, second.report.absorption);
 
-  // Stencil specs cache under a separate fingerprint kind.
-  const JobResult s1 = server.wait(server.submit(stencil_req("s-cold")));
-  const JobResult s2 = server.wait(server.submit(stencil_req("s-warm")));
-  EXPECT_FALSE(s1.plan_cache_hit);
-  EXPECT_TRUE(s2.plan_cache_hit);
-  EXPECT_EQ(s1.checksum, s2.checksum);
-  EXPECT_EQ(s1.report.seconds, s2.report.seconds);
+  // A stencil spec has no plan step: never a hit, nothing counted, and
+  // its plan span has zero length.
+  const JobResult stencil = server.wait(server.submit(stencil_req("s")));
+  ASSERT_TRUE(stencil.ok);
+  EXPECT_FALSE(stencil.plan_cache_hit);
+  EXPECT_EQ(stencil.trace.plan_start_s, stencil.trace.plan_end_s);
+  const JobResult third = server.wait(server.submit(sweep_req("again")));
+  EXPECT_TRUE(third.plan_cache_hit);
 
   const PlanCache::Stats pc = server.plan_cache_stats();
-  EXPECT_EQ(pc.entries, 2u);
-  EXPECT_EQ(pc.hits, 2u);    // one warm resubmit per workload kind
-  EXPECT_EQ(pc.misses, 2u);  // one cold build per workload kind
-  EXPECT_EQ(pc.evictions, 0u);
+  EXPECT_EQ(pc.hits, 2u);
+  EXPECT_EQ(pc.misses, 1u);
 
   // The hit/miss story also surfaces through the metrics snapshot.
   const MetricsRegistry::Snapshot snap = server.metrics_snapshot();
@@ -242,7 +259,61 @@ TEST(SolveServer, PlanCacheHitIsByteIdentical) {
   const MetricsRegistry::Family* misses =
       snap.find("cellsweep_plan_cache_misses_total");
   ASSERT_NE(misses, nullptr);
-  EXPECT_DOUBLE_EQ(misses->entries[0].value, 2.0);
+  EXPECT_DOUBLE_EQ(misses->entries[0].value, 1.0);
+}
+
+TEST(SolveServer, TwoTenantsShareThePlanTablesBitForBit) {
+  // Nine functional decks in three shape classes -- (sn, it, nm) of
+  // (6, 8, 6), (6, 12, 6) and (4, 8, 4) -- that vary materials,
+  // spacing, J/K extents and blocking within a class, plus two
+  // stencils.
+  const std::string a = kTinyDeck;
+  const std::string b =
+      "it 12  jt 8  kt 8\n"
+      "dx 0.03  dy 0.04  dz 0.05\n"
+      "mk 4  mmi 3\n"
+      "sn 6  moments 6\n"
+      "iterations 2  fixup_from 1\n"
+      "material benchmark 1.0 0.5 0.2 0.05 source 1.0\n";
+  const std::string c =
+      "it 8  jt 8  kt 8\n"
+      "dx 0.04  dy 0.04  dz 0.04\n"
+      "mk 2  mmi 3\n"
+      "sn 4  moments 4\n"
+      "iterations 2  fixup_from 1\n"
+      "material benchmark 1.0 0.5 0.2 0.05 source 1.0\n";
+  std::vector<JobRequest> inputs;
+  for (const std::string& text :
+       {a, other_material(a), with(a, "it 8  jt 8  kt 8", "it 8  jt 12  kt 4"),
+        with(a, "mk 4  mmi 3", "mk 2  mmi 1"), b, other_material(b),
+        with(b, "dx 0.03", "dx 0.1"), c, other_material(c)}) {
+    JobRequest req = sweep_req("sweep-" + std::to_string(inputs.size()));
+    req.text = text;
+    inputs.push_back(req);
+  }
+  inputs.push_back(stencil_req("stencil-0"));
+  inputs.push_back(stencil_req("stencil-1"));
+
+  ServerConfig cfg;
+  cfg.tenants = 2;
+  cfg.host_threads = 2;
+  SolveServer server(cfg);
+  for (const JobRequest& req : inputs) server.submit(req);
+  const std::vector<JobResult> results = server.drain();
+  ASSERT_EQ(results.size(), inputs.size());
+  std::uint64_t sweeps = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok) << results[i].name << ": " << results[i].error;
+    const JobRequest& req = inputs[i];
+    expect_same_physics(results[i],
+                        JobInput(req.kind, req.text)
+                            .run(CellSweepConfig::from_stage(cfg.stage),
+                                 req.mode));
+    sweeps += req.kind == JobKind::kSweep ? 1 : 0;
+  }
+  const PlanCache::Stats pc = server.plan_cache_stats();
+  EXPECT_EQ(pc.hits + pc.misses, sweeps);
+  EXPECT_GE(pc.misses, 3u);  // each shape class builds once
 }
 
 TEST(SolveServer, AdmissionRejectsUnparsableInput) {
@@ -616,45 +687,55 @@ TEST(SolveServer, TenantWeightsAndQuotasReachTheAllocator) {
   EXPECT_LE(server.allocator_stats().peak_tenants, 1);
 }
 
-TEST(PlanCache, BoundedCacheEvictsFifo) {
-  PlanCache cache(2);
-  const OptimizationStage s = OptimizationStage::kSpeLsPoke;
-  const std::uint64_t k1 = PlanCache::fingerprint("sweep", s, "one");
-  const std::uint64_t k2 = PlanCache::fingerprint("sweep", s, "two");
-  const std::uint64_t k3 = PlanCache::fingerprint("sweep", s, "three");
-  auto plan = std::make_shared<const CachedPlan>();
-  cache.insert(k1, plan);
-  cache.insert(k2, plan);
-  EXPECT_NE(cache.find(k1), nullptr);  // k1 still resident
-  cache.insert(k3, plan);              // evicts k1 (oldest inserted)
-  PlanCache::Stats st = cache.stats();
-  EXPECT_EQ(st.entries, 2u);
-  EXPECT_EQ(st.evictions, 1u);
-  EXPECT_EQ(cache.find(k1), nullptr);
-  EXPECT_NE(cache.find(k2), nullptr);
-  EXPECT_NE(cache.find(k3), nullptr);
-  // Re-inserting an evicted key is a fresh insertion, not a race loss.
-  cache.insert(k1, plan);
-  st = cache.stats();
-  EXPECT_EQ(st.entries, 2u);
-  EXPECT_EQ(st.evictions, 2u);
-  EXPECT_EQ(cache.find(k2), nullptr);  // k2 was the oldest this time
-}
+TEST(PlanCache, KeysOnShapeNotOnDeck) {
+  const CellSweepConfig spe = CellSweepConfig::from_stage(
+      OptimizationStage::kSpeLsPoke);
+  PlanCache cache(spe.chip);
+  const auto plan = [&cache](const std::string& text,
+                             const CellSweepConfig& cfg) {
+    return cache.plan(sweep::parse_deck_string(text), cfg);
+  };
+  const PlanCache::Plan cold = plan(kTinyDeck, spe);
+  EXPECT_FALSE(cold.hit);
+  ASSERT_NE(cold.quadrature, nullptr);
+  ASSERT_NE(cold.kernels, nullptr);
+  EXPECT_EQ(cold.quadrature->order(), 6);
 
-TEST(PlanCacheFingerprint, SeparatesKindStageAndContent) {
-  const OptimizationStage s0 = OptimizationStage::kSpeLsPoke;
-  const OptimizationStage s1 = OptimizationStage::kSpeSimd;
-  const std::uint64_t sweep_fp = PlanCache::fingerprint("sweep", s0, "x");
-  // Identical bytes submitted as a stencil spec must never collide with
-  // the same bytes as a sweep deck.
-  EXPECT_NE(sweep_fp, PlanCache::fingerprint("stencil", s0, "x"));
-  EXPECT_NE(sweep_fp, PlanCache::fingerprint("sweep", s1, "x"));
-  EXPECT_NE(sweep_fp, PlanCache::fingerprint("sweep", s0, "y"));
-  EXPECT_EQ(sweep_fp, PlanCache::fingerprint("sweep", s0, "x"));
-  // The separators are part of the hash: moving a byte across the
-  // kind/content boundary changes the fingerprint.
-  EXPECT_NE(PlanCache::fingerprint("ab", s0, "c"),
-            PlanCache::fingerprint("a", s0, "bc"));
+  // Nothing a chunk's cost or the quadrature depends on: hits, served
+  // from the very same tables.
+  for (const std::string& deck :
+       {std::string(kTinyDeck), other_material(kTinyDeck),
+        with(kTinyDeck, "dx 0.04  dy 0.04  dz 0.04", "dx 0.1  dy 0.2  dz 0.3"),
+        with(kTinyDeck, "it 8  jt 8  kt 8", "it 8  jt 12  kt 4"),
+        with(kTinyDeck, "mk 4  mmi 3", "mk 2  mmi 1")}) {
+    const PlanCache::Plan p = plan(deck, spe);
+    EXPECT_TRUE(p.hit) << deck;
+    EXPECT_EQ(p.quadrature, cold.quadrature) << deck;
+    EXPECT_EQ(p.kernels, cold.kernels) << deck;
+  }
+  // The line length, the Sn order and the moment count: misses.
+  for (const std::string& deck :
+       {with(kTinyDeck, "it 8  jt 8  kt 8", "it 10  jt 8  kt 8"),
+        with(kTinyDeck, "sn 6", "sn 4"),
+        with(kTinyDeck, "moments 6", "moments 4")}) {
+    EXPECT_FALSE(plan(deck, spe).hit) << deck;
+    EXPECT_TRUE(plan(deck, spe).hit) << deck;  // now known
+  }
+  EXPECT_EQ(plan(with(kTinyDeck, "sn 6", "sn 4"), spe).quadrature->order(), 4);
+
+  // A PPE stage prices no chunk: the order's quadrature alone decides.
+  const CellSweepConfig ppe = CellSweepConfig::from_stage(
+      OptimizationStage::kPpeXlc);
+  const std::string s8 =
+      with(with(kTinyDeck, "sn 6", "sn 8"), "mmi 3", "mmi 2");
+  const PlanCache::Plan p = plan(s8, ppe);
+  EXPECT_FALSE(p.hit);
+  EXPECT_EQ(p.kernels, nullptr);
+  EXPECT_TRUE(plan(s8, ppe).hit);
+
+  const PlanCache::Stats st = cache.stats();
+  EXPECT_EQ(st.misses, 5u);
+  EXPECT_EQ(st.hits, 10u);
 }
 
 }  // namespace
