@@ -6,43 +6,9 @@
 #include <stdexcept>
 
 #include "msg/cart_grid.h"
-#include "sweep/plan.h"
 #include "sweep/quadrature.h"
 
 namespace cellsweep::core {
-namespace {
-
-/// Feeds every diagonal of one (octant, angle-block, K-block) block
-/// into an engine.
-void feed_block(TimingEngine& engine, const sweep::Grid& tile,
-                const sweep::SweepConfig& cfg, int iq, int ab, int kb,
-                bool fixup) {
-  const int ndiags = sweep::ChunkPlan::diagonals_per_block(cfg, tile.jt);
-  for (int d = 0; d < ndiags; ++d) {
-    const int nlines = sweep::ChunkPlan::lines_on_diagonal(cfg, tile.jt, d);
-    if (nlines > 0)
-      engine.on_diagonal(sweep::DiagonalWork{iq, ab, kb, d, nlines, tile.it,
-                                             fixup, cfg.kernel});
-  }
-}
-
-/// Runs one chip in isolation over the whole iteration schedule.
-double isolated_seconds(const sweep::Grid& grid, const CellSweepConfig& cfg,
-                        int nm, int angles) {
-  TimingEngine engine(cfg, grid, nm);
-  for (int iter = 0; iter < cfg.sweep.max_iterations; ++iter) {
-    const bool fixup = iter >= cfg.sweep.fixup_from_iteration;
-    const int nkb = grid.kt / cfg.sweep.mk;
-    const int nab = angles / cfg.sweep.mmi;
-    for (int iq = 0; iq < 8; ++iq)
-      for (int ab = 0; ab < nab; ++ab)
-        for (int kb = 0; kb < nkb; ++kb)
-          feed_block(engine, grid, cfg.sweep, iq, ab, kb, fixup);
-  }
-  return engine.finish().seconds;
-}
-
-}  // namespace
 
 ClusterReport simulate_cluster(const sweep::Grid& global,
                                const ClusterConfig& cluster) {
@@ -113,7 +79,7 @@ ClusterReport simulate_cluster(const sweep::Grid& global,
           for (int r : order[iq]) {
             TimingEngine& e = *engines[r];
             if (arrival[r] > 0) e.gate(arrival[r]);  // Figure 2's RECVs
-            feed_block(e, tile, chip.sweep, iq, ab, kb, fixup);
+            e.on_block(iq, ab, kb, fixup);
             const sim::Tick done = e.horizon();
             // SENDs to the downstream wavefront neighbors.
             if (const int east = cart.neighbor(r, down_i); east >= 0) {
@@ -139,14 +105,16 @@ ClusterReport simulate_cluster(const sweep::Grid& global,
     report.rank_seconds[r] = engines[r]->finish().seconds;
     report.seconds = std::max(report.seconds, report.rank_seconds[r]);
   }
-  report.tile_seconds = isolated_seconds(tile, chip, cluster.nm, angles);
+  report.tile_seconds =
+      trace_driven_run(chip, tile, cluster.nm, angles).seconds;
   report.wavefront_efficiency =
       report.seconds > 0 ? report.tile_seconds / report.seconds : 0.0;
   // Single chip on the global cube (skipped if the tile cannot fit the
   // local store at that width).
   try {
     report.speedup_vs_one_chip =
-        isolated_seconds(global, chip, cluster.nm, angles) / report.seconds;
+        trace_driven_run(chip, global, cluster.nm, angles).seconds /
+        report.seconds;
   } catch (const cell::LocalStoreOverflow&) {
     report.speedup_vs_one_chip = 0.0;
   }

@@ -78,12 +78,43 @@ void TimingEngine::on_diagonal(const sweep::DiagonalWork& w) {
   // (0, 0, 0).
   const bool opens_iteration =
       w.octant == 0 && w.ablock == 0 && w.kblock == 0 && w.diagonal == 0;
-  const std::array<int, 3> block{w.octant, w.ablock, w.kblock};
-  const bool new_block = opens_iteration || block != block_;
-  if (new_block) {
-    begin_block(w, opens_iteration);
-    block_ = block;
+  const bool new_block =
+      opens_iteration ||
+      block_ != std::array<int, 3>{w.octant, w.ablock, w.kblock};
+  if (new_block) begin_block(w, opens_iteration);
+  feed(w, new_block);
+}
+
+void TimingEngine::on_block(int octant, int ablock, int kblock, bool fixup) {
+  const sweep::DiagonalWork block{octant, ablock, kblock, 0,
+                                  0,      grid_.it, fixup, cfg_.sweep.kernel};
+  begin_block(block, octant == 0 && ablock == 0 && kblock == 0);
+  if (!skipping_) {
+    bool first = true;
+    sweep::ChunkPlan::for_each_diagonal(
+        cfg_.sweep, grid_.jt, block, [&](const sweep::DiagonalWork& w) {
+          feed(w, first);
+          first = false;
+        });
+    return;
   }
+  // Fast-forwarded: the block's stream is a pure function of the fixup
+  // flag here, so its length and signature close it without a walk.
+  BlockStream& s = block_streams_[fixup ? 1 : 0];
+  if (s.length == 0) {
+    s.signature = kFnvOffset;
+    sweep::ChunkPlan::for_each_diagonal(
+        cfg_.sweep, grid_.jt, block, [&s](const sweep::DiagonalWork& w) {
+          ++s.length;
+          s.signature = mix(s.signature, w);
+        });
+  }
+  diagonals_ = s.length;
+  stream_ = s.signature;
+  end_block();
+}
+
+void TimingEngine::feed(const sweep::DiagonalWork& w, bool first_batch) {
   ++diagonals_;
   stream_ = mix(stream_, w);
 
@@ -104,7 +135,7 @@ void TimingEngine::on_diagonal(const sweep::DiagonalWork& w) {
     specs_.push_back(priced_shape(w, pc.nlines));
     specs_.back().index = pc.index;
   }
-  pipeline_.run_batch(specs_, sweep_dependency, new_block);
+  pipeline_.run_batch(specs_, sweep_dependency, first_batch);
 }
 
 const StreamChunkSpec& TimingEngine::priced_shape(
@@ -141,6 +172,7 @@ void TimingEngine::begin_block(const sweep::DiagonalWork& w,
                          static_cast<double>(real_bytes_of(cfg_.precision));
     pipeline_.memory_pass("source-rebuild", bytes);
   }
+  block_ = {w.octant, w.ablock, w.kblock};
   skipping_ =
       pipeline_.open_block({w.fixup, static_cast<int>(w.kernel), w.it});
   skipped_ += skipping_ ? 1 : 0;
@@ -221,25 +253,35 @@ RunReport CellSweep3D::run_on_ppe(RunMode mode) {
   return r;
 }
 
+RunReport trace_driven_run(const CellSweepConfig& cfg, const sweep::Grid& grid,
+                           int nm, int angles_per_octant) {
+  TimingEngine engine(cfg, grid, nm);
+  cfg.sweep.validate(grid.kt, angles_per_octant);
+  const int nkb = grid.kt / cfg.sweep.mk;
+  const int nab = angles_per_octant / cfg.sweep.mmi;
+  for (int iter = 0; iter < cfg.sweep.max_iterations; ++iter) {
+    const bool fixup = iter >= cfg.sweep.fixup_from_iteration;
+    for (int iq = 0; iq < 8; ++iq)
+      for (int ab = 0; ab < nab; ++ab)
+        for (int kb = 0; kb < nkb; ++kb) engine.on_block(iq, ab, kb, fixup);
+  }
+  return engine.finish();
+}
+
 RunReport CellSweep3D::run_on_spes(RunMode mode) {
+  if (mode == RunMode::kTraceDriven)
+    return trace_driven_run(cfg_, problem_->grid(), nm_,
+                            quad_->angles_per_octant());
+
   TimingEngine engine(cfg_, problem_->grid(), nm_);
   const sweep::DiagonalObserver obs = [&](const sweep::DiagonalWork& w) {
     engine.on_diagonal(w);
   };
-
   RunReport functional_part;
-  if (mode == RunMode::kFunctional) {
-    if (cfg_.precision == Precision::kDouble)
-      run_functional<double>(functional_part, obs);
-    else
-      run_functional<float>(functional_part, obs);
-  } else {
-    for (int iter = 0; iter < cfg_.sweep.max_iterations; ++iter) {
-      const bool fixup = iter >= cfg_.sweep.fixup_from_iteration;
-      enumerate_sweep(problem_->grid(), quad_->angles_per_octant(),
-                      cfg_.sweep, fixup, obs);
-    }
-  }
+  if (cfg_.precision == Precision::kDouble)
+    run_functional<double>(functional_part, obs);
+  else
+    run_functional<float>(functional_part, obs);
 
   RunReport r = engine.finish();
   r.solve = functional_part.solve;

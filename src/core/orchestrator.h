@@ -22,8 +22,9 @@
 // Two run modes produce identical timing (a test asserts it):
 //   * kFunctional  -- the physics really runs; the observer feeds the
 //     engine (execution-driven). Use for correctness and examples.
-//   * kTraceDriven -- only the loop structure is replayed (fast; the
-//     benches use it for big sweeps).
+//   * kTraceDriven -- only the loop structure is replayed, one
+//     TimingEngine::on_block call per block (fast; the benches use it
+//     for big sweeps).
 #pragma once
 
 #include <array>
@@ -48,8 +49,9 @@ namespace cellsweep::core {
 /// admission all size the LS footprint from it.
 LsPlacement sweep_placement(const CellSweepConfig& cfg, int it, int nm);
 
-/// Timing engine: consumes DiagonalWork events in sweep order and
-/// re-hosts them on the workload-agnostic StreamingPipeline.
+/// Timing engine: consumes the sweep's work in sweep order -- one
+/// DiagonalWork at a time, or one whole block at a time -- and re-hosts
+/// it on the workload-agnostic StreamingPipeline.
 ///
 /// Block fast-forward: every (octant, angle-block, K-block) block
 /// starts behind a hard barrier, and since MK divides KT and MMI the
@@ -60,6 +62,14 @@ LsPlacement sweep_placement(const CellSweepConfig& cfg, int it, int nm);
 /// block the pipeline fast-forwards, and closes each block with its
 /// diagonal count and an FNV-1a signature of its stream. The memo, and
 /// when it replays in full, are StreamingPipeline's (open_block).
+///
+/// Two feeds: functional solves call on_diagonal for every diagonal
+/// the physics emits, so each one is checked against the block
+/// geometry even inside a skipped block. Trace-driven runs call
+/// on_block once per block: a skipped block is closed at once with the
+/// length and signature of its stream, computed once per fixup flag,
+/// and only a replayed block walks its diagonals. Feed a run one way or
+/// the other, never both within one block.
 class TimingEngine {
  public:
   TimingEngine(const CellSweepConfig& cfg, const sweep::Grid& grid, int nm);
@@ -69,6 +79,14 @@ class TimingEngine {
   /// when a fast-forwarded block turns out to feed a different
   /// diagonal stream than the block it repeats.
   void on_diagonal(const sweep::DiagonalWork& w);
+
+  /// Feed block (@p octant, @p ablock, @p kblock) of a trace-driven
+  /// sweep whole: the diagonals sweep::ChunkPlan::for_each_diagonal
+  /// walks for cfg.sweep, the grid's line length and @p fixup. Block
+  /// (0, 0, 0) opens a source iteration. The block is closed on return
+  /// when the pipeline fast-forwarded it, and open (as after its last
+  /// on_diagonal) when it was replayed.
+  void on_block(int octant, int ablock, int kblock, bool fixup);
 
   /// Closes the last block (the stream check above) and drains
   /// outstanding work; returns the completed report (timing fields
@@ -101,10 +119,20 @@ class TimingEngine {
     StreamChunkSpec spec;
   };
 
+  /// Length and FNV-1a signature of one block's diagonal stream
+  /// (length 0: not walked yet; every block has a diagonal).
+  struct BlockStream {
+    std::uint64_t length = 0;
+    std::uint64_t signature = 0;
+  };
+
   /// Closes the previous block, runs the source-rebuild pass if the
   /// block @p w starts opens a source iteration, then opens the new
   /// block on the pipeline.
   void begin_block(const sweep::DiagonalWork& w, bool opens_iteration);
+  /// Feeds diagonal @p w of the open block; @p first_batch opens the
+  /// block's pipeline barrier.
+  void feed(const sweep::DiagonalWork& w, bool first_batch);
   /// Closes the current block on the pipeline with its stream.
   void end_block();
   const StreamChunkSpec& priced_shape(const sweep::DiagonalWork& w,
@@ -126,7 +154,18 @@ class TimingEngine {
   std::uint64_t diagonals_ = 0;  ///< diagonals of the current block
   std::uint64_t stream_ = 0;     ///< their signature
   int skipped_ = 0;
+  /// The stream of an on_block block, per fixup flag (walked on first
+  /// use: the engine's cfg, line length and kernel are fixed).
+  std::array<BlockStream, 2> block_streams_{};
 };
+
+/// Times cfg.sweep.max_iterations trace-driven sweeps of @p grid on one
+/// chip, every (octant, angle-block, K-block) block fed through
+/// TimingEngine::on_block; returns the timing report.
+/// CellSweep3D::run(kTraceDriven) and simulate_cluster's isolated chips
+/// run it.
+RunReport trace_driven_run(const CellSweepConfig& cfg, const sweep::Grid& grid,
+                           int nm, int angles_per_octant);
 
 /// End-to-end runner for one problem + configuration.
 class CellSweep3D {

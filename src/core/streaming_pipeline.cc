@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/hazard.h"
 #include "cellsim/observer.h"
@@ -212,6 +213,7 @@ void StreamingPipeline::memory_pass(const char* name, double bytes) {
   // rebuild, the stencil's residual reduction). Bandwidth-bound; the
   // arithmetic is fully pipelined underneath. Serializes: the pass
   // starts at the current horizon and later work starts behind it.
+  applied_.reset();
   const sim::Tick before = p_.next_barrier;
   p_.next_barrier = machine_.mic().submit(p_.next_barrier, bytes, 0, 1.0);
   if (sink_) {
@@ -226,23 +228,38 @@ bool StreamingPipeline::open_block(std::initializer_list<std::int64_t> salt) {
   if (sink_ || observer_ || fault_plan_.enabled() || cfg_.spe_allocator ||
       cfg_.cancel)
     return false;
+  // Right after entry prev, a salt that begins prev's successor's key
+  // completes that key too.
+  const std::optional<std::size_t> prev = std::exchange(applied_, {});
+  if (prev && memo_[*prev].next) {
+    const std::size_t next = *memo_[*prev].next;
+    const std::vector<std::int64_t>& key = memo_[next].key;
+    if (key.size() >= salt.size() &&
+        std::equal(salt.begin(), salt.end(), key.begin()))
+      return skip_as(next);
+  }
   key_.assign(salt);
   canonical_key(key_);
   for (std::size_t i = 0; i < memo_.size(); ++i) {
     if (memo_[i].key != key_) continue;
-    if (!fast_forward(memo_[i])) return false;
-    skipping_ = i;
-    return true;
+    if (prev) memo_[*prev].next = i;
+    return skip_as(i);
   }
-  if (exact_counters()) recording_ = Block{key_, snapshot(), {}, 0, 0};
+  if (exact_counters()) recording_ = Block{key_, snapshot(), {}, 0, 0, {}};
   return false;
+}
+
+bool StreamingPipeline::skip_as(std::size_t i) {
+  if (!fast_forward(memo_[i])) return false;
+  skipping_ = i;
+  return true;
 }
 
 void StreamingPipeline::close_block(std::uint64_t length,
                                     std::uint64_t stream) {
   if (skipping_) {
     const Block& repeated = memo_[*skipping_];
-    skipping_.reset();
+    applied_ = std::exchange(skipping_, {});
     if (length != repeated.length || stream != repeated.stream)
       throw std::logic_error(
           "StreamingPipeline: a fast-forwarded block was fed a different "
@@ -254,6 +271,7 @@ void StreamingPipeline::close_block(std::uint64_t length,
       recording_->length = length;
       recording_->stream = stream;
       memo_.push_back(std::move(*recording_));
+      applied_ = memo_.size() - 1;
     }
     recording_.reset();
   }
@@ -556,6 +574,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
                                   const DependencyPolicy& deps,
                                   bool new_block) {
   confined_.check("StreamingPipeline::run_batch");
+  applied_.reset();
   // A new pipeline block starts behind everything outstanding (the
   // sweep's blocks are sequential -- the paper's sweep() processes
   // them in order) and forgets the upstream chunk history.
@@ -861,6 +880,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
 
 RunReport StreamingPipeline::finish() {
   confined_.check("StreamingPipeline::finish");
+  applied_.reset();
   RunReport r;
   const sim::Tick end = p_.next_barrier;
   if (observer_) observer_->on_run_end(end);

@@ -199,6 +199,7 @@ class StreamingPipeline {
   /// between blocks (after close_block): the gate then lands in the
   /// next block's key, not in an open block's recorded effect.
   void gate(sim::Tick at) {
+    applied_.reset();
     p_.next_barrier = std::max(p_.next_barrier, at);
     p_.reports_horizon = std::max(p_.reports_horizon, at);
   }
@@ -215,7 +216,8 @@ class StreamingPipeline {
 
   /// Opens a block at the current horizon, keyed by @p salt (whatever
   /// of the workload the pipeline cannot see, e.g. the sweep's fixup
-  /// flag, kernel and line length) plus the machine's canonical state.
+  /// flag, kernel and line length; the same number of values on every
+  /// call) plus the machine's canonical state.
   /// Returns true when an earlier block with the same key was applied:
   /// the caller then feeds no batch until close_block(). Otherwise the
   /// block is recorded for later ones and the caller streams it. Always
@@ -224,6 +226,14 @@ class StreamingPipeline {
   /// is one), a hazard observer (CELLSWEEP_HAZARD_CHECK included), an
   /// enabled fault plan, an SPE allocator or a cancel flag; or when a
   /// published floating-point counter is not an exact integer.
+  ///
+  /// Successor links: when the block just closed was recorded as, or
+  /// fast-forwarded from, memo entry i, and no batch, memory pass, gate
+  /// or finish() came since, the key depends on i and the salt alone
+  /// (fast_forward overwrites every clock the key reads). So each entry
+  /// keeps the entry the next block's key matched, and a block that
+  /// follows i with that entry's salt applies it without building the
+  /// key.
   bool open_block(std::initializer_list<std::int64_t> salt);
 
   /// Closes the open block (no-op when none is): the caller's @p length
@@ -279,14 +289,17 @@ class StreamingPipeline {
     sim::BandwidthResource::State eib;
     cell::DispatchFabric::State dispatch;
   };
-  /// One priced block: its key, the snapshots at its base and end, and
-  /// the caller's length and signature of its stream.
+  /// One priced block: its key, the snapshots at its base and end, the
+  /// caller's length and signature of its stream, and its successor
+  /// link: the entry whose key the next block matched when nothing ran
+  /// between the two (see open_block).
   struct Block {
     std::vector<std::int64_t> key;
     Snapshot start;
     Snapshot end;
     std::uint64_t length = 0;
     std::uint64_t stream = 0;
+    std::optional<std::size_t> next;
   };
 
   /// One chunk of the batch being streamed: its spec, SPE, staging
@@ -354,6 +367,9 @@ class StreamingPipeline {
   /// current bank cursor. Returns false, changing nothing, unless every
   /// published floating-point counter is exact before and after.
   bool fast_forward(const Block& block);
+  /// Fast-forwards memo entry @p i and opens it as the skipped block;
+  /// false when fast_forward refuses.
+  bool skip_as(std::size_t i);
 
   /// A pipeline is confined to its tenant thread: the simulated clocks
   /// are plain fields, and only claim_ transitions (which go through
@@ -419,12 +435,15 @@ class StreamingPipeline {
   /// wave boundaries), as opposed to the batch-boundary rebalances.
   std::uint64_t preempt_yields_ = 0;
 
-  // Block fast-forward: the priced blocks, the key buffer (reused), and
-  // the block being recorded or the memo entry being repeated.
+  // Block fast-forward: the priced blocks, the key buffer (reused), the
+  // block being recorded or the memo entry being repeated, and the
+  // entry whose end state the machine is in (the last block closed was
+  // recorded as or skipped from it, and nothing ran since).
   std::vector<Block> memo_;
   std::vector<std::int64_t> key_;
   std::optional<Block> recording_;
   std::optional<std::size_t> skipping_;
+  std::optional<std::size_t> applied_;
 };
 
 }  // namespace cellsweep::core

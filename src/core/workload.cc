@@ -1,5 +1,7 @@
 #include "core/workload.h"
 
+#include <algorithm>
+
 #include "sweep/kernel.h"
 #include "sweep/plan.h"
 #include "util/aligned.h"
@@ -46,44 +48,62 @@ void enumerate_sweep(const sweep::Grid& grid, int angles_per_octant,
   cfg.validate(grid.kt, angles_per_octant);
   const int nkb = grid.kt / cfg.mk;
   const int nab = angles_per_octant / cfg.mmi;
-  const int ndiags = sweep::ChunkPlan::diagonals_per_block(cfg, grid.jt);
-
   for (int iq = 0; iq < 8; ++iq)
     for (int ab = 0; ab < nab; ++ab)
       for (int kb = 0; kb < nkb; ++kb)
-        for (int d = 0; d < ndiags; ++d) {
-          const int nlines =
-              sweep::ChunkPlan::lines_on_diagonal(cfg, grid.jt, d);
-          if (nlines > 0)
-            observer(sweep::DiagonalWork{iq, ab, kb, d, nlines, grid.it,
-                                         fixup, cfg.kernel});
-        }
+        sweep::ChunkPlan::for_each_diagonal(
+            cfg, grid.jt,
+            sweep::DiagonalWork{iq, ab, kb, 0, 0, grid.it, fixup, cfg.kernel},
+            observer);
 }
 
 WorkloadTotals audit_workload(const sweep::Grid& grid, int angles_per_octant,
                               const CellSweepConfig& cell_cfg, int nm) {
   WorkloadTotals totals;
+  const sweep::SweepConfig& cfg = cell_cfg.sweep;
+  const int iterations = cfg.max_iterations;
+  if (iterations < 1) return totals;
+  cfg.validate(grid.kt, angles_per_octant);
   const std::size_t real_bytes = real_bytes_of(cell_cfg.precision);
 
-  for (int iter = 0; iter < cell_cfg.sweep.max_iterations; ++iter) {
-    const bool fixup = iter >= cell_cfg.sweep.fixup_from_iteration;
-    enumerate_sweep(
-        grid, angles_per_octant, cell_cfg.sweep, fixup,
+  // Every block of a run walks the same diagonals, so the totals are
+  // one block per fixup flag times the blocks that carry the flag.
+  // Every sum is an integer (the bytes too, exact in a double below
+  // 2^53), so this equals a walk over every diagonal and chunk.
+  const std::uint64_t blocks_per_sweep =
+      8ull * static_cast<std::uint64_t>(angles_per_octant / cfg.mmi) *
+      static_cast<std::uint64_t>(grid.kt / cfg.mk);
+  const int plain = std::clamp(cfg.fixup_from_iteration, 0, iterations);
+  for (const bool fixup : {false, true}) {
+    const std::uint64_t blocks =
+        blocks_per_sweep *
+        static_cast<std::uint64_t>(fixup ? iterations - plain : plain);
+    if (blocks == 0) continue;
+    WorkloadTotals block;
+    sweep::ChunkPlan::for_each_diagonal(
+        cfg, grid.jt,
+        sweep::DiagonalWork{0, 0, 0, 0, 0, grid.it, fixup, cfg.kernel},
         [&](const sweep::DiagonalWork& w) {
-          ++totals.diagonals;
-          totals.lines += w.nlines;
-          totals.cell_solves += static_cast<std::uint64_t>(w.nlines) * w.it;
+          const auto cells = static_cast<std::uint64_t>(w.nlines) * w.it;
           const int nchunks = sweep::ChunkPlan::chunk_count(w.nlines);
-          totals.chunks += nchunks;
+          ++block.diagonals;
+          block.lines += w.nlines;
+          block.cell_solves += cells;
+          block.chunks += nchunks;
+          block.flops += cells * sweep::flops_per_cell_solve(nm, fixup);
           for (int c = 0; c < nchunks; ++c) {
             const int n = sweep::ChunkPlan::chunk_width(w.nlines, c);
             const TransferPlan plan = plan_chunk(ChunkShape{
                 n, w.it, nm, real_bytes, cell_cfg.aligned_rows});
-            totals.bytes += static_cast<double>(plan.total_bytes());
+            block.bytes += static_cast<double>(plan.total_bytes());
           }
-          totals.flops += static_cast<std::uint64_t>(w.nlines) * w.it *
-                          sweep::flops_per_cell_solve(nm, fixup);
         });
+    totals.diagonals += blocks * block.diagonals;
+    totals.lines += blocks * block.lines;
+    totals.cell_solves += blocks * block.cell_solves;
+    totals.chunks += blocks * block.chunks;
+    totals.flops += blocks * block.flops;
+    totals.bytes += static_cast<double>(blocks) * block.bytes;
   }
   return totals;
 }

@@ -8,8 +8,8 @@
 // local-store footprint of a chunk -- the numbers behind the paper's
 // "17.6 Gbytes transferred" audit -- and provides a standalone
 // enumerator that replays the sweep loop structure without touching
-// field data (trace-driven mode for the large benches; a test asserts
-// it emits the identical diagonal stream as the functional sweeper).
+// field data (a test asserts it emits the identical diagonal stream as
+// the functional sweeper).
 #pragma once
 
 #include <cstddef>
@@ -70,9 +70,11 @@ struct TransferPlan {
 TransferPlan plan_chunk(const ChunkShape& shape);
 
 /// Replays the sweep() loop structure -- octants, angle blocks, K-plane
-/// blocks, JK-diagonals -- emitting the same DiagonalWork stream as
-/// SweepState::sweep, without field data. One call covers one sweep
-/// (one iteration); the caller owns the iteration loop and fixup flag.
+/// blocks, JK-diagonals (sweep::ChunkPlan::for_each_diagonal) --
+/// emitting the same DiagonalWork stream as SweepState::sweep, without
+/// field data. One call covers one sweep (one iteration); the caller
+/// owns the iteration loop and fixup flag. Trace-driven runs feed the
+/// timing engine by block instead (TimingEngine::on_block).
 void enumerate_sweep(const sweep::Grid& grid, int angles_per_octant,
                      const sweep::SweepConfig& cfg, bool fixup,
                      const sweep::DiagonalObserver& observer);
@@ -87,8 +89,11 @@ struct WorkloadTotals {
   std::uint64_t flops = 0;
 };
 
-/// Accumulates totals for @p iterations sweeps of the given problem
-/// shape under @p cell_cfg (fixups per the sweep config's schedule).
+/// Totals of cell_cfg.sweep.max_iterations sweeps of the given problem
+/// shape under @p cell_cfg (fixups per the sweep config's schedule),
+/// from one block per fixup flag: every block of a run has the same
+/// diagonals, so the totals equal a walk over every diagonal and chunk
+/// (bytes included while they stay below 2^53).
 WorkloadTotals audit_workload(const sweep::Grid& grid, int angles_per_octant,
                               const CellSweepConfig& cell_cfg, int nm);
 

@@ -12,10 +12,12 @@
 // or on a host thread pool) and the timing engine
 // (core::TimingEngine::on_diagonal, which prices the identical chunk
 // list on the machine model) -- consume a ChunkPlan, so the functional
-// and timing paths cannot drift. The workload audit and the cluster
-// replayer use the same arithmetic through the static helpers.
+// and timing paths cannot drift. The trace-driven enumerator, the
+// timing engine's block call and the workload audit walk a block's
+// diagonals through the static for_each_diagonal.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "sweep/sweeper.h"
@@ -89,6 +91,22 @@ class ChunkPlan {
 
   /// Width of chunk @p chunk in a plan over @p nlines lines.
   static int chunk_width(int nlines, int chunk) noexcept;
+
+  /// The block walker: calls @p visit with each non-empty diagonal of
+  /// one pipeline block in sweep order, as @p block (its octant, angle
+  /// block, K block, it, fixup flag and kernel) with the diagonal's
+  /// index and line count filled in -- the stream the functional
+  /// sweeper emits for that block.
+  template <typename Visit>
+  static void for_each_diagonal(const SweepConfig& cfg, int jt,
+                                DiagonalWork block, Visit&& visit) {
+    const int ndiags = diagonals_per_block(cfg, jt);
+    for (int d = 0; d < ndiags; ++d) {
+      block.diagonal = d;
+      block.nlines = lines_on_diagonal(cfg, jt, d);
+      if (block.nlines > 0) visit(std::as_const(block));
+    }
+  }
 
  private:
   int diagonal_ = 0;

@@ -1,14 +1,15 @@
-// Seeded fuzz / property tests for the four text parsers.
+// Seeded fuzz / property tests for the five text parsers.
 //
 // Property under test: for any input -- valid, mutated, truncated or
 // pure garbage -- util::parse_json either returns a value or throws
 // util::JsonError, sweep::parse_deck_string either returns a deck or
-// throws sweep::DeckError, and the --faults and --arrivals spec
-// grammars either yield a plan or throw sim::FaultSpecError /
-// core::ArrivalSpecError. None may crash, hang, allocate unboundedly,
-// or leak a foreign exception type. All randomness flows through
-// util::SplitMix64, so every failure reproduces from the case number
-// printed in the assertion message.
+// throws sweep::DeckError, stencil::parse_spec_string either returns a
+// spec that passes validate() or throws stencil::StencilError, and the
+// --faults and --arrivals spec grammars either yield a plan or throw
+// sim::FaultSpecError / core::ArrivalSpecError. None may crash, hang,
+// allocate unboundedly, or leak a foreign exception type. All
+// randomness flows through util::SplitMix64, so every failure
+// reproduces from the case number printed in the assertion message.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/units.h"
+#include "workloads/stencil/spec.h"
 
 namespace cellsweep {
 namespace {
@@ -451,6 +453,111 @@ TEST(SpecFuzz, OutcomesAreDeterministicPerSeed) {
     for (std::size_t seed = 0; seed < a.size(); ++seed)
       EXPECT_EQ(a[seed], b[seed]) << g->name << " case seed " << seed;
   }
+}
+
+// ---------------------------------------------------------------------------
+// stencil::parse_spec_string: the .stencil grammar.
+
+/// examples/decks/tiny8.stencil and examples/decks/heat32.stencil.
+const std::vector<std::string> kStencilCorpus = {
+    "# Smallest useful stencil spec: one 8^3 grid of 2^3 blocks.\n"
+    "# Used as the CI smoke input for the stencil workload path.\n"
+    "\n"
+    "nx 8  ny 8  nz 8\n"
+    "bx 4  by 4  bz 4\n"
+    "iterations 2\n",
+    "# Red-black Gauss-Seidel relaxation of the Poisson equation\n"
+    "# -6 u = h^2 f on a 32^3 grid with Dirichlet zero boundaries --\n"
+    "# the lattice-QCD-style streaming shape (arXiv:0710.2442) ported\n"
+    "# onto the same Cell machine model as the sweep.\n"
+    "#\n"
+    "#   $ ./deck_runner examples/decks/heat32.stencil\n"
+    "\n"
+    "nx 32  ny 32  nz 32\n"
+    "bx 8   by 8   bz 8\n"
+    "iterations 4\n"
+    "h 1.0\n"
+    "source 1.0\n",
+};
+
+/// A parsed spec, field by field, once validate() has passed again.
+std::string stencil_digest(const std::string& text) {
+  const stencil::StencilSpec spec = stencil::parse_spec_string(text);
+  spec.validate();
+  std::string d = "ok";
+  for (const int v : {spec.nx, spec.ny, spec.nz, spec.bx, spec.by, spec.bz,
+                      spec.iterations})
+    d += ' ' + std::to_string(v);
+  return d + ' ' + hex(spec.h) + ' ' + hex(spec.source);
+}
+
+/// @p text's outcome under the fuzz contract (outcome_of).
+std::string stencil_outcome(const std::string& text,
+                            const std::string& label) {
+  return outcome_of<stencil::StencilError, stencil_digest>(text, label);
+}
+
+/// Stencil case @p seed: a mutated corpus spec (even seeds), or 1-12
+/// keys and values drawn from the grammar's own tokens and junk,
+/// separated by spaces and line breaks (odd seeds).
+std::string stencil_case(std::uint64_t seed) {
+  util::SplitMix64 rng(0x57e2c11ULL + seed);
+  if (seed % 2 == 0) {
+    std::string text = kStencilCorpus[rng.next_below(kStencilCorpus.size())];
+    mutate(text, rng, "0123456789 \n#.-+e");
+    return text;
+  }
+  const char* const keys[] = {"nx", "ny",     "nz", "bx", "by",
+                              "bz", "iterations", "h", "source", "zz", "#"};
+  const char* const values[] = {
+      "0",    "1",    "2",    "3",   "4",    "8",    "16",   "32",
+      "1024", "1025", "-8",   "0.5", "1e-3", "-1.0", "nan",  "inf",
+      "1e999", "10000", "10001", "99999999999999999999", "x", ""};
+  std::string text;
+  const int pairs = 1 + static_cast<int>(rng.next_below(12));
+  for (int p = 0; p < pairs; ++p) {
+    text += keys[rng.next_below(std::size(keys))];
+    text += ' ';
+    text += values[rng.next_below(std::size(values))];
+    text += rng.next_below(3) == 0 ? "\n" : "  ";
+  }
+  return text;
+}
+
+/// Every stencil case outcome for seeds [0, n), in seed order.
+std::vector<std::string> stencil_outcomes(std::uint64_t n) {
+  std::vector<std::string> out;
+  for (std::uint64_t seed = 0; seed < n; ++seed)
+    out.push_back(stencil_outcome(stencil_case(seed),
+                                  "stencil case seed " + std::to_string(seed)));
+  return out;
+}
+
+TEST(StencilFuzz, CorpusParsesClean) {
+  for (const std::string& spec : kStencilCorpus)
+    EXPECT_EQ(stencil_outcome(spec, "corpus").rfind("ok", 0), 0u) << spec;
+}
+
+TEST(StencilFuzz, CasesYieldAValidSpecOrTheTypedError) {
+  const std::vector<std::string> outcomes = stencil_outcomes(800);
+  int ok = 0, errors = 0;
+  for (std::size_t seed = 0; seed < outcomes.size(); ++seed) {
+    const bool valid = outcomes[seed].rfind("ok", 0) == 0;
+    const bool typed = outcomes[seed].rfind("error: ", 0) == 0;
+    EXPECT_TRUE(valid || typed) << "stencil case seed " << seed;
+    ok += valid ? 1 : 0;
+    errors += typed ? 1 : 0;
+  }
+  // Both sides of the grammar are exercised.
+  EXPECT_GT(ok, 0);
+  EXPECT_GT(errors, 0);
+}
+
+TEST(StencilFuzz, OutcomesAreDeterministicPerSeed) {
+  const std::vector<std::string> a = stencil_outcomes(300);
+  const std::vector<std::string> b = stencil_outcomes(300);
+  for (std::size_t seed = 0; seed < a.size(); ++seed)
+    EXPECT_EQ(a[seed], b[seed]) << "stencil case seed " << seed;
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Block fast-forward in core::TimingEngine: a run that skips repeated
 // (octant, angle-block, K-block) blocks must report, byte for byte,
-// what a full replay of every chunk reports. Attaching any trace sink
-// forces the full replay (StreamingPipeline::open_block), so a no-op
-// sink gives the reference run.
+// what a full replay of every chunk reports, whether it is fed one
+// diagonal at a time (on_diagonal) or one block at a time (on_block,
+// the trace-driven feed). Attaching any trace sink forces the full
+// replay (StreamingPipeline::open_block), so a no-op sink gives the
+// reference run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include "sim/trace.h"
 #include "sweep/deck.h"
 #include "sweep/quadrature.h"
+#include "util/rng.h"
 
 namespace cellsweep::core {
 namespace {
@@ -145,6 +148,13 @@ Case make_case(const char* deck_text, OS stage) {
   return c;
 }
 
+/// What a finished engine reports: the blocks it fast-forwarded and
+/// its metrics JSON.
+struct Finished {
+  int skipped = 0;
+  std::string json;
+};
+
 /// For each n of @p lengths: an engine with fast-forward and one
 /// replaying in full, both fed the first n iterations of one diagonal
 /// stream. The full engines hold sink_'s address, so pairs never move.
@@ -178,18 +188,19 @@ class EnginePairs {
     }
   }
 
-  /// Finishes every pair, expecting identical metrics JSON; returns
-  /// the blocks each fast engine skipped.
-  std::vector<int> finish_and_compare(const std::string& what) {
-    std::vector<int> skipped;
+  /// Finishes every pair, expecting identical metrics JSON; returns,
+  /// per length, the blocks the fast engine skipped and the JSON.
+  std::vector<Finished> finish_and_compare(const std::string& what) {
+    std::vector<Finished> out;
     for (std::size_t k = 0; k < lengths_.size(); ++k) {
-      skipped.push_back(fast_[k]->blocks_fast_forwarded());
       EXPECT_EQ(full_[k]->blocks_fast_forwarded(), 0);
-      EXPECT_EQ(metrics_json(fast_[k]->finish()),
-                metrics_json(full_[k]->finish()))
+      const Finished fast{fast_[k]->blocks_fast_forwarded(),
+                          metrics_json(fast_[k]->finish())};
+      EXPECT_EQ(fast.json, metrics_json(full_[k]->finish()))
           << what << ", " << lengths_[k] << " iteration(s)";
+      out.push_back(fast);
     }
-    return skipped;
+    return out;
   }
 
  private:
@@ -214,9 +225,26 @@ CellSweepConfig schedule(const Case& c, int iterations, int fixup_from) {
   return cfg;
 }
 
+/// An engine with fast-forward fed @p cfg's whole schedule through the
+/// block call, one on_block per block in sweep order (as
+/// trace_driven_run feeds it).
+Finished block_fed(const Case& c, const CellSweepConfig& cfg) {
+  const sweep::Grid& g = c.deck.problem.grid();
+  TimingEngine engine(cfg, g, c.nm);
+  for (int iter = 0; iter < cfg.sweep.max_iterations; ++iter)
+    for (int iq = 0; iq < 8; ++iq)
+      for (int ab = 0; ab < c.angles / cfg.sweep.mmi; ++ab)
+        for (int kb = 0; kb < g.kt / cfg.sweep.mk; ++kb)
+          engine.on_block(iq, ab, kb,
+                          iter >= cfg.sweep.fixup_from_iteration);
+  const int skipped = engine.blocks_fast_forwarded();
+  return {skipped, metrics_json(engine.finish())};
+}
+
 /// Trace-driven pairs for each iteration count of @p lengths, fixups
-/// from iteration @p fixup_from; returns the skip counts. A mismatch
-/// names @p what.
+/// from iteration @p fixup_from; returns the skip counts. Each length
+/// also runs through the block call, which must skip the same blocks
+/// and report the full replay's JSON. A mismatch names @p what.
 std::vector<int> trace_driven(const Case& c, const std::vector<int>& lengths,
                               int fixup_from, const std::string& what) {
   const CellSweepConfig cfg = schedule(
@@ -226,7 +254,18 @@ std::vector<int> trace_driven(const Case& c, const std::vector<int>& lengths,
     enumerate_sweep(
         c.deck.problem.grid(), c.angles, cfg.sweep, iter >= fixup_from,
         [&](const sweep::DiagonalWork& w) { pairs.on_diagonal(w); });
-  return pairs.finish_and_compare(what);
+  const std::vector<Finished> per_diagonal = pairs.finish_and_compare(what);
+  std::vector<int> skipped;
+  for (std::size_t k = 0; k < lengths.size(); ++k) {
+    skipped.push_back(per_diagonal[k].skipped);
+    if (hazard_env()) continue;  // the block call would replay in full too
+    const Finished block = block_fed(c, schedule(c, lengths[k], fixup_from));
+    EXPECT_EQ(block.skipped, per_diagonal[k].skipped)
+        << what << ", " << lengths[k] << " iteration(s), block call";
+    EXPECT_EQ(block.json, per_diagonal[k].json)
+        << what << ", " << lengths[k] << " iteration(s), block call";
+  }
+  return skipped;
 }
 
 /// Solves @p c's deck functionally under @p sweep_cfg, feeding every
@@ -320,8 +359,9 @@ TEST(TimingFastForward, Benchmark50PricesAtMostTwelveOf960Blocks) {
   // 12 iterations of 80 blocks. Every block of a run feeds the same
   // diagonal stream, so only the canonical start states differ: the
   // single-buffered stages (initial, + gotos) price 8 blocks, every
-  // other SPE stage and Fig. 10 projection 12. The six Fig. 5 stages
-  // are also compared with their full replay.
+  // other SPE stage and Fig. 10 projection 12, fed by diagonal or by
+  // block. The six Fig. 5 stages are also compared with their full
+  // replay.
   for (const OS stage : all_configs()) {
     Case c = make_case(kBenchmark50, stage);
     const int n = c.cfg.sweep.max_iterations;
@@ -343,14 +383,16 @@ TEST(TimingFastForward, Benchmark50PricesAtMostTwelveOf960Blocks) {
                         fast.on_diagonal(w);
                         if (full) full->on_diagonal(w);
                       });
-    const bool single_buffered = c.cfg.buffers == 1;
-    EXPECT_EQ(fast.blocks_fast_forwarded(),
-              hazard_env() ? 0 : single_buffered ? 952 : 948)
-        << stage_name(stage);
+    const int skips = hazard_env() ? 0 : c.cfg.buffers == 1 ? 952 : 948;
+    EXPECT_EQ(fast.blocks_fast_forwarded(), skips) << stage_name(stage);
     const std::string json = metrics_json(fast.finish());
     if (full) {
       EXPECT_EQ(json, metrics_json(full->finish())) << stage_name(stage);
     }
+    if (hazard_env()) continue;  // the block call would replay in full too
+    const Finished block = block_fed(c, c.cfg);
+    EXPECT_EQ(block.skipped, skips) << stage_name(stage) << ", block call";
+    EXPECT_EQ(block.json, json) << stage_name(stage) << ", block call";
   }
 }
 
@@ -363,7 +405,7 @@ TEST(TimingFastForward, ConvergingShieldDeckSkips828Of832Blocks) {
   EnginePairs pairs(c, c.cfg, {c.cfg.sweep.max_iterations});
   solve(c, c.cfg.sweep,
         [&](const sweep::DiagonalWork& w) { pairs.on_diagonal(w); });
-  EXPECT_EQ(pairs.finish_and_compare("shield_reflected").front(),
+  EXPECT_EQ(pairs.finish_and_compare("shield_reflected").front().skipped,
             hazard_env() ? 0 : 828);
 }
 
@@ -418,11 +460,12 @@ std::string random_deck(std::uint64_t seed) {
 
 TEST(TimingFastForward, RandomDecksMatchFullReplay) {
   // Seeded differential test: block fast-forward == full replay on
-  // random decks, at every SPE stage and Fig. 10 projection. Every
-  // third deck is also solved, feeding one functional stream to the
-  // pairs of every configuration. Decks run in seed order until the
-  // time box closes (the sanitizer jobs run this too); the first
-  // kMinDecks always run. A failure names the seed and the deck.
+  // random decks, at every SPE stage and Fig. 10 projection, fed by
+  // diagonal and by block (trace_driven). Every third deck is also
+  // solved, feeding one functional stream to the pairs of every
+  // configuration. Decks run in seed order until the time box closes
+  // (the sanitizer jobs run this too); the first kMinDecks always run.
+  // A failure names the seed and the deck.
   constexpr std::uint64_t kMinDecks = 6;
   constexpr std::uint64_t kMaxDecks = 60;
   const auto box = std::chrono::seconds(8);
@@ -563,8 +606,50 @@ TEST(TimingFastForward, GatedBeforeEveryBlockMatchesFullReplay) {
                     });
   ASSERT_EQ(blocks, 6 * blocks_per_iteration(c));
   // 156 of the 192 blocks.
-  EXPECT_EQ(pairs.finish_and_compare("tiny8 gated before every block").front(),
-            hazard_env() ? 0 : 156);
+  const std::vector<Finished> done =
+      pairs.finish_and_compare("tiny8 gated before every block");
+  EXPECT_EQ(done.front().skipped, hazard_env() ? 0 : 156);
+}
+
+TEST(TimingFastForward, RandomGatesMatchFullReplay) {
+  // Gated before every block at the horizon plus a seeded random delay
+  // of 0-3 us, fed by diagonal and by block. A gate changes the next
+  // block's key, so it must drop the pipeline's successor link; a delay
+  // pattern that repeats with the blocks could hide a stale link, a
+  // random one does not.
+  const Case c = make_case(kTiny8, OS::kSpeLsPoke);
+  const CellSweepConfig cfg = schedule(c, 6, 3);
+  EnginePairs pairs(c, cfg, {6});
+  TimingEngine& fast = pairs.fast(0);
+  TimingEngine& full = pairs.full(0);
+  TimingEngine block(cfg, c.deck.problem.grid(), c.nm);
+  const sim::Tick us = sim::ticks_from_seconds(1e-6);
+  util::SplitMix64 rng(0x6a7e5);
+  for (int iter = 0; iter < 6; ++iter)
+    enumerate_sweep(c.deck.problem.grid(), c.angles, cfg.sweep, iter >= 3,
+                    [&](const sweep::DiagonalWork& w) {
+                      if (w.diagonal == 0) {
+                        ASSERT_EQ(fast.horizon(), full.horizon());
+                        ASSERT_EQ(block.horizon(), full.horizon());
+                        const sim::Tick at =
+                            fast.horizon() +
+                            static_cast<sim::Tick>(rng.next_below(4)) * us;
+                        fast.gate(at);
+                        full.gate(at);
+                        block.gate(at);
+                        block.on_block(w.octant, w.ablock, w.kblock, w.fixup);
+                      }
+                      pairs.on_diagonal(w);
+                    });
+  const int skipped = block.blocks_fast_forwarded();
+  const std::string json = metrics_json(block.finish());
+  const Finished fast_run =
+      pairs.finish_and_compare("tiny8, random gates").front();
+  EXPECT_EQ(skipped, fast_run.skipped);
+  EXPECT_EQ(json, fast_run.json) << "tiny8, random gates, block call";
+  if (!hazard_env()) {
+    EXPECT_GT(skipped, 0);
+  }
 }
 
 /// One trace-driven source iteration of tiny8 (fixups off) at the
@@ -612,7 +697,7 @@ TEST(TimingFastForward, GateAfterASkippedBlockMatchesFullReplay) {
   for (const sweep::DiagonalWork& w : stream) pairs.on_diagonal(w);
   // 109 of the 128 blocks: 47 up to the gate, then each of the 63
   // after it but the first, whose key the gate changed.
-  EXPECT_EQ(pairs.finish_and_compare("gated tiny8").front(),
+  EXPECT_EQ(pairs.finish_and_compare("gated tiny8").front().skipped,
             hazard_env() ? 0 : 109);
 }
 

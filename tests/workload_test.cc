@@ -3,11 +3,15 @@
 // transfer plans must reproduce the paper's byte audit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/workload.h"
+#include "sweep/kernel.h"
 #include "sweep/problem.h"
 #include "sweep/sweeper.h"
+#include "util/rng.h"
 
 namespace cellsweep::core {
 namespace {
@@ -143,6 +147,89 @@ TEST(Audit, SinglePrecisionHalvesTraffic) {
   const WorkloadTotals tdp = audit_workload(sweep::Grid::cube(20), 6, dp, 6);
   const WorkloadTotals tsp = audit_workload(sweep::Grid::cube(20), 6, sp, 6);
   EXPECT_NEAR(tsp.bytes / tdp.bytes, 0.5, 0.05);
+}
+
+/// The audit the slow way: every iteration, block and diagonal, the
+/// diagonal's lines counted cell by cell and its chunks planned one by
+/// one.
+WorkloadTotals walk_every_diagonal(const sweep::Grid& g, int angles,
+                                   const CellSweepConfig& cfg, int nm) {
+  WorkloadTotals t;
+  const sweep::SweepConfig& sc = cfg.sweep;
+  for (int iter = 0; iter < sc.max_iterations; ++iter) {
+    const bool fixup = iter >= sc.fixup_from_iteration;
+    for (int block = 0; block < 8 * (angles / sc.mmi) * (g.kt / sc.mk);
+         ++block)
+      for (int d = 0; d < g.jt + sc.mk + sc.mmi - 2; ++d) {
+        int lines = 0;
+        for (int mh = 0; mh < sc.mmi; ++mh)
+          for (int kk = 0; kk < sc.mk; ++kk)
+            lines += d - mh - kk >= 0 && d - mh - kk < g.jt ? 1 : 0;
+        if (lines == 0) continue;
+        ++t.diagonals;
+        t.lines += lines;
+        t.cell_solves += static_cast<std::uint64_t>(lines) * g.it;
+        t.flops += static_cast<std::uint64_t>(lines) * g.it *
+                   sweep::flops_per_cell_solve(nm, fixup);
+        for (int first = 0; first < lines; first += sweep::kBundleLines) {
+          ++t.chunks;
+          const ChunkShape shape{std::min(sweep::kBundleLines, lines - first),
+                                 g.it, nm,
+                                 real_bytes_of(cfg.precision),
+                                 cfg.aligned_rows};
+          t.bytes += static_cast<double>(plan_chunk(shape).total_bytes());
+        }
+      }
+  }
+  return t;
+}
+
+TEST(Audit, ClosedFormMatchesDiagonalWalk) {
+  // Seeded random shapes: non-cubic grids of 2-11 cells a side,
+  // MK | KT, MMI | angles, S2-S8, 1-9 moments, DP and SP, aligned rows
+  // on and off, 1-14 iterations, fixups from iteration 0-15.
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    util::SplitMix64 rng(0xa0d17ULL + seed);
+    auto in = [&rng](int lo, int hi) {
+      return lo + static_cast<int>(rng.next_below(
+                      static_cast<std::uint64_t>(hi - lo + 1)));
+    };
+    auto divisor_of = [&in](int n) {
+      std::vector<int> d;
+      for (int k = 1; k <= n; ++k)
+        if (n % k == 0) d.push_back(k);
+      return d[static_cast<std::size_t>(
+          in(0, static_cast<int>(d.size()) - 1))];
+    };
+    sweep::Grid g = sweep::Grid::cube(2);
+    g.it = in(2, 11);
+    g.jt = in(2, 11);
+    g.kt = in(2, 11);
+    if (g.it == g.jt && g.jt == g.kt) g.it = g.it == 11 ? 10 : g.it + 1;
+    const int sn = 2 * in(1, 4);
+    const int angles = sn * (sn + 2) / 8;
+    CellSweepConfig cfg =
+        CellSweepConfig::from_stage(OptimizationStage::kSpeLsPoke);
+    cfg.sweep.mk = divisor_of(g.kt);
+    cfg.sweep.mmi = divisor_of(angles);
+    const int nm = in(1, 9);
+    cfg.precision = in(0, 1) == 0 ? Precision::kDouble : Precision::kSingle;
+    cfg.aligned_rows = in(0, 1) == 1;
+    cfg.sweep.max_iterations = in(1, 14);
+    cfg.sweep.fixup_from_iteration = in(0, 15);
+
+    const WorkloadTotals want = walk_every_diagonal(g, angles, cfg, nm);
+    const WorkloadTotals got = audit_workload(g, angles, cfg, nm);
+    const std::string what = "seed " + std::to_string(seed);
+    EXPECT_EQ(got.lines, want.lines) << what;
+    EXPECT_EQ(got.chunks, want.chunks) << what;
+    EXPECT_EQ(got.cell_solves, want.cell_solves) << what;
+    EXPECT_EQ(got.diagonals, want.diagonals) << what;
+    EXPECT_TRUE(got.bytes == want.bytes)
+        << what << ": " << got.bytes << " != " << want.bytes;
+    EXPECT_EQ(got.flops, want.flops) << what;
+    if (HasFailure()) return;  // the first failing seed is enough
+  }
 }
 
 }  // namespace
