@@ -43,6 +43,7 @@
 #include "sim/trace.h"
 #include "util/cli.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/units.h"
 
 using namespace cellsweep;
@@ -351,7 +352,8 @@ int run_solo(const util::CliParser& cli, core::OptimizationStage stage) {
   const core::RunMode mode = mode_flag(cli);
   core::JobResult res;
   try {
-    res = input->run(cfg, mode, threads);
+    util::ThreadPool pool(threads);
+    res = input->run(cfg, mode, &pool);
   } catch (const std::exception& e) {
     std::cerr << "deck_runner: " << e.what() << "\n";
     return 1;

@@ -1,6 +1,9 @@
 #include "core/orchestrator.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "perfmodel/processors.h"
 #include "sweep/plan.h"
@@ -25,17 +28,14 @@ sim::Tick sweep_dependency(const UpstreamView& u, int c) {
   return t + u.hop;
 }
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-
-/// Folds one diagonal into a block's stream signature (FNV-1a over the
-/// fields its batch depends on; no tick depends on the block's
-/// position): a fast-forwarded block must be fed the stream of the
-/// block it repeats.
-std::uint64_t mix(std::uint64_t h, const sweep::DiagonalWork& w) {
-  for (const int v : {w.diagonal, w.nlines, w.it, static_cast<int>(w.fixup),
-                      static_cast<int>(w.kernel)})
-    h = (h ^ static_cast<std::uint32_t>(v)) * 0x100000001b3ull;
-  return h;
+/// A diagonal as the block-contract errors name it.
+std::string describe(const sweep::DiagonalWork& w) {
+  return "(octant " + std::to_string(w.octant) + ", angle block " +
+         std::to_string(w.ablock) + ", K block " + std::to_string(w.kblock) +
+         ", diagonal " + std::to_string(w.diagonal) + ", " +
+         std::to_string(w.nlines) + " lines of " + std::to_string(w.it) +
+         ", fixup " + std::to_string(w.fixup) + ", kernel " +
+         std::to_string(static_cast<int>(w.kernel)) + ")";
 }
 
 }  // namespace
@@ -63,6 +63,9 @@ TimingEngine::TimingEngine(const CellSweepConfig& cfg,
   // shape), so shared and own models report byte-identical timing
   // (pinned by a test).
   if (kernels_ == nullptr) kernels_ = &own_kernels_.emplace(cfg.chip);
+  sweep::ChunkPlan::for_each_diagonal(
+      cfg_.sweep, grid_.jt, {},
+      [&](const sweep::DiagonalWork& w) { block_lines_.push_back(w.nlines); });
 }
 
 TimingEngine::~TimingEngine() = default;
@@ -74,96 +77,67 @@ void TimingEngine::on_diagonal(const sweep::DiagonalWork& w) {
   // sweep_dependency policy), so execution pipelines across diagonals.
   // Blocks are sequential (the paper's sweep() processes them in
   // order), so a new block opens a new pipeline block: a hard barrier
-  // behind everything outstanding. A source iteration opens with block
-  // (0, 0, 0).
-  const bool opens_iteration =
-      w.octant == 0 && w.ablock == 0 && w.kblock == 0 && w.diagonal == 0;
-  const bool new_block =
-      opens_iteration ||
-      block_ != std::array<int, 3>{w.octant, w.ablock, w.kblock};
-  if (new_block) begin_block(w, opens_iteration);
-  feed(w, new_block);
+  // behind everything outstanding.
+  if (!next_) begin_block(w.octant, w.ablock, w.kblock, w.fixup);
+  if (!(w == *next_))
+    throw std::logic_error("TimingEngine: fed diagonal " + describe(w) +
+                           " where the block walker yields " +
+                           describe(*next_));
+  step();
 }
 
 void TimingEngine::on_block(int octant, int ablock, int kblock, bool fixup) {
-  const sweep::DiagonalWork block{octant, ablock, kblock, 0,
-                                  0,      grid_.it, fixup, cfg_.sweep.kernel};
-  begin_block(block, octant == 0 && ablock == 0 && kblock == 0);
+  require_closed("on_block");
+  begin_block(octant, ablock, kblock, fixup);
+  if (skipping_)
+    end_block();  // already priced: no walk
+  else
+    while (next_) step();
+}
+
+void TimingEngine::step() {
+  sweep::DiagonalWork& w = *next_;
   if (!skipping_) {
-    bool first = true;
-    sweep::ChunkPlan::for_each_diagonal(
-        cfg_.sweep, grid_.jt, block, [&](const sweep::DiagonalWork& w) {
-          feed(w, first);
-          first = false;
-        });
-    return;
+    // The diagonal's chunks, in the widths the functional sweeper
+    // executes them, each priced by the trace-scheduled kernel cost
+    // model and sized by its DMA transfer plan, once per chunk shape.
+    specs_.clear();
+    for (int c = 0; c < sweep::ChunkPlan::chunk_count(w.nlines); ++c) {
+      specs_.push_back(
+          priced_shape(w.fixup, sweep::ChunkPlan::chunk_width(w.nlines, c)));
+      specs_.back().index = c;
+    }
+    pipeline_.run_batch(specs_, sweep_dependency, w.diagonal == 0);
   }
-  // Fast-forwarded: the block's stream is a pure function of the fixup
-  // flag here, so its length and signature close it without a walk.
-  BlockStream& s = block_streams_[fixup ? 1 : 0];
-  if (s.length == 0) {
-    s.signature = kFnvOffset;
-    sweep::ChunkPlan::for_each_diagonal(
-        cfg_.sweep, grid_.jt, block, [&s](const sweep::DiagonalWork& w) {
-          ++s.length;
-          s.signature = mix(s.signature, w);
-        });
-  }
-  diagonals_ = s.length;
-  stream_ = s.signature;
-  end_block();
+  if (++w.diagonal < static_cast<int>(block_lines_.size()))
+    w.nlines = block_lines_[static_cast<std::size_t>(w.diagonal)];
+  else
+    end_block();
 }
 
-void TimingEngine::feed(const sweep::DiagonalWork& w, bool first_batch) {
-  ++diagonals_;
-  stream_ = mix(stream_, w);
-
-  // A fast-forwarded block is already priced; the drift check still
-  // covers each of its diagonals.
-  if (skipping_) {
-    sweep::ChunkPlan::check_lines(cfg_.sweep, grid_.jt, w);
-    return;
-  }
-
-  // Chunk list of this diagonal -- the same ChunkPlan the functional
-  // sweeper executes (the plan constructor throws on functional/timing
-  // drift) -- each chunk priced by the trace-scheduled kernel cost
-  // model and sized by its DMA transfer plan, once per chunk shape.
-  const sweep::ChunkPlan plan(cfg_.sweep, grid_.jt, w);
-  specs_.clear();
-  for (const sweep::ChunkDesc& pc : plan.chunks()) {
-    specs_.push_back(priced_shape(w, pc.nlines));
-    specs_.back().index = pc.index;
-  }
-  pipeline_.run_batch(specs_, sweep_dependency, first_batch);
-}
-
-const StreamChunkSpec& TimingEngine::priced_shape(
-    const sweep::DiagonalWork& w, int nlines) {
-  PricedShape& shape =
-      shapes_[w.fixup ? 1 : 0][static_cast<std::size_t>(nlines - 1)];
-  if (!shape.priced || shape.kernel != w.kernel || shape.it != w.it) {
+const StreamChunkSpec& TimingEngine::priced_shape(bool fixup, int nlines) {
+  std::optional<StreamChunkSpec>& shape =
+      shapes_[fixup ? 1 : 0][static_cast<std::size_t>(nlines - 1)];
+  if (!shape) {
     const ChunkCost& cost =
-        kernels_->chunk_cost(w.kernel, cfg_.precision, nlines, w.it, nm_,
-                             w.fixup, cfg_.gotos_eliminated);
-    StreamChunkSpec sc;
-    sc.plan = plan_chunk(ChunkShape{nlines, w.it, nm_,
+        kernels_->chunk_cost(cfg_.sweep.kernel, cfg_.precision, nlines,
+                             grid_.it, nm_, fixup, cfg_.gotos_eliminated);
+    StreamChunkSpec& sc = shape.emplace();
+    sc.plan = plan_chunk(ChunkShape{nlines, grid_.it, nm_,
                                     real_bytes_of(cfg_.precision),
                                     cfg_.aligned_rows});
     sc.kernel_cycles = cost.cycles;
-    sc.kernel_name = w.fixup ? "kernel+fixup" : "kernel";
+    sc.kernel_name = fixup ? "kernel+fixup" : "kernel";
     sc.flops = cost.flops;
-    sc.work_units = static_cast<std::uint64_t>(nlines) * w.it;
+    sc.work_units = static_cast<std::uint64_t>(nlines) * grid_.it;
     sc.stats = cost.stats;
-    shape = PricedShape{true, w.kernel, w.it, sc};
   }
-  return shape.spec;
+  return *shape;
 }
 
-void TimingEngine::begin_block(const sweep::DiagonalWork& w,
-                               bool opens_iteration) {
-  end_block();
-  if (opens_iteration) {
+void TimingEngine::begin_block(int octant, int ablock, int kblock,
+                               bool fixup) {
+  if (octant == 0 && ablock == 0 && kblock == 0) {
     // Source-moment rebuild at each iteration start: one streaming pass
     // over flux + source + the external source field. Bandwidth-bound;
     // the madds are fully pipelined underneath.
@@ -172,29 +146,34 @@ void TimingEngine::begin_block(const sweep::DiagonalWork& w,
                          static_cast<double>(real_bytes_of(cfg_.precision));
     pipeline_.memory_pass("source-rebuild", bytes);
   }
-  block_ = {w.octant, w.ablock, w.kblock};
-  skipping_ =
-      pipeline_.open_block({w.fixup, static_cast<int>(w.kernel), w.it});
+  skipping_ = pipeline_.open_block({fixup});
   skipped_ += skipping_ ? 1 : 0;
+  next_ = sweep::DiagonalWork{octant,   ablock, kblock, 0, block_lines_[0],
+                              grid_.it, fixup,  cfg_.sweep.kernel};
 }
 
 void TimingEngine::end_block() {
-  pipeline_.close_block(diagonals_, stream_);
-  skipping_ = false;
-  diagonals_ = 0;
-  stream_ = kFnvOffset;
+  pipeline_.close_block();
+  next_.reset();
+}
+
+void TimingEngine::require_closed(const char* call) const {
+  if (next_)
+    throw std::logic_error(std::string("TimingEngine::") + call +
+                           " inside an unfinished block: the block walker "
+                           "still yields " +
+                           describe(*next_));
 }
 
 RunReport TimingEngine::finish() {
-  end_block();
+  require_closed("finish");
   return pipeline_.finish();
 }
 
 void TimingEngine::gate(sim::Tick at) {
-  // simulate_cluster gates between blocks: a skipped block must be
-  // complete here, which its stream check verifies, and a recorded one
-  // must not take the gate into its end state.
-  end_block();
+  // simulate_cluster gates between blocks, so a recorded block never
+  // takes the gate into its end state.
+  require_closed("gate");
   pipeline_.gate(at);
 }
 

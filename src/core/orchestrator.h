@@ -8,16 +8,18 @@
 // set streams
 // through the local store with single or double buffering (data
 // streaming); the chunk kernel is the scalar or the four-logical-thread
-// SIMD one (vector + pipeline levels). The TimingEngine walks the same
-// DiagonalWork stream the functional sweeper emits and translates each
-// diagonal into one core::StreamingPipeline batch: the pipeline owns
-// the machine model's clocks -- dispatch-fabric grants, MFC DMA
-// gets/puts (individual commands or DMA lists), SPU compute, the wave
-// arithmetic and double-buffer rotation -- while this engine supplies
-// the Sweep3D specifics: the ChunkPlan decomposition, the per-chunk
-// DMA transfer plans and trace-scheduled kernel costs, the per-line
-// wavefront dependency policy, the (octant, angle-block, K-block)
-// block barriers, and the per-iteration source rebuild pass.
+// SIMD one (vector + pipeline levels). The TimingEngine is fed the
+// DiagonalWork stream the functional sweeper emits, or one call per
+// block, checks it against the block walker
+// (sweep::ChunkPlan::for_each_diagonal) and translates each diagonal
+// into one core::StreamingPipeline batch: the pipeline owns the machine
+// model's clocks -- dispatch-fabric grants, MFC DMA gets/puts
+// (individual commands or DMA lists), SPU compute, the wave arithmetic
+// and double-buffer rotation -- while this engine supplies the Sweep3D
+// specifics: the chunk widths of each diagonal, the per-chunk DMA
+// transfer plans and trace-scheduled kernel costs, the per-line
+// wavefront dependency policy, the (octant, angle-block, K-block) block
+// barriers, and the per-iteration source rebuild pass.
 //
 // Two run modes produce identical timing (a test asserts it):
 //   * kFunctional  -- the physics really runs; the observer feeds the
@@ -28,7 +30,6 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -53,44 +54,42 @@ LsPlacement sweep_placement(const CellSweepConfig& cfg, int it, int nm);
 /// DiagonalWork at a time, or one whole block at a time -- and re-hosts
 /// it on the workload-agnostic StreamingPipeline.
 ///
-/// Block fast-forward: every (octant, angle-block, K-block) block
-/// starts behind a hard barrier, and since MK divides KT and MMI the
-/// angle count, every block of a run feeds the same diagonal stream.
-/// The engine opens each block on the pipeline with its fixup flag,
-/// kernel and line length as the key salt (a block that opens a source
-/// iteration after the source-rebuild pass), skips the diagonals of a
-/// block the pipeline fast-forwards, and closes each block with its
-/// diagonal count and an FNV-1a signature of its stream. The memo, and
-/// when it replays in full, are StreamingPipeline's (open_block).
+/// The block contract: block (octant, angle block, K block) with a
+/// fixup flag is the diagonal stream sweep::ChunkPlan::for_each_diagonal
+/// walks for it under cfg.sweep, the grid's line length and
+/// cfg.sweep.kernel. on_diagonal opens a block at its diagonal 0 and
+/// closes it at its last; every diagonal in between must be the
+/// walker's next one, in a replayed block and a fast-forwarded one
+/// alike, or on_diagonal throws std::logic_error and leaves the block
+/// unfinished. on_block feeds a whole block in one call. gate, on_block
+/// and finish throw std::logic_error inside an unfinished block.
 ///
-/// Two feeds: functional solves call on_diagonal for every diagonal
-/// the physics emits, so each one is checked against the block
-/// geometry even inside a skipped block. Trace-driven runs call
-/// on_block once per block: a skipped block is closed at once with the
-/// length and signature of its stream, computed once per fixup flag,
-/// and only a replayed block walks its diagonals. Feed a run one way or
-/// the other, never both within one block.
+/// Block fast-forward: every block starts behind a hard barrier, and
+/// since MK divides KT and MMI the angle count, every block of a run
+/// with one fixup flag feeds the same diagonal stream. The engine opens
+/// each block on the pipeline salted with its fixup flag (a block that
+/// opens a source iteration after the source-rebuild pass) and feeds no
+/// batch for a block the pipeline fast-forwards. The memo, and when it
+/// replays in full, are StreamingPipeline's (open_block).
 class TimingEngine {
  public:
   TimingEngine(const CellSweepConfig& cfg, const sweep::Grid& grid, int nm);
   ~TimingEngine();
 
-  /// Feed one diagonal of independent I-lines. Throws std::logic_error
-  /// when a fast-forwarded block turns out to feed a different
-  /// diagonal stream than the block it repeats.
+  /// Feed one diagonal of independent I-lines (see the block contract
+  /// above): throws std::logic_error when @p w is not the block
+  /// walker's next diagonal -- its index, line count, block, fixup
+  /// flag, line length or kernel differs.
   void on_diagonal(const sweep::DiagonalWork& w);
 
   /// Feed block (@p octant, @p ablock, @p kblock) of a trace-driven
-  /// sweep whole: the diagonals sweep::ChunkPlan::for_each_diagonal
-  /// walks for cfg.sweep, the grid's line length and @p fixup. Block
-  /// (0, 0, 0) opens a source iteration. The block is closed on return
-  /// when the pipeline fast-forwarded it, and open (as after its last
-  /// on_diagonal) when it was replayed.
+  /// sweep whole: the diagonals the block walker yields for it with
+  /// @p fixup. Block (0, 0, 0) opens a source iteration. A
+  /// fast-forwarded block closes without a walk.
   void on_block(int octant, int ablock, int kblock, bool fixup);
 
-  /// Closes the last block (the stream check above) and drains
-  /// outstanding work; returns the completed report (timing fields
-  /// only). Under CELLSWEEP_HAZARD_CHECK (and only with the
+  /// Drains outstanding work and returns the completed report (timing
+  /// fields only). Under CELLSWEEP_HAZARD_CHECK (and only with the
   /// pipeline-owned checker) throws analysis::HazardError when protocol
   /// violations were found.
   RunReport finish();
@@ -102,41 +101,26 @@ class TimingEngine {
   /// External gate: no work fed after this call may start before
   /// @p at. Models a blocking boundary receive (the RECV of Figure 2)
   /// when this chip is one rank of a process-level decomposition.
-  /// Closes the current block first (std::logic_error when a
-  /// fast-forwarded block has not had its last diagonal yet); the gate
-  /// lands in the next block's key.
+  /// Gate between blocks: the gate lands in the next block's key.
   void gate(sim::Tick at);
 
   /// Blocks fast-forwarded rather than replayed so far.
   int blocks_fast_forwarded() const noexcept { return skipped_; }
 
  private:
-  /// Chunk spec of one (fixup, width) shape, priced on first use.
-  struct PricedShape {
-    bool priced = false;
-    sweep::KernelKind kernel = sweep::KernelKind::kSimd;
-    int it = 0;
-    StreamChunkSpec spec;
-  };
-
-  /// Length and FNV-1a signature of one block's diagonal stream
-  /// (length 0: not walked yet; every block has a diagonal).
-  struct BlockStream {
-    std::uint64_t length = 0;
-    std::uint64_t signature = 0;
-  };
-
-  /// Closes the previous block, runs the source-rebuild pass if the
-  /// block @p w starts opens a source iteration, then opens the new
-  /// block on the pipeline.
-  void begin_block(const sweep::DiagonalWork& w, bool opens_iteration);
-  /// Feeds diagonal @p w of the open block; @p first_batch opens the
-  /// block's pipeline barrier.
-  void feed(const sweep::DiagonalWork& w, bool first_batch);
-  /// Closes the current block on the pipeline with its stream.
+  /// Runs the source-rebuild pass if block (@p octant, @p ablock,
+  /// @p kblock) opens a source iteration, opens the block on the
+  /// pipeline and points next_ at its diagonal 0.
+  void begin_block(int octant, int ablock, int kblock, bool fixup);
+  /// Streams next_ as one batch, unless the block is fast-forwarded,
+  /// and advances it; closes the block after its last diagonal.
+  void step();
+  /// Closes the open block on the pipeline.
   void end_block();
-  const StreamChunkSpec& priced_shape(const sweep::DiagonalWork& w,
-                                      int nlines);
+  /// Throws std::logic_error naming @p call inside an unfinished block.
+  void require_closed(const char* call) const;
+  /// Chunk spec of one (fixup, width) shape, priced on first use.
+  const StreamChunkSpec& priced_shape(bool fixup, int nlines);
 
   CellSweepConfig cfg_;
   sweep::Grid grid_;
@@ -145,18 +129,18 @@ class TimingEngine {
   std::optional<KernelCostModel> own_kernels_;
   const KernelCostModel* kernels_;  ///< cfg.warm_kernels or own_kernels_
   StreamingPipeline pipeline_;
-  /// (octant, angle block, K block) of the block being fed.
-  std::array<int, 3> block_{-1, -1, -1};
-  std::array<std::array<PricedShape, sweep::kBundleLines>, 2> shapes_{};
+  /// Lines on each diagonal of a block, as the block walker yields them.
+  std::vector<int> block_lines_;
+  /// The block walker's next diagonal of the open block; empty between
+  /// blocks.
+  std::optional<sweep::DiagonalWork> next_;
+  std::array<std::array<std::optional<StreamChunkSpec>, sweep::kBundleLines>,
+             2>
+      shapes_{};
   std::vector<StreamChunkSpec> specs_;  ///< the diagonal's chunks (reused)
 
-  bool skipping_ = false;        ///< the pipeline fast-forwarded the block
-  std::uint64_t diagonals_ = 0;  ///< diagonals of the current block
-  std::uint64_t stream_ = 0;     ///< their signature
+  bool skipping_ = false;  ///< the pipeline fast-forwarded the block
   int skipped_ = 0;
-  /// The stream of an on_block block, per fixup flag (walked on first
-  /// use: the engine's cfg, line length and kernel are fixed).
-  std::array<BlockStream, 2> block_streams_{};
 };
 
 /// Times cfg.sweep.max_iterations trace-driven sweeps of @p grid on one

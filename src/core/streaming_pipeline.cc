@@ -245,7 +245,7 @@ bool StreamingPipeline::open_block(std::initializer_list<std::int64_t> salt) {
     if (prev) memo_[*prev].next = i;
     return skip_as(i);
   }
-  if (exact_counters()) recording_ = Block{key_, snapshot(), {}, 0, 0, {}};
+  if (exact_counters()) recording_ = Block{key_, snapshot(), {}, {}};
   return false;
 }
 
@@ -255,21 +255,11 @@ bool StreamingPipeline::skip_as(std::size_t i) {
   return true;
 }
 
-void StreamingPipeline::close_block(std::uint64_t length,
-                                    std::uint64_t stream) {
-  if (skipping_) {
-    const Block& repeated = memo_[*skipping_];
-    applied_ = std::exchange(skipping_, {});
-    if (length != repeated.length || stream != repeated.stream)
-      throw std::logic_error(
-          "StreamingPipeline: a fast-forwarded block was fed a different "
-          "stream than the block it repeats");
-  }
+void StreamingPipeline::close_block() {
+  if (skipping_) applied_ = std::exchange(skipping_, {});
   if (recording_) {
     if (exact_counters()) {
       recording_->end = snapshot();
-      recording_->length = length;
-      recording_->stream = stream;
       memo_.push_back(std::move(*recording_));
       applied_ = memo_.size() - 1;
     }
@@ -570,6 +560,27 @@ void StreamingPipeline::trace_dma(int spe_index, const char* name,
   if (c.retries > 0) sink_->instant(t, "dma-retry", "fault", c.done);
 }
 
+cell::DmaCompletion StreamingPipeline::submit_dma(Chunk& c, const char* name,
+                                                cell::DmaDir dir,
+                                                std::size_t bytes,
+                                                sim::Tick from,
+                                                bool to_memory) {
+  // Gets stage back to back into the chunk's buffer under its get tag;
+  // the put writes the buffer back under its put tag.
+  const bool get = dir == cell::DmaDir::kGet;
+  cell::DmaRequest req = make_dma_request(cfg_, c.spec->plan, dir, bytes);
+  req.ls_to_ls = !to_memory;
+  req.tag = static_cast<unsigned>(get ? c.buf : cfg_.buffers + c.buf);
+  req.ls_offset = buffer_offsets_[static_cast<std::size_t>(c.buf)] +
+                  (get ? c.staged_bytes : 0);
+  req.ls_bytes = req.total_bytes;
+  const cell::DmaCompletion done = machine_.spe(c.spe).mfc().submit(from, req);
+  trace_dma(c.spe, name, from, done, to_memory);
+  if (observer_) observer_->on_dma(c.spe, req, from, done, c.token);
+  if (get) c.staged_bytes += req.total_bytes;
+  return done;
+}
+
 void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
                                   const DependencyPolicy& deps,
                                   bool new_block) {
@@ -699,10 +710,7 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
       SpeClock& spe = spes_[c.spe];
       const TransferPlan& tplan = c.spec->plan;
       cell::Mfc& mfc = machine_.spe(c.spe).mfc();
-      const unsigned get_tag = static_cast<unsigned>(c.buf);
       const unsigned put_tag = static_cast<unsigned>(cfg_.buffers + c.buf);
-      const std::size_t buf_off = buffer_offsets_[static_cast<std::size_t>(
-          c.buf)];
 
       const sim::Tick dispatch_from =
           std::max(spe.request_at, release) + c.extra;
@@ -723,31 +731,15 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
       if (cfg_.buffers >= 2) {
         const sim::Tick bulk_from = mfc.wait_tag(spe.request_at, put_tag);
         if (observer_) observer_->on_tag_wait(c.spe, put_tag, bulk_from);
-        cell::DmaRequest bulk_req =
-            make_dma_request(cfg_, tplan, cell::DmaDir::kGet,
-                             tplan.bulk_get_bytes());
-        bulk_req.tag = get_tag;
-        bulk_req.ls_offset = buf_off;
-        bulk_req.ls_bytes = bulk_req.total_bytes;
-        const cell::DmaCompletion bulk = mfc.submit(bulk_from, bulk_req);
-        trace_dma(c.spe, "dma-get-bulk", bulk_from, bulk, true);
-        if (observer_)
-          observer_->on_dma(c.spe, bulk_req, bulk_from, bulk, c.token);
-        cell::DmaRequest face_req =
-            make_dma_request(cfg_, tplan, cell::DmaDir::kGet,
-                             tplan.face_get_bytes());
-        face_req.ls_to_ls = !centralized;  // SPE-to-SPE face forwarding
-        face_req.tag = get_tag;
-        face_req.ls_offset = buf_off + bulk_req.total_bytes;
-        face_req.ls_bytes = face_req.total_bytes;
-        const sim::Tick face_from = std::max({grant, dep, bulk_from});
-        const cell::DmaCompletion face = mfc.submit(face_from, face_req);
-        trace_dma(c.spe, "dma-get-face", face_from, face, centralized);
-        if (observer_)
-          observer_->on_dma(c.spe, face_req, face_from, face, c.token);
+        const cell::DmaCompletion bulk =
+            submit_dma(c, "dma-get-bulk", cell::DmaDir::kGet,
+                       tplan.bulk_get_bytes(), bulk_from, true);
+        // Distributed dispatch forwards the faces SPE to SPE.
+        const cell::DmaCompletion face = submit_dma(
+            c, "dma-get-face", cell::DmaDir::kGet, tplan.face_get_bytes(),
+            std::max({grant, dep, bulk_from}), centralized);
         c.get_done = std::max(bulk.done, face.done);
         c.get_issue_done = std::max(bulk.issue_done, face.issue_done);
-        c.staged_bytes = bulk_req.total_bytes + face_req.total_bytes;
       } else {
         // Synchronous staging: the single buffer is only free after the
         // previous put (the tag wait resolves immediately: request_at
@@ -756,19 +748,11 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
         const sim::Tick get_from =
             mfc.wait_tag(std::max(grant, dep), put_tag);
         if (observer_) observer_->on_tag_wait(c.spe, put_tag, get_from);
-        cell::DmaRequest get_req =
-            make_dma_request(cfg_, tplan, cell::DmaDir::kGet,
-                             tplan.get_bytes());
-        get_req.tag = get_tag;
-        get_req.ls_offset = buf_off;
-        get_req.ls_bytes = get_req.total_bytes;
-        const cell::DmaCompletion get = mfc.submit(get_from, get_req);
-        trace_dma(c.spe, "dma-get", get_from, get, true);
-        if (observer_)
-          observer_->on_dma(c.spe, get_req, get_from, get, c.token);
+        const cell::DmaCompletion get =
+            submit_dma(c, "dma-get", cell::DmaDir::kGet, tplan.get_bytes(),
+                       get_from, true);
         c.get_done = get.done;
         c.get_issue_done = get.issue_done;
-        c.staged_bytes = get_req.total_bytes;
       }
       spe.request_at = std::max(spe.request_at, c.get_issue_done);
     }
@@ -833,18 +817,10 @@ void StreamingPipeline::run_batch(const std::vector<StreamChunkSpec>& specs,
     for (std::size_t i = w0; i < w1; ++i) {
       Chunk& c = chunks[i];
       SpeClock& spe = spes_[c.spe];
-      const TransferPlan& tplan = c.spec->plan;
       const unsigned put_tag = static_cast<unsigned>(cfg_.buffers + c.buf);
-      cell::DmaRequest put_req = make_dma_request(
-          cfg_, tplan, cell::DmaDir::kPut, tplan.put_bytes());
-      put_req.tag = put_tag;
-      put_req.ls_offset = buffer_offsets_[static_cast<std::size_t>(c.buf)];
-      put_req.ls_bytes = put_req.total_bytes;
       const cell::DmaCompletion put =
-          machine_.spe(c.spe).mfc().submit(c.compute_end, put_req);
-      trace_dma(c.spe, "dma-put", c.compute_end, put, true);
-      if (observer_)
-        observer_->on_dma(c.spe, put_req, c.compute_end, put, c.token);
+          submit_dma(c, "dma-put", cell::DmaDir::kPut,
+                     c.spec->plan.put_bytes(), c.compute_end, true);
       // The SPE signals completion only after its writeback DMA has
       // drained (tag-group wait), so the PPE sees the report after
       // put.done -- which serializes the next batch's grants behind

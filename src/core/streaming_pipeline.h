@@ -216,8 +216,8 @@ class StreamingPipeline {
 
   /// Opens a block at the current horizon, keyed by @p salt (whatever
   /// of the workload the pipeline cannot see, e.g. the sweep's fixup
-  /// flag, kernel and line length; the same number of values on every
-  /// call) plus the machine's canonical state.
+  /// flag; the same number of values on every call) plus the machine's
+  /// canonical state.
   /// Returns true when an earlier block with the same key was applied:
   /// the caller then feeds no batch until close_block(). Otherwise the
   /// block is recorded for later ones and the caller streams it. Always
@@ -236,11 +236,11 @@ class StreamingPipeline {
   /// key.
   bool open_block(std::initializer_list<std::int64_t> salt);
 
-  /// Closes the open block (no-op when none is): the caller's @p length
-  /// and @p stream signature of what it fed the block are stored with a
-  /// recorded block, and must equal the stored ones for a fast-forwarded
-  /// block (std::logic_error otherwise).
-  void close_block(std::uint64_t length, std::uint64_t stream);
+  /// Closes the open block (no-op when none is): stores a recorded
+  /// block in the memo. The caller guarantees that a fast-forwarded
+  /// block stands for the same work as the block it repeats (the sweep's
+  /// TimingEngine checks every diagonal against its block walker).
+  void close_block();
 
  private:
   struct SpeClock {
@@ -289,16 +289,13 @@ class StreamingPipeline {
     sim::BandwidthResource::State eib;
     cell::DispatchFabric::State dispatch;
   };
-  /// One priced block: its key, the snapshots at its base and end, the
-  /// caller's length and signature of its stream, and its successor
-  /// link: the entry whose key the next block matched when nothing ran
-  /// between the two (see open_block).
+  /// One priced block: its key, the snapshots at its base and end, and
+  /// its successor link: the entry whose key the next block matched
+  /// when nothing ran between the two (see open_block).
   struct Block {
     std::vector<std::int64_t> key;
     Snapshot start;
     Snapshot end;
-    std::uint64_t length = 0;
-    std::uint64_t stream = 0;
     std::optional<std::size_t> next;
   };
 
@@ -333,6 +330,15 @@ class StreamingPipeline {
   /// Emits issue/queue/transfer spans for one DMA command.
   void trace_dma(int spe_index, const char* name, sim::Tick submitted,
                  const cell::DmaCompletion& c, bool to_memory);
+  /// Submits one DMA of chunk @p c at @p from: @p bytes of its
+  /// transfer plan in direction @p dir, through main memory or, when
+  /// not @p to_memory, SPE to SPE. A get lands after the chunk's
+  /// earlier gets in its staging buffer (c.staged_bytes grows by its
+  /// payload); the put writes the buffer back. Traces the command as
+  /// @p name and reports it to the hazard observer.
+  cell::DmaCompletion submit_dma(Chunk& c, const char* name, cell::DmaDir dir,
+                                 std::size_t bytes, sim::Tick from,
+                                 bool to_memory);
   /// Batch-boundary claim adjustment (allocator tenants only): under
   /// pressure yields down to min(spes_needed, fair share), with slack
   /// regrows toward spes_needed.

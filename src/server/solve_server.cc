@@ -99,18 +99,17 @@ std::size_t JobInput::ls_footprint(const CellSweepConfig& cfg) const {
       .footprint(cfg.buffers);
 }
 
-JobResult JobInput::run(CellSweepConfig cfg, RunMode mode, int threads,
+JobResult JobInput::run(CellSweepConfig cfg, RunMode mode,
                         util::ThreadPool* pool) const {
   JobResult r;
   if (const sweep::Deck* d = deck()) {
     cfg.sweep = d->sweep;
-    cfg.sweep.threads = threads;
     cfg.sweep.pool = pool;
     r.report =
         CellSweep3D(d->problem, cfg, d->sn_order, 2, d->nm_cap).run(mode);
   } else {
     const stencil::StencilReport rep =
-        stencil::CellStencil(*spec(), cfg).run(mode, threads, pool);
+        stencil::CellStencil(*spec(), cfg).run(mode, 1, pool);
     // Copied, not moved: the copy drops the report vectors' growth
     // slack, which a server keeping every result would otherwise hold.
     r.report = rep.run;
@@ -126,8 +125,7 @@ SolveServer::SolveServer(const ServerConfig& cfg)
       base_(CellSweepConfig::from_stage(cfg.stage)),
       pool_(std::max(1, cfg.host_threads)),
       alloc_(base_.chip.num_spes),
-      cache_(base_.chip),
-      recorder_(cfg.flight_recorder_capacity) {
+      cache_(base_.chip) {
   cfg_.tenants = std::max(1, cfg_.tenants);
   cfg_.queue_limit = std::max<std::size_t>(1, cfg_.queue_limit);
   base_.faults = cfg_.faults;
@@ -485,7 +483,7 @@ JobResult SolveServer::run_job(Job& job) {
     // accumulator attributes exactly this job's blocked time.
     SpeAllocator::reset_thread_claim_wait();
     job.trace.run_start_s = clock_.now_s();
-    r = job.input->run(cfg, job.req.mode, 1, &pool_);
+    r = job.input->run(cfg, job.req.mode, &pool_);
     job.trace.run_end_s = clock_.now_s();
     job.trace.claim_wait_s = SpeAllocator::thread_claim_wait_s();
     r.plan_cache_hit = hit;

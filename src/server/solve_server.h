@@ -119,8 +119,6 @@ struct ServerConfig {
   /// Fault plan applied to every job's simulated machine (SPE deaths,
   /// DMA flakiness -- see sim::parse_fault_spec). Default: no faults.
   sim::FaultSpec faults;
-  /// Flight-recorder ring size (events kept for post-mortem dumps).
-  std::size_t flight_recorder_capacity = FlightRecorder::kDefaultCapacity;
   /// When non-empty, notable events (job failure, queue-full storm,
   /// fault failover) dump the flight-recorder window to
   /// "<path>-<wall_ms>-<seq>.json". Empty: no files are written (the
@@ -209,9 +207,9 @@ class JobInput {
   std::size_t ls_footprint(const CellSweepConfig& cfg) const;
   /// One CellSweep3D::run (under the deck's sweep settings) or
   /// CellStencil::run under @p cfg; the functional physics runs on
-  /// @p threads host threads, or on @p pool when one is given. Fills
+  /// @p pool when one is given, else on the calling thread. Fills
   /// report, checksum and residual, and sets ok.
-  JobResult run(CellSweepConfig cfg, RunMode mode, int threads = 1,
+  JobResult run(CellSweepConfig cfg, RunMode mode,
                 util::ThreadPool* pool = nullptr) const;
 
  private:
@@ -352,7 +350,7 @@ class SolveServer {
   // recording is legal from any server code path.
   HostClock clock_;
   MetricsRegistry metrics_;
-  FlightRecorder recorder_;
+  FlightRecorder recorder_;  ///< FlightRecorder::kDefaultCapacity events
   std::atomic<int> dump_seq_{0};  ///< flight-dump file suffix
 
   /// Guards the job queue, the result map, the cancel-flag registry and

@@ -1,29 +1,12 @@
 #include "sweep/plan.h"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 #include "sweep/kernel_simd.h"
 
 namespace cellsweep::sweep {
-namespace {
 
-std::logic_error drift_error(const SweepConfig& cfg, int jt,
-                             const DiagonalWork& w, int geometry_lines) {
-  return std::logic_error(
-      "ChunkPlan: DiagonalWork reports " + std::to_string(w.nlines) +
-      " lines but the block geometry yields " +
-      std::to_string(geometry_lines) + " (diagonal " +
-      std::to_string(w.diagonal) + ", mmi=" + std::to_string(cfg.mmi) +
-      ", mk=" + std::to_string(cfg.mk) + ", jt=" + std::to_string(jt) + ")");
-}
-
-}  // namespace
-
-ChunkPlan::ChunkPlan(const SweepConfig& cfg, int jt, int it, int diagonal,
-                     bool fixup)
-    : diagonal_(diagonal), it_(it), fixup_(fixup), kernel_(cfg.kernel) {
+ChunkPlan::ChunkPlan(const SweepConfig& cfg, int jt, int diagonal) {
   lines_.reserve(static_cast<std::size_t>(cfg.mmi) * cfg.mk);
   for (int mh = 0; mh < cfg.mmi; ++mh)
     for (int kk = 0; kk < cfg.mk; ++kk) {
@@ -37,18 +20,6 @@ ChunkPlan::ChunkPlan(const SweepConfig& cfg, int jt, int it, int diagonal,
     chunks_.push_back(ChunkDesc{static_cast<int>(chunks_.size()), first,
                                 std::min(kBundleLines, n - first)});
   }
-}
-
-ChunkPlan::ChunkPlan(const SweepConfig& cfg, int jt, const DiagonalWork& w)
-    : ChunkPlan(cfg, jt, w.it, w.diagonal, w.fixup) {
-  kernel_ = w.kernel;
-  if (nlines() != w.nlines) throw drift_error(cfg, jt, w, nlines());
-}
-
-void ChunkPlan::check_lines(const SweepConfig& cfg, int jt,
-                            const DiagonalWork& w) {
-  const int n = lines_on_diagonal(cfg, jt, w.diagonal);
-  if (n != w.nlines) throw drift_error(cfg, jt, w, n);
 }
 
 int ChunkPlan::lines_on_diagonal(const SweepConfig& cfg, int jt,

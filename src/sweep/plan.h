@@ -1,5 +1,6 @@
 // ChunkPlan: the single authority for how a JK-diagonal's independent
-// I-lines decompose into executable chunks.
+// I-lines decompose into executable chunks, and for which diagonals
+// one pipeline block holds.
 //
 // The paper's level-2 insight (Section 4) is that every I-line on one
 // jkm-diagonal is independent, so the Cell port farms them to the SPEs
@@ -7,14 +8,15 @@
 // chunks are: this layer enumerates, for one diagonal of one (octant,
 // angle-block, K-block) pipeline block, the line coordinates in sweep
 // order and their bundling into chunks of at most kBundleLines lines
-// (remainder last). Both consumers -- the functional sweeper
-// (sweep::SweepState::sweep_block, which executes the chunks, serially
-// or on a host thread pool) and the timing engine
-// (core::TimingEngine::on_diagonal, which prices the identical chunk
-// list on the machine model) -- consume a ChunkPlan, so the functional
-// and timing paths cannot drift. The trace-driven enumerator, the
-// timing engine's block call and the workload audit walk a block's
-// diagonals through the static for_each_diagonal.
+// (remainder last). The functional sweeper
+// (sweep::SweepState::sweep_block) builds a ChunkPlan per diagonal and
+// executes its chunks, serially or on a host thread pool. The block
+// walker for_each_diagonal is the one statement of a block's diagonal
+// stream: the trace-driven enumerator and the workload audit walk it,
+// and the timing engine (core::TimingEngine) checks every diagonal it
+// is fed against the walker's next one and prices its chunks from
+// chunk_count / chunk_width, so the functional and timing paths cannot
+// drift.
 #pragma once
 
 #include <utility>
@@ -45,33 +47,19 @@ struct ChunkDesc {
 /// Deterministic decomposition of one JK-diagonal into chunks.
 class ChunkPlan {
  public:
-  ChunkPlan() = default;
-
   /// Plans diagonal @p diagonal (0-based jkm index) of one pipeline
   /// block: lines in the sweeper's visiting order (mh-major, kk-minor),
   /// bundled into chunks of at most kBundleLines.
-  ChunkPlan(const SweepConfig& cfg, int jt, int it, int diagonal,
-            bool fixup);
-
-  /// Plans the diagonal described by an already-emitted DiagonalWork
-  /// record (the timing engine's entry point). Throws std::logic_error
-  /// if @p w.nlines disagrees with the geometry -- functional/timing
-  /// drift is a structural bug, not a tolerance.
-  ChunkPlan(const SweepConfig& cfg, int jt, const DiagonalWork& w);
-
-  int diagonal() const noexcept { return diagonal_; }
-  int it() const noexcept { return it_; }
-  bool fixup() const noexcept { return fixup_; }
-  KernelKind kernel() const noexcept { return kernel_; }
+  ChunkPlan(const SweepConfig& cfg, int jt, int diagonal);
 
   int nlines() const noexcept { return static_cast<int>(lines_.size()); }
-  bool empty() const noexcept { return lines_.empty(); }
   const std::vector<LineCoord>& lines() const noexcept { return lines_; }
   const std::vector<ChunkDesc>& chunks() const noexcept { return chunks_; }
 
   // --- bundling arithmetic (shared with the audit / cluster paths) ----
 
-  /// Diagonals in one pipeline block (some near the corners are empty).
+  /// Diagonals in one pipeline block. Each holds at least one line, as
+  /// every d <= (mmi - 1) + (mk - 1) + (jt - 1) is a sum mh + kk + jj.
   static int diagonals_per_block(const SweepConfig& cfg, int jt) noexcept {
     return jt + cfg.mk + cfg.mmi - 2;
   }
@@ -80,20 +68,14 @@ class ChunkPlan {
   static int lines_on_diagonal(const SweepConfig& cfg, int jt,
                                int diagonal) noexcept;
 
-  /// Throws the DiagonalWork constructor's drift error when @p w.nlines
-  /// disagrees with lines_on_diagonal(): the same check for a diagonal
-  /// that is not planned (one of a fast-forwarded iteration).
-  static void check_lines(const SweepConfig& cfg, int jt,
-                          const DiagonalWork& w);
-
   /// Chunks @p nlines lines split into (full bundles, remainder last).
   static int chunk_count(int nlines) noexcept;
 
   /// Width of chunk @p chunk in a plan over @p nlines lines.
   static int chunk_width(int nlines, int chunk) noexcept;
 
-  /// The block walker: calls @p visit with each non-empty diagonal of
-  /// one pipeline block in sweep order, as @p block (its octant, angle
+  /// The block walker: calls @p visit with each diagonal of one
+  /// pipeline block in sweep order, as @p block (its octant, angle
   /// block, K block, it, fixup flag and kernel) with the diagonal's
   /// index and line count filled in -- the stream the functional
   /// sweeper emits for that block.
@@ -104,15 +86,11 @@ class ChunkPlan {
     for (int d = 0; d < ndiags; ++d) {
       block.diagonal = d;
       block.nlines = lines_on_diagonal(cfg, jt, d);
-      if (block.nlines > 0) visit(std::as_const(block));
+      visit(std::as_const(block));
     }
   }
 
  private:
-  int diagonal_ = 0;
-  int it_ = 0;
-  bool fixup_ = false;
-  KernelKind kernel_ = KernelKind::kSimd;
   std::vector<LineCoord> lines_;
   std::vector<ChunkDesc> chunks_;
 };

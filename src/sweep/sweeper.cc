@@ -32,8 +32,6 @@ void SweepConfig::validate(int kt, int mm) const {
     throw std::invalid_argument("SweepConfig: need at least one iteration");
   if (fixup_from_iteration < 0)
     throw std::invalid_argument("SweepConfig: fixup_from_iteration >= 0");
-  if (threads < 1)
-    throw std::invalid_argument("SweepConfig: need at least one thread");
 }
 
 template <typename Real>
@@ -155,8 +153,7 @@ void SweepState<Real>::sweep_block(const SweepConfig& cfg, bool fixup, int iq,
   const int ndiags = ChunkPlan::diagonals_per_block(cfg, g.jt);
 
   for (int d = 0; d < ndiags; ++d) {
-    const ChunkPlan plan(cfg, g.jt, g.it, d, fixup);
-    if (plan.empty()) continue;
+    const ChunkPlan plan(cfg, g.jt, d);
 
     // Materialize the plan's line coordinates into kernel arguments.
     // Every line writes disjoint flux rows and face entries (distinct
@@ -348,23 +345,11 @@ SweepRunStats SweepState<Real>::sweep(const SweepConfig& cfg, bool fixup,
   const int mm = quad_->angles_per_octant();
   cfg.validate(g.kt, mm);
 
-  // Host executor: an injected shared pool wins (its width sets the
-  // worker count); otherwise one owned pool sized by cfg.threads, kept
-  // across sweeps and rebuilt only when the thread count changes. One
-  // slot (kernel counters + chunk scratch) per worker either way.
-  int threads = cfg.threads;
-  if (cfg.pool != nullptr) {
-    threads = cfg.pool->size();
-    active_pool_ = threads > 1 ? cfg.pool : nullptr;
-  } else {
-    if (threads == 1) {
-      pool_.reset();
-    } else if (!pool_ || pool_->size() != threads) {
-      pool_ = std::make_unique<util::ThreadPool>(threads);
-    }
-    active_pool_ = pool_.get();
-  }
-  workers_.resize(threads);
+  // Host executor: cfg.pool when it is wider than one worker, else
+  // inline. One slot (kernel counters + chunk scratch) per worker.
+  active_pool_ =
+      cfg.pool != nullptr && cfg.pool->size() > 1 ? cfg.pool : nullptr;
+  workers_.resize(active_pool_ != nullptr ? active_pool_->size() : 1);
   for (WorkerSlot& w : workers_) {
     w.stats = KernelStats{};
     w.scratch.resize(chunk_scratch_reals(g.it));

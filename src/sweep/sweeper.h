@@ -7,10 +7,10 @@
 // JK-diagonals, and all I-lines on one diagonal are independent -- the
 // property the Cell port's thread-level parallelization relies on
 // (Section 4, level 2). Each diagonal's decomposition into chunks comes
-// from the shared ChunkPlan layer (sweep/plan.h); with
-// SweepConfig::threads > 1 the chunks of a diagonal execute in parallel
-// on a host thread pool (every I-line writes disjoint flux cells and
-// face entries, so the result is bitwise identical to the serial run).
+// from the shared ChunkPlan layer (sweep/plan.h); on a SweepConfig::pool
+// wider than one worker the chunks of a diagonal execute in parallel
+// (every I-line writes disjoint flux cells and face entries, so the
+// result is bitwise identical to the serial run).
 // A DiagonalObserver hook exposes each diagonal's work list so the Cell
 // orchestrator (src/core) can replay the same stream through the
 // machine model. SweepState applies the domain-face rules (vacuum
@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sweep/field.h"
@@ -60,16 +59,12 @@ struct SweepConfig {
   /// scattering ratio) is extrapolated away. Big win on strongly
   /// scattering problems; off by default to match the classic deck.
   bool accelerate = false;
-  /// Host threads executing a diagonal's chunks in the functional
-  /// sweep (1 = serial), each with its own sweep_chunk scratch. Purely
-  /// a host-side execution knob: results are bitwise identical for any
-  /// value, and simulated Cell timing never depends on it.
-  int threads = 1;
-  /// Externally shared host pool (non-owning, may be null). When set
-  /// it overrides `threads`: the sweep runs its chunks on this pool --
-  /// the solve server shares one pool across all tenants -- instead of
-  /// owning one. Same contract as `threads`: results are bitwise
-  /// identical and simulated Cell timing never depends on it.
+  /// Host pool the functional sweep runs a diagonal's chunks on
+  /// (non-owning; the solve server shares one across its tenants,
+  /// deck_runner --threads builds one). Null, or a pool of width 1,
+  /// runs them inline. Purely a host-side execution knob: results are
+  /// bitwise identical for any width, and simulated Cell timing never
+  /// depends on it.
   util::ThreadPool* pool = nullptr;
 
   void validate(int kt, int mm) const;
@@ -86,6 +81,8 @@ struct DiagonalWork {
   int it = 0;
   bool fixup = false;
   KernelKind kernel = KernelKind::kSimd;  ///< SPE kernel the timing prices
+
+  bool operator==(const DiagonalWork&) const = default;
 };
 
 /// Observer of the work stream (timing models attach here).
@@ -256,17 +253,16 @@ class SweepState {
   BoundaryIO<Real>* boundary_ = nullptr;
   LeakageTally leakage_;
 
-  // Host execution resources, sized at sweep() entry: the shared
-  // SweepConfig::pool when one is injected, else an owned pool sized by
-  // SweepConfig::threads, and one slot per worker, each on its own
-  // cache line: the worker's KernelStats (race-free counters, summed
-  // into SweepRunStats after the sweep) and its sweep_chunk scratch.
+  // Host execution resources, set at sweep() entry: the pool this
+  // sweep runs on (SweepConfig::pool when wider than one worker, else
+  // null: inline) and one slot per worker, each on its own cache line:
+  // the worker's KernelStats (race-free counters, summed into
+  // SweepRunStats after the sweep) and its sweep_chunk scratch.
   struct alignas(util::kCacheLineBytes) WorkerSlot {
     KernelStats stats;
     util::AlignedVector<Real> scratch;  // chunk_scratch_reals(it)
   };
-  std::unique_ptr<util::ThreadPool> pool_;  // null when threads == 1
-  util::ThreadPool* active_pool_ = nullptr;  // the pool this sweep uses
+  util::ThreadPool* active_pool_ = nullptr;
   std::vector<WorkerSlot> workers_;
   std::vector<LineArgs<Real>> diag_args_;  // one diagonal's line args
 };

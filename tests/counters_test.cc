@@ -13,6 +13,7 @@
 #include "core/orchestrator.h"
 #include "sim/counters.h"
 #include "util/json.h"
+#include "util/thread_pool.h"
 
 namespace cellsweep {
 namespace {
@@ -204,7 +205,8 @@ core::RunReport run_counters(int cube, sim::TimeSlicedProfiler* prof,
   cfg.sweep.fixup_from_iteration = 1;
   cfg.sweep.mk = std::min(cfg.sweep.mk, cube);
   while (cube % cfg.sweep.mk != 0) --cfg.sweep.mk;
-  cfg.sweep.threads = threads;
+  util::ThreadPool pool(threads);
+  cfg.sweep.pool = &pool;
   cfg.trace_sink = prof;
   core::CellSweep3D runner(p, cfg);
   core::RunReport r = runner.run(mode);

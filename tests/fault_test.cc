@@ -13,6 +13,7 @@
 #include "core/metrics.h"
 #include "core/orchestrator.h"
 #include "sim/fault.h"
+#include "util/thread_pool.h"
 
 namespace cellsweep::core {
 namespace {
@@ -228,10 +229,10 @@ TEST(FaultRun, SameSeedSameMetricsAcrossThreadCounts) {
   // must be byte-identical for any --threads value.
   const sweep::Problem p = sweep::Problem::benchmark_cube(10);
   CellSweepConfig cfg = faulted_config("seed=7,dma=0.01,spe=6:down", 10);
-  cfg.sweep.threads = 1;
   CellSweep3D one(p, cfg);
   const std::string m1 = metrics_of(one.run(RunMode::kFunctional));
-  cfg.sweep.threads = 4;
+  util::ThreadPool pool(4);
+  cfg.sweep.pool = &pool;
   CellSweep3D four(p, cfg);
   const std::string m4 = metrics_of(four.run(RunMode::kFunctional));
   EXPECT_EQ(m1, m4);

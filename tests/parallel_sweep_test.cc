@@ -13,6 +13,7 @@
 #include "sweep/plan.h"
 #include "sweep/problem.h"
 #include "sweep/sweeper.h"
+#include "util/thread_pool.h"
 
 namespace cellsweep::sweep {
 namespace {
@@ -27,7 +28,8 @@ struct SolveOutput {
 
 template <typename Real>
 SolveOutput<Real> run_solve(const Problem& p, SweepConfig cfg, int threads) {
-  cfg.threads = threads;
+  util::ThreadPool pool(threads);
+  cfg.pool = &pool;
   SnQuadrature quad(6);
   SweepState<Real> state(p, quad, /*l_max=*/2, kBenchmarkMoments);
   SolveOutput<Real> out;
@@ -123,8 +125,8 @@ TEST(ParallelSweep, ReflectiveBoundariesBitwiseIdentical) {
 }
 
 TEST(ParallelSweep, ThreadCountChangeMidStateIsSafe) {
-  // The same SweepState may sweep with different thread counts; the
-  // pool and per-worker stats are rebuilt on the fly.
+  // The same SweepState may sweep inline and on pools of different
+  // widths; the per-worker slots are resized on the fly.
   const Problem p = Problem::benchmark_cube(8);
   SnQuadrature quad(6);
   SweepState<double> state(p, quad, 2, kBenchmarkMoments);
@@ -133,10 +135,11 @@ TEST(ParallelSweep, ThreadCountChangeMidStateIsSafe) {
   state.build_source();
   const SweepRunStats serial = state.sweep(cfg, true);
   const double serial_sum = state.flux().moment_sum(0);
-  cfg.threads = 3;
+  util::ThreadPool pool(3);
+  cfg.pool = &pool;
   const SweepRunStats par3 = state.sweep(cfg, true);
   EXPECT_EQ(state.flux().moment_sum(0), serial_sum);
-  cfg.threads = 1;
+  cfg.pool = nullptr;
   const SweepRunStats again = state.sweep(cfg, true);
   EXPECT_EQ(state.flux().moment_sum(0), serial_sum);
   EXPECT_EQ(serial.cells, par3.cells);
@@ -158,7 +161,8 @@ TEST(ParallelSweep, ObserverStreamAndTimingUnaffectedByThreads) {
   core::CellSweep3D trace_runner(p, cfg);
   const core::RunReport trace = trace_runner.run(core::RunMode::kTraceDriven);
 
-  cfg.sweep.threads = 4;
+  util::ThreadPool pool(4);
+  cfg.sweep.pool = &pool;
   core::CellSweep3D parallel_runner(p, cfg);
   const core::RunReport func =
       parallel_runner.run(core::RunMode::kFunctional);
@@ -170,10 +174,34 @@ TEST(ParallelSweep, ObserverStreamAndTimingUnaffectedByThreads) {
   EXPECT_EQ(trace.cell_solves, func.cell_solves);
 }
 
-TEST(ParallelSweep, ValidateRejectsNonPositiveThreads) {
-  SweepConfig cfg;
-  cfg.threads = 0;
-  EXPECT_THROW(cfg.validate(10, 6), std::invalid_argument);
+TEST(ParallelSweep, RunsOnThePoolOnlyWhenItIsWiderThanOneWorker) {
+  // SweepConfig::pool is the one host-pool knob: a pool of width 1 is
+  // never forked (the sweep runs inline, as with no pool), a wider one
+  // is forked once per diagonal, and the flux is the same bits either
+  // way.
+  const Problem p = Problem::benchmark_cube(8);
+  SnQuadrature quad(6);
+  SweepConfig cfg = fixup_cfg(KernelKind::kSimd);
+  cfg.mk = 4;
+  const int diagonals_per_sweep =
+      8 * (quad.angles_per_octant() / cfg.mmi) * (p.grid().kt / cfg.mk) *
+      ChunkPlan::diagonals_per_block(cfg, p.grid().jt);
+  std::vector<double> sums;
+  util::ThreadPool one(1);
+  util::ThreadPool three(3);
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                 &one, &three}) {
+    SweepState<double> state(p, quad, 2, kBenchmarkMoments);
+    state.build_source();
+    cfg.pool = pool;
+    state.sweep(cfg, true);
+    sums.push_back(state.flux().moment_sum(0));
+  }
+  EXPECT_EQ(one.telemetry().forks, 0u);
+  EXPECT_EQ(three.telemetry().forks,
+            static_cast<std::uint64_t>(diagonals_per_sweep));
+  EXPECT_EQ(sums[1], sums[0]);
+  EXPECT_EQ(sums[2], sums[0]);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Property tests for the shared chunk-plan layer: the plan must cover
 // every I-line of every pipeline block exactly once, bundle lines into
-// chunks of at most kBundleLines, propagate the execution flags, and
-// agree with the trace-driven enumerator (the other historical source
-// of this arithmetic).
+// chunks of at most kBundleLines, put a line on every diagonal the block
+// walker yields, and agree with the trace-driven enumerator (the other
+// historical source of this arithmetic).
 #include <gtest/gtest.h>
 
 #include <set>
-#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -17,11 +16,10 @@
 namespace cellsweep::sweep {
 namespace {
 
-SweepConfig make_cfg(int mk, int mmi, KernelKind kernel = KernelKind::kSimd) {
+SweepConfig make_cfg(int mk, int mmi) {
   SweepConfig cfg;
   cfg.mk = mk;
   cfg.mmi = mmi;
-  cfg.kernel = kernel;
   return cfg;
 }
 
@@ -32,7 +30,7 @@ TEST(ChunkPlan, CoversEveryLineOfEveryBlockExactlyOnce) {
     std::set<std::tuple<int, int, int>> seen;
     const int ndiags = ChunkPlan::diagonals_per_block(cfg, jt);
     for (int d = 0; d < ndiags; ++d) {
-      const ChunkPlan plan(cfg, jt, /*it=*/16, d, /*fixup=*/false);
+      const ChunkPlan plan(cfg, jt, d);
       for (const LineCoord& lc : plan.lines()) {
         EXPECT_EQ(lc.mh + lc.kk + lc.jj, d);
         EXPECT_TRUE(lc.mh >= 0 && lc.mh < mmi);
@@ -57,7 +55,7 @@ TEST(ChunkPlan, CoversEveryLineOfEveryBlockExactlyOnce) {
 TEST(ChunkPlan, ChunksPartitionLinesWithBoundedWidth) {
   const SweepConfig cfg = make_cfg(10, 3);
   for (int d = 0; d < ChunkPlan::diagonals_per_block(cfg, 50); ++d) {
-    const ChunkPlan plan(cfg, 50, 16, d, false);
+    const ChunkPlan plan(cfg, 50, d);
     int next = 0;
     for (const ChunkDesc& ch : plan.chunks()) {
       EXPECT_EQ(ch.index, &ch - plan.chunks().data());
@@ -78,7 +76,7 @@ TEST(ChunkPlan, ChunksPartitionLinesWithBoundedWidth) {
 TEST(ChunkPlan, StaticHelpersAgreeWithBuiltPlan) {
   const SweepConfig cfg = make_cfg(5, 6);
   for (int d = 0; d < ChunkPlan::diagonals_per_block(cfg, 12); ++d) {
-    const ChunkPlan plan(cfg, 12, 20, d, true);
+    const ChunkPlan plan(cfg, 12, d);
     EXPECT_EQ(plan.nlines(), ChunkPlan::lines_on_diagonal(cfg, 12, d));
     for (const ChunkDesc& ch : plan.chunks())
       EXPECT_EQ(ch.nlines, ChunkPlan::chunk_width(plan.nlines(), ch.index));
@@ -90,48 +88,44 @@ TEST(ChunkPlan, StaticHelpersAgreeWithBuiltPlan) {
   EXPECT_EQ(ChunkPlan::chunk_count(60), 15);
 }
 
-TEST(ChunkPlan, ExecutionFlagsPropagate) {
-  SweepConfig cfg = make_cfg(4, 2, KernelKind::kScalar);
-  const ChunkPlan plan(cfg, 9, 33, 3, /*fixup=*/true);
-  EXPECT_EQ(plan.it(), 33);
-  EXPECT_TRUE(plan.fixup());
-  EXPECT_EQ(plan.kernel(), KernelKind::kScalar);
-  EXPECT_EQ(plan.diagonal(), 3);
-}
-
-TEST(ChunkPlan, DiagonalWorkRoundTrips) {
-  const SweepConfig cfg = make_cfg(4, 3);
-  const int jt = 9;
-  for (int d = 0; d < ChunkPlan::diagonals_per_block(cfg, jt); ++d) {
-    const int nlines = ChunkPlan::lines_on_diagonal(cfg, jt, d);
-    if (nlines == 0) continue;
-    const DiagonalWork w{/*octant=*/2, /*ablock=*/1, /*kblock=*/0, d,
-                         nlines, /*it=*/25, /*fixup=*/true,
-                         KernelKind::kSimd};
-    const ChunkPlan plan(cfg, jt, w);
-    EXPECT_EQ(plan.nlines(), w.nlines);
-    EXPECT_EQ(plan.it(), w.it);
-    EXPECT_TRUE(plan.fixup());
-    EXPECT_EQ(plan.kernel(), w.kernel);
-  }
-}
-
-TEST(ChunkPlan, RejectsDriftedDiagonalWork) {
-  const SweepConfig cfg = make_cfg(4, 3);
-  DiagonalWork w{0, 0, 0, /*diagonal=*/2, /*nlines=*/99, 25, false,
-                 KernelKind::kSimd};
-  EXPECT_THROW(ChunkPlan(cfg, 9, w), std::logic_error);
+TEST(ChunkPlan, EveryDiagonalOfABlockHasALine) {
+  // The block walker yields every diagonal in [0, diagonals_per_block)
+  // in order, and each holds a line (so a chunk): neither the sweeper
+  // nor the walker needs an empty-diagonal case. Every small blocking.
+  for (int mk = 1; mk <= 6; ++mk)
+    for (int mmi = 1; mmi <= 6; ++mmi)
+      for (int jt = 1; jt <= 12; ++jt) {
+        const SweepConfig cfg = make_cfg(mk, mmi);
+        const int ndiags = ChunkPlan::diagonals_per_block(cfg, jt);
+        int next = 0;
+        int lines = 0;
+        ChunkPlan::for_each_diagonal(
+            cfg, jt, DiagonalWork{}, [&](const DiagonalWork& w) {
+              EXPECT_EQ(w.diagonal, next++);
+              EXPECT_GT(w.nlines, 0);
+              EXPECT_EQ(w.nlines, ChunkPlan(cfg, jt, w.diagonal).nlines());
+              EXPECT_GT(ChunkPlan::chunk_count(w.nlines), 0);
+              lines += w.nlines;
+            });
+        EXPECT_EQ(next, ndiags);
+        EXPECT_EQ(lines, mk * mmi * jt);
+        EXPECT_EQ(ChunkPlan::lines_on_diagonal(cfg, jt, ndiags), 0);
+        if (HasFailure()) {
+          ADD_FAILURE() << "mk=" << mk << " mmi=" << mmi << " jt=" << jt;
+          return;
+        }
+      }
 }
 
 TEST(ChunkPlan, AgreesWithTraceDrivenEnumerator) {
   // The enumerator (workload.cc) and the plan layer must report the
   // same line count for every emitted diagonal -- the agreement that
-  // makes on_diagonal's drift check a no-op in correct runs.
+  // keeps on_diagonal's block-contract check silent in correct runs.
   const Grid g = Grid::cube(12);
   const SweepConfig cfg = make_cfg(6, 2);
   core::enumerate_sweep(g, 6, cfg, false, [&](const DiagonalWork& w) {
     EXPECT_EQ(w.nlines, ChunkPlan::lines_on_diagonal(cfg, g.jt, w.diagonal));
-    EXPECT_NO_THROW(ChunkPlan(cfg, g.jt, w));
+    EXPECT_EQ(w.nlines, ChunkPlan(cfg, g.jt, w.diagonal).nlines());
   });
 }
 

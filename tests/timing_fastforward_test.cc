@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -18,6 +19,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cellsim/observer.h"
@@ -29,6 +31,7 @@
 #include "sim/counters.h"
 #include "sim/trace.h"
 #include "sweep/deck.h"
+#include "sweep/plan.h"
 #include "sweep/quadrature.h"
 #include "util/rng.h"
 
@@ -436,7 +439,9 @@ struct Rng {
 /// Deck @p seed of the differential test: a non-cubic grid of 2-11
 /// cells a side, MK | KT, MMI | angles per octant, S2-S8, 1-9
 /// moments, 1-14 iterations and fixups from iteration 0-15 (never,
-/// past the last).
+/// past the last). One deck in three stops at a convergence epsilon of
+/// 1e-2 to 1e-6 (some before their last iteration), and one in four
+/// accelerates.
 std::string random_deck(std::uint64_t seed) {
   Rng rng{seed};
   int it = rng.in(2, 11);
@@ -455,7 +460,27 @@ std::string random_deck(std::uint64_t seed) {
      << "iterations " << rng.in(1, 14) << "  fixup_from " << rng.in(0, 15)
      << "\n"
      << "material benchmark 1.0 0.5 0.2 0.05 source 1.0\n";
+  if (rng.in(0, 2) == 0) os << "epsilon 1e-" << rng.in(2, 6) << "\n";
+  if (rng.in(0, 3) == 0) os << "accelerate 1\n";
   return os.str();
+}
+
+/// Expects @p c's deck to time the same functional, through
+/// CellSweep3D::run, and trace-driven over the iterations the solve
+/// ran (a converging deck stops early). A mismatch names @p what.
+void expect_functional_equals_trace_driven(const Case& c,
+                                           const std::string& what) {
+  const RunReport functional =
+      CellSweep3D(c.deck.problem, c.cfg, c.deck.sn_order, 2, c.deck.nm_cap)
+          .run(RunMode::kFunctional);
+  ASSERT_TRUE(functional.solve) << what;
+  CellSweepConfig cfg = c.cfg;
+  cfg.sweep.max_iterations = functional.solve->iterations;
+  EXPECT_EQ(metrics_json(functional),
+            metrics_json(trace_driven_run(cfg, c.deck.problem.grid(), c.nm,
+                                          c.angles)))
+      << what << "functional vs trace-driven, "
+      << functional.solve->iterations << " iteration(s)";
 }
 
 TEST(TimingFastForward, RandomDecksMatchFullReplay) {
@@ -463,9 +488,11 @@ TEST(TimingFastForward, RandomDecksMatchFullReplay) {
   // random decks, at every SPE stage and Fig. 10 projection, fed by
   // diagonal and by block (trace_driven). Every third deck is also
   // solved, feeding one functional stream to the pairs of every
-  // configuration. Decks run in seed order until the time box closes
-  // (the sanitizer jobs run this too); the first kMinDecks always run.
-  // A failure names the seed and the deck.
+  // configuration, and run through CellSweep3D::run(kFunctional) at
+  // every configuration, which must time what trace_driven_run times
+  // over the iterations it solved. Decks run in seed order until the
+  // time box closes (the sanitizer jobs run this too); the first
+  // kMinDecks always run. A failure names the seed and the deck.
   constexpr std::uint64_t kMinDecks = 6;
   constexpr std::uint64_t kMaxDecks = 60;
   const auto box = std::chrono::seconds(8);
@@ -496,9 +523,11 @@ TEST(TimingFastForward, RandomDecksMatchFullReplay) {
         pairs[i]->on_diagonal(labelled);
       }
     });
-    for (std::size_t i = 0; i < cases.size(); ++i)
-      pairs[i]->finish_and_compare(std::string(stage_name(all_configs()[i])) +
-                                   ", functional, " + what);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const std::string config = std::string(stage_name(all_configs()[i]));
+      pairs[i]->finish_and_compare(config + ", functional, " + what);
+      expect_functional_equals_trace_driven(cases[i], config + ", " + what);
+    }
     if (HasFailure()) return;
   }
   std::cout << "[ differential ] " << seed - 1 << " random decks\n";
@@ -702,16 +731,25 @@ TEST(TimingFastForward, GateAfterASkippedBlockMatchesFullReplay) {
 }
 
 TEST(TimingFastForward, GateInsideASkippedBlockThrows) {
+  // A block is open from its diagonal 0 to its last: gate, on_block and
+  // finish throw inside it, fast-forwarded or replayed.
   const Case c = make_case(kTiny8, OS::kSpeLsPoke);
   const std::vector<sweep::DiagonalWork> stream = tiny8_iteration(c);
   TimingEngine engine(c.cfg, c.deck.problem.grid(), c.nm);
-  for (int iter = 0; iter < 2; ++iter)
-    for (const sweep::DiagonalWork& w : stream) engine.on_diagonal(w);
+  engine.on_diagonal(stream[0]);
+  ASSERT_EQ(engine.blocks_fast_forwarded(), 0);
+  EXPECT_THROW(engine.gate(engine.horizon() + 1), std::logic_error);
+  EXPECT_THROW(engine.on_block(0, 0, 1, false), std::logic_error);
+  EXPECT_THROW(engine.finish(), std::logic_error);
+  for (std::size_t d = 1; d < stream.size(); ++d) engine.on_diagonal(stream[d]);
+  for (const sweep::DiagonalWork& w : stream) engine.on_diagonal(w);
   const int before = engine.blocks_fast_forwarded();
   engine.on_diagonal(stream[0]);
   if (hazard_env()) return;  // nothing is fast-forwarded under the checker
   ASSERT_EQ(engine.blocks_fast_forwarded(), before + 1);
   EXPECT_THROW(engine.gate(engine.horizon() + 1), std::logic_error);
+  EXPECT_THROW(engine.on_block(0, 0, 1, false), std::logic_error);
+  EXPECT_THROW(engine.finish(), std::logic_error);
 }
 
 TEST(TimingFastForward, DriftInAFastForwardedBlockStillThrows) {
@@ -725,13 +763,241 @@ TEST(TimingFastForward, DriftInAFastForwardedBlockStillThrows) {
   if (hazard_env()) return;  // nothing is fast-forwarded under the checker
   ASSERT_EQ(engine.blocks_fast_forwarded(), before + 1);
   // The block was skipped, but a diagonal reporting the wrong line
-  // count is still the ChunkPlan drift error...
+  // count is not the block walker's next one: it throws where it is
+  // fed, and leaves the block unfinished, so the run cannot end.
   sweep::DiagonalWork bad = stream[1];
   bad.nlines += 1;
   EXPECT_THROW(engine.on_diagonal(bad), std::logic_error);
-  // ...and a skipped block fed a different stream is caught when it
-  // ends.
+  EXPECT_THROW(engine.gate(engine.horizon()), std::logic_error);
   EXPECT_THROW(engine.finish(), std::logic_error);
+}
+
+/// The ways a diagonal stream can drift from the block walker.
+enum class Drift {
+  kIndex,
+  kLines,
+  kBlock,
+  kFixup,
+  kLength,
+  kKernel,
+  kDrop,
+  kRepeat
+};
+
+constexpr Drift kDrifts[] = {Drift::kIndex, Drift::kLines,  Drift::kBlock,
+                             Drift::kFixup, Drift::kLength, Drift::kKernel,
+                             Drift::kDrop,  Drift::kRepeat};
+
+const char* drift_name(Drift drift) {
+  switch (drift) {
+    case Drift::kIndex:
+      return "wrong index";
+    case Drift::kLines:
+      return "wrong line count";
+    case Drift::kBlock:
+      return "wrong block";
+    case Drift::kFixup:
+      return "wrong fixup flag";
+    case Drift::kLength:
+      return "wrong it";
+    case Drift::kKernel:
+      return "wrong kernel";
+    case Drift::kDrop:
+      return "dropped";
+    case Drift::kRepeat:
+      return "repeated";
+  }
+  return "?";
+}
+
+/// Applies @p drift to diagonal @p at of @p s; returns the index, in
+/// the mutated stream, of the diagonal the engine must refuse (its size
+/// when only finish can tell). A block or fixup flag changed at a
+/// block's diagonal 0 opens another block, so the contract refuses the
+/// block's diagonal 1.
+std::size_t mutate(std::vector<sweep::DiagonalWork>& s, std::size_t at,
+                   Drift drift) {
+  sweep::DiagonalWork& w = s[at];
+  const std::size_t opens = w.diagonal == 0 ? 1 : 0;
+  switch (drift) {
+    case Drift::kIndex:
+      ++w.diagonal;
+      return at;
+    case Drift::kLines:
+      ++w.nlines;
+      return at;
+    case Drift::kBlock:
+      ++w.kblock;
+      return at + opens;
+    case Drift::kFixup:
+      w.fixup = !w.fixup;
+      return at + opens;
+    case Drift::kLength:
+      ++w.it;
+      return at;
+    case Drift::kKernel:
+      w.kernel = w.kernel == sweep::KernelKind::kSimd
+                     ? sweep::KernelKind::kScalar
+                     : sweep::KernelKind::kSimd;
+      return at;
+    case Drift::kDrop:
+      s.erase(s.begin() + static_cast<std::ptrdiff_t>(at));
+      return at;
+    case Drift::kRepeat: {
+      const sweep::DiagonalWork copy = w;
+      s.insert(s.begin() + static_cast<std::ptrdiff_t>(at) + 1, copy);
+      return at + 1;
+    }
+  }
+  return s.size();
+}
+
+/// Feeds @p s to a fresh engine: every diagonal before @p refused must
+/// be accepted and that one refused with std::logic_error; gate and
+/// finish must then throw too. Returns the blocks fast-forwarded.
+int expect_refused_at(const Case& c, const CellSweepConfig& cfg,
+                      const std::vector<sweep::DiagonalWork>& s,
+                      std::size_t refused, const std::string& what) {
+  TimingEngine engine(cfg, c.deck.problem.grid(), c.nm);
+  for (std::size_t i = 0; i < refused && i < s.size(); ++i) {
+    try {
+      engine.on_diagonal(s[i]);
+    } catch (const std::logic_error& e) {
+      ADD_FAILURE() << what << ": refused diagonal " << i << " of " << s.size()
+                    << ", expected " << refused << ": " << e.what();
+      return engine.blocks_fast_forwarded();
+    }
+  }
+  if (refused < s.size()) {
+    EXPECT_THROW(engine.on_diagonal(s[refused]), std::logic_error)
+        << what << ": accepted diagonal " << refused;
+  }
+  EXPECT_THROW(engine.gate(engine.horizon()), std::logic_error) << what;
+  EXPECT_THROW(engine.finish(), std::logic_error) << what;
+  return engine.blocks_fast_forwarded();
+}
+
+/// @p cfg's whole trace-driven diagonal stream of @p c's deck.
+std::vector<sweep::DiagonalWork> full_stream(const Case& c,
+                                             const CellSweepConfig& cfg) {
+  std::vector<sweep::DiagonalWork> s;
+  for (int iter = 0; iter < cfg.sweep.max_iterations; ++iter)
+    enumerate_sweep(c.deck.problem.grid(), c.angles, cfg.sweep,
+                    iter >= cfg.sweep.fixup_from_iteration,
+                    [&](const sweep::DiagonalWork& w) { s.push_back(w); });
+  return s;
+}
+
+TEST(TimingFastForward, EveryDriftThrowsAtItsDiagonal) {
+  // Seeded mutation test of the block contract. Each seed takes a
+  // random deck and configuration, three iterations, and one block the
+  // engine replays and one it fast-forwards (random among them); in
+  // each it mutates one diagonal at a random position in every way a
+  // stream can drift. The engine must accept every diagonal before the
+  // mutation and refuse the mutated one, and gate and finish must throw
+  // after it. Positions are drawn so that the refusal falls inside the
+  // target block (its replay or skip is checked); the boundary cases --
+  // a block or fixup flag changed at diagonal 0, the last diagonal
+  // repeated or dropped -- run on top. A failure names the seed and the
+  // deck.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng{seed * 0x9e37u};
+    const std::string text = random_deck(seed);
+    const OS stage = all_configs()[static_cast<std::size_t>(
+        rng.in(0, static_cast<int>(all_configs().size()) - 1))];
+    const Case c = make_case(text.c_str(), stage);
+    const CellSweepConfig cfg = schedule(c, 3, rng.in(0, 3));
+    const std::vector<sweep::DiagonalWork> stream = full_stream(c, cfg);
+    const std::size_t ndiags = static_cast<std::size_t>(
+        sweep::ChunkPlan::diagonals_per_block(cfg.sweep,
+                                              c.deck.problem.grid().jt));
+    ASSERT_GE(ndiags, 2u);
+    // Which blocks a clean run skips.
+    std::vector<bool> skipped;
+    {
+      TimingEngine engine(cfg, c.deck.problem.grid(), c.nm);
+      for (const sweep::DiagonalWork& w : stream) {
+        const int before = engine.blocks_fast_forwarded();
+        engine.on_diagonal(w);
+        if (w.diagonal == 0)
+          skipped.push_back(engine.blocks_fast_forwarded() > before);
+      }
+      engine.finish();
+    }
+    ASSERT_EQ(skipped.size() * ndiags, stream.size());
+    for (const bool ff : {false, true}) {
+      std::vector<std::size_t> targets;
+      for (std::size_t b = 0; b < skipped.size(); ++b)
+        if (skipped[b] == ff) targets.push_back(b);
+      if (targets.empty()) {
+        EXPECT_TRUE(ff && hazard_env()) << "seed " << seed;
+        continue;
+      }
+      const std::size_t b = targets[static_cast<std::size_t>(
+          rng.in(0, static_cast<int>(targets.size()) - 1))];
+      const int skipped_before = static_cast<int>(
+          std::count(skipped.begin(),
+                     skipped.begin() + static_cast<std::ptrdiff_t>(b), true));
+      const std::size_t first = b * ndiags;
+      for (const Drift drift : kDrifts) {
+        // The block and fixup flag are the walker's from diagonal 1 on;
+        // a repeated diagonal must not be the block's last.
+        const int lo = drift == Drift::kBlock || drift == Drift::kFixup;
+        const int hi =
+            static_cast<int>(ndiags) - (drift == Drift::kRepeat ? 2 : 1);
+        const std::size_t at = first + static_cast<std::size_t>(rng.in(lo, hi));
+        std::vector<sweep::DiagonalWork> s = stream;
+        const std::size_t refused = mutate(s, at, drift);
+        const std::string what = "seed " + std::to_string(seed) + ", " +
+                                 stage_name(stage) + ", " + drift_name(drift) +
+                                 " diagonal " + std::to_string(at) + " in a " +
+                                 (ff ? "fast-forwarded" : "replayed") +
+                                 " block:\n" + text;
+        const int skips = expect_refused_at(c, cfg, s, refused, what);
+        EXPECT_EQ(skips, skipped_before + (ff ? 1 : 0)) << what;
+      }
+      // Boundary cases: a block or fixup flag changed at diagonal 0
+      // opens another block, a repeated last diagonal opens one at a
+      // diagonal past 0, and a dropped last diagonal leaves the block
+      // waiting (at the stream's end only finish can tell).
+      for (const auto& [drift, at] :
+           {std::pair{Drift::kBlock, first}, std::pair{Drift::kFixup, first},
+            std::pair{Drift::kRepeat, first + ndiags - 1},
+            std::pair{Drift::kDrop, first + ndiags - 1}}) {
+        std::vector<sweep::DiagonalWork> s = stream;
+        const std::size_t refused = mutate(s, at, drift);
+        expect_refused_at(c, cfg, s, refused,
+                          "seed " + std::to_string(seed) + ", boundary " +
+                              drift_name(drift) +
+                              " diagonal " + std::to_string(at) + ":\n" +
+                              text);
+      }
+      if (HasFailure()) return;  // the first failing seed is enough
+    }
+  }
+}
+
+TEST(TimingFastForward, RepeatedDriftThrowsWhereItStarts) {
+  // A drift that every block repeats: each block still matches the
+  // block before it, so only the block walker can tell. tiny8 at the
+  // final stage, four iterations.
+  const Case c = make_case(kTiny8, OS::kSpeLsPoke);
+  const CellSweepConfig cfg = schedule(c, 4, 1);
+  const std::vector<sweep::DiagonalWork> stream = full_stream(c, cfg);
+  const std::size_t ndiags = static_cast<std::size_t>(
+      sweep::ChunkPlan::diagonals_per_block(cfg.sweep,
+                                            c.deck.problem.grid().jt));
+  // Every block's last diagonal dropped: the second block's diagonal 0
+  // is refused, as its first block still waits for its last diagonal.
+  std::vector<sweep::DiagonalWork> dropped;
+  for (const sweep::DiagonalWork& w : stream)
+    if (w.diagonal + 1 != static_cast<int>(ndiags)) dropped.push_back(w);
+  expect_refused_at(c, cfg, dropped, ndiags - 1,
+                    "tiny8, the last diagonal of every block dropped");
+  // Every diagonal one cell longer: refused at the first.
+  std::vector<sweep::DiagonalWork> longer = stream;
+  for (sweep::DiagonalWork& w : longer) ++w.it;
+  expect_refused_at(c, cfg, longer, 0, "tiny8, it + 1 on every diagonal");
 }
 
 }  // namespace
