@@ -7,8 +7,9 @@
 // via --json <dir>: config fingerprint, per-run metrics (grind time,
 // traffic, utilizations), the full hardware counter tree and per-stage
 // deltas. tools/perf_diff compares two such files and fails CI on
-// regression. All numeric output routes through util::cformat, so both
-// the tables and the JSON are byte-stable across locales.
+// regression. All numeric output routes through util::cformat (JSON
+// numbers through util::json_number), so both the tables and the JSON
+// are byte-stable across locales.
 #pragma once
 
 #include <cmath>
@@ -21,6 +22,7 @@
 
 #include "core/metrics.h"
 #include "core/orchestrator.h"
+#include "util/json.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -39,16 +41,20 @@ inline core::RunReport run_stage(core::OptimizationStage stage, int cube = 50,
   cfg.sweep.max_iterations = iterations;
   cfg.sweep.fixup_from_iteration = iterations - 2;
   // MK must factor KT: pick the largest divisor <= the default.
-  int mk = 1;
-  for (int d = 1; d <= cfg.sweep.mk; ++d)
-    if (cube % d == 0) mk = d;
-  cfg.sweep.mk = mk;
+  cfg.sweep.mk = sweep::largest_mk(cube, cfg.sweep.mk);
   core::CellSweep3D runner(problem, cfg);
   return runner.run(core::RunMode::kTraceDriven);
 }
 
 /// Locale-independent snprintf for table cells and JSON fragments.
 inline std::string fmt(const char* f, double v) { return util::cformat(f, v); }
+
+/// One `"key": value` member of a BENCH run's "metrics" object.
+inline void write_metric(std::ostream& os, const char* key, double v,
+                         bool first = false) {
+  os << (first ? "" : ",") << "\n       \"" << key
+     << "\": " << util::json_number(v);
+}
 
 inline void print_header(const std::string& title) {
   std::cout << "\n=== " << title << " ===\n\n";
@@ -167,9 +173,9 @@ class BenchJson {
       const auto& [to, b] = runs_[i + 1];
       os << (i ? ",\n" : "\n") << "    {\"from\": \"" << from
          << "\", \"to\": \"" << to << "\", \"seconds_delta\": "
-         << util::cformat("%.17g", b.seconds - a.seconds)
+         << util::json_number(b.seconds - a.seconds)
          << ", \"seconds_ratio\": "
-         << (a.seconds > 0 ? util::cformat("%.17g", b.seconds / a.seconds)
+         << (a.seconds > 0 ? util::json_number(b.seconds / a.seconds)
                            : std::string("null"))
          << "}";
     }
@@ -180,16 +186,6 @@ class BenchJson {
   }
 
  private:
-  static void write_metric(std::ostream& os, const char* key, double v,
-                           bool first = false) {
-    os << (first ? "" : ",") << "\n       \"" << key << "\": ";
-    if (std::isfinite(v)) {
-      os << util::cformat("%.17g", v);
-    } else {
-      os << "null";  // the JSON-null contract for NaN/inf metrics
-    }
-  }
-
   std::string scenario_;
   int cube_;
   int iterations_;

@@ -61,10 +61,7 @@ double sweep_service_s(int cube, int width) {
       core::OptimizationStage::kSpeLsPoke);
   cfg.sweep.max_iterations = 12;
   cfg.sweep.fixup_from_iteration = 10;
-  int mk = 1;
-  for (int d = 1; d <= cfg.sweep.mk; ++d)
-    if (cube % d == 0) mk = d;
-  cfg.sweep.mk = mk;
+  cfg.sweep.mk = sweep::largest_mk(cube, cfg.sweep.mk);
   core::SpeAllocator alloc(cfg.chip.num_spes);
   core::SpeAllocator::Claim blocker = block_down_to(alloc, width);
   cfg.spe_allocator = &alloc;
@@ -127,12 +124,6 @@ util::Histogram latency_hist(const QueueOutcome& q, int tenant = -1) {
   for (std::size_t i = 0; i < q.latency_s.size(); ++i)
     if (tenant < 0 || q.worker[i] == tenant) h.add(q.latency_s[i]);
   return h;
-}
-
-void write_metric(std::ostream& os, const char* key, double v,
-                  bool first = false) {
-  os << (first ? "" : ",") << "\n       \"" << key
-     << "\": " << util::cformat("%.17g", v);
 }
 
 /// One point on the latency-vs-load curve.
@@ -321,19 +312,19 @@ int main(int argc, char** argv) {
     for (const LoadPoint& pt : curve) {
       os << (first_pt ? "\n" : ",\n") << "    {\"name\": \"load-"
          << bench::fmt("%.2f", pt.offered_load) << "\",\n     \"metrics\": {";
-      write_metric(os, "seconds", pt.makespan_s, true);
-      write_metric(os, "jobs_per_s",
-                   static_cast<double>(kLoadJobs) / pt.makespan_s);
-      write_metric(os, "latency_p50_s", pt.latency.percentile(0.50));
-      write_metric(os, "latency_p95_s", pt.latency.percentile(0.95));
-      write_metric(os, "latency_p99_s", pt.latency.percentile(0.99));
+      bench::write_metric(os, "seconds", pt.makespan_s, true);
+      bench::write_metric(os, "jobs_per_s",
+                          static_cast<double>(kLoadJobs) / pt.makespan_s);
+      bench::write_metric(os, "latency_p50_s", pt.latency.percentile(0.50));
+      bench::write_metric(os, "latency_p95_s", pt.latency.percentile(0.95));
+      bench::write_metric(os, "latency_p99_s", pt.latency.percentile(0.99));
       os << "},\n     \"counters\": null}";
       first_pt = false;
     }
     os << ",\n    {\"name\": \"summary\",\n     \"metrics\": {";
-    write_metric(os, "seconds", curve.back().makespan_s, true);
-    write_metric(os, "capacity_jobs_per_s", capacity_jobs_per_s);
-    write_metric(os, "knee_offered_load", knee_load);
+    bench::write_metric(os, "seconds", curve.back().makespan_s, true);
+    bench::write_metric(os, "capacity_jobs_per_s", capacity_jobs_per_s);
+    bench::write_metric(os, "knee_offered_load", knee_load);
     os << "},\n     \"counters\": null}\n  ],\n  \"deltas\": []\n}\n";
     std::cout << "Bench JSON -> " << path << "\n";
     if (!os.good()) return 1;
@@ -359,31 +350,31 @@ int main(int argc, char** argv) {
       os << (first_run ? "\n" : ",\n") << "    {\"name\": \"" << row.name
          << "\",\n     \"metrics\": {";
       const util::Histogram h = latency_hist(*row.q);
-      write_metric(os, "seconds", row.q->makespan_s, true);
-      write_metric(os, "jobs_per_s",
-                   static_cast<double>(jobs) / row.q->makespan_s);
-      write_metric(os, "latency_p50_s", h.percentile(0.50));
-      write_metric(os, "latency_p95_s", h.percentile(0.95));
-      write_metric(os, "latency_p99_s", h.percentile(0.99));
+      bench::write_metric(os, "seconds", row.q->makespan_s, true);
+      bench::write_metric(os, "jobs_per_s",
+                          static_cast<double>(jobs) / row.q->makespan_s);
+      bench::write_metric(os, "latency_p50_s", h.percentile(0.50));
+      bench::write_metric(os, "latency_p95_s", h.percentile(0.95));
+      bench::write_metric(os, "latency_p99_s", h.percentile(0.99));
       const int tenants_here = row.q == &shared ? kTenants : 1;
       for (int t = 0; t < tenants_here; ++t) {
         const util::Histogram th = latency_hist(*row.q, t);
         const std::string prefix = "tenant" + std::to_string(t);
-        write_metric(os, (prefix + "_latency_p50_s").c_str(),
-                     th.percentile(0.50));
-        write_metric(os, (prefix + "_latency_p95_s").c_str(),
-                     th.percentile(0.95));
-        write_metric(os, (prefix + "_latency_p99_s").c_str(),
-                     th.percentile(0.99));
+        bench::write_metric(os, (prefix + "_latency_p50_s").c_str(),
+                            th.percentile(0.50));
+        bench::write_metric(os, (prefix + "_latency_p95_s").c_str(),
+                            th.percentile(0.95));
+        bench::write_metric(os, (prefix + "_latency_p99_s").c_str(),
+                            th.percentile(0.99));
       }
       os << "},\n     \"counters\": null}";
       first_run = false;
     }
     os << "\n  ],\n  \"deltas\": [\n    {\"from\": \"serial-1-tenant\", "
        << "\"to\": \"2-tenant\", \"seconds_delta\": "
-       << util::cformat("%.17g", shared.makespan_s - serial.makespan_s)
+       << util::json_number(shared.makespan_s - serial.makespan_s)
        << ", \"seconds_ratio\": "
-       << util::cformat("%.17g", shared.makespan_s / serial.makespan_s)
+       << util::json_number(shared.makespan_s / serial.makespan_s)
        << "}\n  ]\n}\n";
     std::cout << "Bench JSON -> " << path << "\n";
     if (!os.good()) return 1;

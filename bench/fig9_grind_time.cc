@@ -28,10 +28,7 @@ int main(int argc, char** argv) {
     json.add_run("cube" + std::to_string(n), r);
     // The widest diagonal holds mk*mmi lines; perfect balance when that
     // is a multiple of 4 lines x 8 SPEs (the "dents").
-    int mk = 1;
-    for (int d = 1; d <= 10; ++d)
-      if (n % d == 0) mk = d;
-    const int width = mk * 3;  // mmi = 3 in the shipped deck
+    const int width = sweep::largest_mk(n, 10) * 3;  // mmi = 3 in the deck
     table.add_row({bench::fmt("%.0f", n),
                    bench::fmt("%.3f", r.seconds),
                    bench::fmt("%.1f", r.grind_seconds * 1e9),

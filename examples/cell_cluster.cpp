@@ -50,9 +50,7 @@ int main(int argc, char** argv) {
   const sweep::Problem problem = sweep::Problem::benchmark_cube(n);
   sweep::SnQuadrature quad(6);
   sweep::SweepConfig cfg;
-  cfg.mk = 1;
-  for (int d = 1; d <= 5; ++d)
-    if (n % d == 0) cfg.mk = d;
+  cfg.mk = sweep::largest_mk(n, 5);
   cfg.mmi = 3;  // small angle blocks pipeline the wave to neighbors
   cfg.max_iterations = 6;
   cfg.fixup_from_iteration = 4;

@@ -29,6 +29,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "analysis/diagnostics.h"
@@ -49,16 +50,6 @@
 using namespace cellsweep;
 
 namespace {
-
-/// The --stage names; throws util::CliError on anything else.
-core::OptimizationStage stage_from_name(const std::string& name) {
-  if (name == "ppe") return core::OptimizationStage::kPpeXlc;
-  if (name == "initial") return core::OptimizationStage::kSpeInitial;
-  if (name == "simd") return core::OptimizationStage::kSpeSimd;
-  if (name == "final") return core::OptimizationStage::kSpeLsPoke;
-  throw util::CliError("unknown stage '" + name +
-                       "' (valid: ppe | initial | simd | final)");
-}
 
 /// --name as a count >= 1; throws util::CliError otherwise.
 int positive_flag(const util::CliParser& cli, const std::string& name) {
@@ -726,8 +717,8 @@ int main(int argc, char** argv) {
 
   core::OptimizationStage stage{};
   try {
-    stage = stage_from_name(cli.get_string("stage"));
-  } catch (const util::CliError& e) {
+    stage = core::stage_from_name(cli.get_string("stage"));
+  } catch (const std::invalid_argument& e) {
     std::cerr << "deck_runner: " << e.what() << "\n";
     return 1;
   }

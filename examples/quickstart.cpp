@@ -6,6 +6,7 @@
 // machine model, then prints the physics results and the simulated
 // performance report -- the two halves this library provides.
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "core/orchestrator.h"
@@ -31,18 +32,15 @@ int main(int argc, char** argv) {
   }
 
   int cube, iterations;
+  core::OptimizationStage stage{};
   try {
     cube = static_cast<int>(cli.get_int("cube"));
     iterations = static_cast<int>(cli.get_int("iterations"));
-  } catch (const util::CliError& e) {
+    stage = core::stage_from_name(cli.get_string("stage"));
+  } catch (const std::exception& e) {
     std::cerr << e.what() << "\n" << cli.usage(argv[0]);
     return 1;
   }
-  const std::string stage_name = cli.get_string("stage");
-  core::OptimizationStage stage = core::OptimizationStage::kSpeLsPoke;
-  if (stage_name == "ppe") stage = core::OptimizationStage::kPpeXlc;
-  else if (stage_name == "initial") stage = core::OptimizationStage::kSpeInitial;
-  else if (stage_name == "simd") stage = core::OptimizationStage::kSpeSimd;
 
   // 1. Define the problem: the paper's homogeneous benchmark cube.
   const sweep::Problem problem = sweep::Problem::benchmark_cube(cube);
@@ -51,10 +49,7 @@ int main(int argc, char** argv) {
   core::CellSweepConfig cfg = core::CellSweepConfig::from_stage(stage);
   cfg.sweep.max_iterations = iterations;
   cfg.sweep.fixup_from_iteration = cfg.sweep.max_iterations - 2;
-  int mk = 1;
-  for (int d = 1; d <= cfg.sweep.mk; ++d)
-    if (cube % d == 0) mk = d;
-  cfg.sweep.mk = mk;
+  cfg.sweep.mk = sweep::largest_mk(cube, cfg.sweep.mk);
 
   // 3. Run: functional mode solves the physics while the machine model
   //    accumulates simulated time.

@@ -56,10 +56,7 @@ int main(int argc, char** argv) {
   cfg.sweep.max_iterations = 60;
   cfg.sweep.fixup_from_iteration = 0;
   cfg.sweep.epsilon = epsilon;
-  int mk = 1;
-  for (int d = 1; d <= cfg.sweep.mk; ++d)
-    if (n % d == 0) mk = d;
-  cfg.sweep.mk = mk;
+  cfg.sweep.mk = sweep::largest_mk(n, cfg.sweep.mk);
 
   core::CellSweep3D runner(problem, cfg);
   const core::RunReport r = runner.run(core::RunMode::kFunctional);

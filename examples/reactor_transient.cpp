@@ -47,16 +47,14 @@ int main(int argc, char** argv) {
   std::cout << "Reactor problem: " << n << "^3 cells, scattering ratio "
             << base.max_scattering_ratio() << " (slow source iteration)\n\n";
 
-  sweep::SweepConfig scfg;
-  scfg.mk = 1;
-  for (int d = 1; d <= 10; ++d)
-    if (n % d == 0) scfg.mk = d;
-  scfg.mmi = 3;
-  scfg.max_iterations = 400;
-  scfg.fixup_from_iteration = 0;
-  scfg.epsilon = 1e-7;
+  core::CellSweepConfig ccfg =
+      core::CellSweepConfig::from_stage(core::OptimizationStage::kSpeLsPoke);
+  ccfg.sweep.mk = sweep::largest_mk(n, 10);
+  ccfg.sweep.mmi = 3;
+  ccfg.sweep.max_iterations = 400;
+  ccfg.sweep.fixup_from_iteration = 0;
+  ccfg.sweep.epsilon = 1e-7;
 
-  sweep::SnQuadrature quad(6);
   util::TextTable table({"step", "pin source", "iterations", "power (abs)",
                          "leakage", "simulated Cell time"});
 
@@ -73,34 +71,22 @@ int main(int argc, char** argv) {
           cells[base.grid().index(i, j, k)] = base.material_index(i, j, k);
     const sweep::Problem problem(base.grid(), mats, std::move(cells));
 
-    // Physics: converge this step.
-    sweep::SweepState<double> state(problem, quad, 2,
-                                    sweep::kBenchmarkMoments);
-    const sweep::SolveResult solve =
-        sweep::solve_source_iteration(state, scfg);
-
-    // Machine model: what would this step cost on the Cell?
-    core::CellSweepConfig ccfg =
-        core::CellSweepConfig::from_stage(core::OptimizationStage::kSpeLsPoke);
-    ccfg.sweep = scfg;
-    ccfg.sweep.max_iterations = solve.iterations;
-    ccfg.sweep.epsilon = 0.0;  // replay the converged iteration count
+    // Converge this step, then price the iterations it took on the Cell.
     core::CellSweep3D runner(problem, ccfg);
-    const core::RunReport r = runner.run(core::RunMode::kTraceDriven);
+    const core::RunReport r = runner.run(core::RunMode::kFunctional);
     total_sim_time += r.seconds;
 
     table.add_row({std::to_string(step),
                    [&] { char b[32];
                          std::snprintf(b, sizeof b, "%.3f", scale);
                          return std::string(b); }(),
-                   std::to_string(solve.iterations),
+                   std::to_string(r.solve->iterations),
                    [&] { char b[32];
-                         std::snprintf(b, sizeof b, "%.4f",
-                                       state.absorption_rate());
+                         std::snprintf(b, sizeof b, "%.4f", r.absorption);
                          return std::string(b); }(),
                    [&] { char b[32];
                          std::snprintf(b, sizeof b, "%.4f",
-                                       state.leakage().total());
+                                       r.leakage.total());
                          return std::string(b); }(),
                    util::format_seconds(r.seconds)});
   }

@@ -92,19 +92,21 @@ Diagnostics lint_deck(const sweep::Deck& deck,
   }
 
   // Quadrature / moment consistency. The LQn builder accepts the
-  // orders Sweep3D supports; everything after needs the angle count.
+  // orders Sweep3D supports; everything after needs the angle count
+  // and the flux moments every run of the deck carries.
   int mm = 0;
-  int nm = deck.nm_cap;
+  int nm = 0;
   try {
     const sweep::SnQuadrature quad(deck.sn_order);
     mm = quad.angles_per_octant();
-    // Runners build the moment table at the benchmark convention of
-    // P2 scattering (or higher if the deck's materials demand it).
-    const int l_max = std::max(2, deck.problem.max_scattering_order());
-    nm = sweep::MomentTable(quad, l_max, deck.nm_cap).nm();
+    nm = sweep::deck_moments(deck, quad);
   } catch (const std::exception& e) {
-    diags.error("quadrature", "sn " + std::to_string(deck.sn_order),
-                e.what());
+    if (mm == 0)
+      diags.error("quadrature", "sn " + std::to_string(deck.sn_order),
+                  e.what());
+    else
+      diags.error("moments", "moments " + std::to_string(deck.nm_cap),
+                  e.what());
   }
 
   // Blocking factors (MK | KT, MMI | angle count, iteration counts).
@@ -119,11 +121,7 @@ Diagnostics lint_deck(const sweep::Deck& deck,
     }
   }
 
-  if (nm < 1) {
-    diags.error("moments", "moments " + std::to_string(deck.nm_cap),
-                "at least one flux moment is required");
-    return diags;
-  }
+  if (nm < 1) return diags;  // no moment count to size the local store by
 
   // Local-store budget: the largest chunk's staging buffer, times the
   // buffer count, plus the resident constants and the code reserve,

@@ -65,16 +65,15 @@ std::vector<std::pair<std::string, const JsonValue*>> runs_of(
 const char* diff_status_name(DiffStatus s) {
   switch (s) {
     case DiffStatus::kOk: return "ok";
-    case DiffStatus::kImproved: return "improved";
-    case DiffStatus::kRegressed: return "REGRESSED";
+    case DiffStatus::kMoved: return "MOVED";
     case DiffStatus::kSkipped: return "skipped";
   }
   return "?";
 }
 
-bool PerfDiffResult::regressed() const {
+bool PerfDiffResult::moved() const {
   for (const DiffRow& r : rows)
-    if (r.status == DiffStatus::kRegressed) return true;
+    if (r.status == DiffStatus::kMoved) return true;
   return false;
 }
 
@@ -115,15 +114,15 @@ PerfDiffResult diff_bench(const util::JsonValue& current,
   }
 
   // No early return on gate failures: a CI run should surface every
-  // problem -- schema AND scenario AND fingerprint AND each regressed
+  // problem -- schema AND scenario AND fingerprint AND each moved
   // metric -- in one pass, not one per rerun. The run extraction below
   // only needs the "runs" layout, so it stays meaningful (and appends
   // its own structure errors) even when a gate above already fired.
   const auto cur_runs = runs_of(current, "current", res.errors);
   const auto base_runs = runs_of(baseline, "baseline", res.errors);
 
-  // Compared metrics: the lower-is-better defaults plus any explicitly
-  // thresholded ones.
+  // Compared metrics: the defaults plus any explicitly thresholded
+  // ones.
   std::vector<std::pair<std::string, double>> metrics = {
       {"seconds", opt.default_threshold},
       {"grind_seconds", opt.default_threshold}};
@@ -163,9 +162,10 @@ PerfDiffResult diff_bench(const util::JsonValue& current,
         row.baseline = b->number_v;
         row.current = c->number_v;
         row.ratio = c->number_v / b->number_v;
-        row.status = row.ratio > 1.0 + threshold ? DiffStatus::kRegressed
-                     : row.ratio < 1.0           ? DiffStatus::kImproved
-                                                 : DiffStatus::kOk;
+        row.status = row.ratio < 1.0 - threshold ||
+                             row.ratio > 1.0 + threshold
+                         ? DiffStatus::kMoved
+                         : DiffStatus::kOk;
       }
       res.rows.push_back(std::move(row));
     }

@@ -9,14 +9,15 @@
 //   * fingerprint (problem size, iteration count, chip shape) mismatch
 //     is a hard error: numbers from different experiments are not
 //     comparable;
-//   * compared metrics are lower-is-better (seconds, grind_seconds by
-//     default); a run regresses when current > baseline * (1 +
-//     threshold). Improvements never fail;
+//   * a compared metric (seconds, grind_seconds by default) fails when
+//     current / baseline falls outside [1 - threshold, 1 + threshold]:
+//     the simulator is deterministic, so a move either way is a model
+//     change, whichever way is better;
 //   * JSON null metrics (the NaN contract of the emitters) and runs
 //     missing a metric are skipped, not failed;
 //   * one pass reports everything: gate failures do not stop the
 //     metric comparison, so a single CI run shows every error and
-//     every regressed metric at once.
+//     every moved metric at once.
 #pragma once
 
 #include <string>
@@ -33,7 +34,7 @@ namespace cellsweep::analysis {
 inline constexpr const char* kBenchSchema = "cellsweep-bench-v2";
 
 struct PerfDiffOptions {
-  /// Allowed relative growth of a lower-is-better metric.
+  /// Allowed relative change of a metric, either way.
   double default_threshold = 0.25;
   /// Extra or overriding per-metric thresholds; metrics named here are
   /// compared in addition to the defaults.
@@ -43,10 +44,9 @@ struct PerfDiffOptions {
 };
 
 enum class DiffStatus : unsigned char {
-  kOk,        ///< within threshold
-  kImproved,  ///< current < baseline
-  kRegressed, ///< current > baseline * (1 + threshold)
-  kSkipped,   ///< metric null or absent on either side
+  kOk,       ///< ratio within [1 - threshold, 1 + threshold]
+  kMoved,    ///< ratio outside it, either way
+  kSkipped,  ///< metric null or absent on either side
 };
 
 const char* diff_status_name(DiffStatus s);
@@ -58,7 +58,7 @@ struct DiffRow {
   double baseline = 0;
   double current = 0;
   double ratio = 0;      ///< current / baseline (0 when skipped)
-  double threshold = 0;  ///< relative growth allowed
+  double threshold = 0;  ///< relative change allowed, either way
   DiffStatus status = DiffStatus::kSkipped;
   std::string note;      ///< why a row was skipped
 };
@@ -72,8 +72,9 @@ struct PerfDiffResult {
   /// territory).
   std::vector<std::string> errors;
 
-  bool regressed() const;
-  bool ok() const { return errors.empty() && !regressed(); }
+  /// True when any compared metric moved past its threshold.
+  bool moved() const;
+  bool ok() const { return errors.empty() && !moved(); }
 };
 
 /// Diffs @p current against @p baseline. Both must be parsed

@@ -1,5 +1,7 @@
 #include "core/config.h"
 
+#include <stdexcept>
+
 namespace cellsweep::core {
 
 const char* stage_name(OptimizationStage s) {
@@ -20,6 +22,15 @@ const char* stage_name(OptimizationStage s) {
     case OptimizationStage::kFutureSingle:  return "[future] single precision";
   }
   return "?";
+}
+
+OptimizationStage stage_from_name(const std::string& name) {
+  if (name == "ppe") return OptimizationStage::kPpeXlc;
+  if (name == "initial") return OptimizationStage::kSpeInitial;
+  if (name == "simd") return OptimizationStage::kSpeSimd;
+  if (name == "final") return OptimizationStage::kSpeLsPoke;
+  throw std::invalid_argument("unknown stage '" + name +
+                              "' (valid: ppe | initial | simd | final)");
 }
 
 CellSweepConfig CellSweepConfig::from_stage(OptimizationStage s) {

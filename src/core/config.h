@@ -51,6 +51,10 @@ enum class OptimizationStage : std::uint8_t {
 
 const char* stage_name(OptimizationStage s);
 
+/// The stage a --stage name selects: ppe | initial | simd | final.
+/// Throws std::invalid_argument, listing the valid names, on any other.
+OptimizationStage stage_from_name(const std::string& name);
+
 /// Bytes of one real number of @p p in kernels and DMA payloads.
 inline std::size_t real_bytes_of(Precision p) {
   return p == Precision::kDouble ? 8 : 4;
@@ -117,8 +121,10 @@ struct StreamConfig {
   /// Hard cap on the SPEs this run may ever hold (0 = uncapped).
   int claim_quota = 0;
   /// Cooperative cancellation flag (non-owning, may be null). Polled
-  /// between waves -- chunk granularity, never mid-wave -- and when it
-  /// reads true run_batch throws core::RunCancelled. Observation only
+  /// after every diagonal of a functional sweep's solve and between
+  /// waves -- chunk granularity, never mid-wave -- of the pipeline;
+  /// when it reads true the solve or run_batch throws
+  /// core::RunCancelled. Observation only
   /// until it fires: a never-set flag changes no simulated tick.
   const std::atomic<bool>* cancel = nullptr;
 };

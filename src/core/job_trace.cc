@@ -57,10 +57,10 @@ void write_job_trace_events(sim::ChromeTraceWriter& writer,
     if (JobTrace::reached(t.run_start_s) && JobTrace::reached(t.run_end_s)) {
       writer.span_copy(track, "solve " + j.name, "solve",
                        ticks(t.run_start_s), ticks(t.run_end_s));
-      if (t.claim_wait_s > 0.0)
+      if (t.claim_wait_s > 0.0 && JobTrace::reached(t.claim_start_s))
         writer.span_copy(track, "spe-claim-wait " + j.name, "allocator",
-                         ticks(t.run_start_s),
-                         ticks(t.run_start_s + t.claim_wait_s));
+                         ticks(t.claim_start_s),
+                         ticks(t.claim_start_s + t.claim_wait_s));
     }
   }
 }

@@ -42,10 +42,11 @@ class HostClock {
   HostClock() : epoch_(std::chrono::steady_clock::now()) {}
 
   /// Seconds since construction.
-  double now_s() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_)
-        .count();
+  double now_s() const { return at_s(std::chrono::steady_clock::now()); }
+
+  /// @p t in seconds since construction.
+  double at_s(std::chrono::steady_clock::time_point t) const {
+    return std::chrono::duration<double>(t - epoch_).count();
   }
 
   /// Milliseconds since the Unix epoch (wall clock, for file names).
@@ -82,6 +83,9 @@ struct JobTrace {
   /// Host seconds the run spent blocked in SpeAllocator::claim()
   /// (0 when the chip had room immediately).
   double claim_wait_s = 0.0;
+  /// When that wait began (kUnset without one): a sweep claims its
+  /// SPEs only to price its sweeps, after a functional solve.
+  double claim_start_s = kUnset;
   /// False: the server stopped before this job ran; the trace is the
   /// partial prefix up to enqueue (or dequeue).
   bool complete = false;

@@ -1,38 +1,22 @@
 #include "core/metrics.h"
 
-#include <cmath>
 #include <ostream>
 #include <string>
 
 #include "core/orchestrator.h"
 #include "sim/counters.h"
+#include "util/json.h"
 #include "util/stats.h"
-#include "util/units.h"
 
 namespace cellsweep::core {
 namespace {
 
-/// JSON has no NaN/Infinity literals; the empty-stats contract (all
-/// moments NaN) and any degenerate ratio serialize as null. %.17g
-/// round-trips doubles exactly, so identical runs emit identical bytes.
-void num(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  os << util::cformat("%.17g", v);
-}
-
 void stats_object(std::ostream& os, const util::RunningStats& s) {
-  os << "{\"count\": " << s.count() << ", \"mean\": ";
-  num(os, s.mean());
-  os << ", \"min\": ";
-  num(os, s.min());
-  os << ", \"max\": ";
-  num(os, s.max());
-  os << ", \"stddev\": ";
-  num(os, s.stddev());
-  os << "}";
+  os << "{\"count\": " << s.count()
+     << ", \"mean\": " << util::json_number(s.mean())
+     << ", \"min\": " << util::json_number(s.min())
+     << ", \"max\": " << util::json_number(s.max())
+     << ", \"stddev\": " << util::json_number(s.stddev()) << "}";
 }
 
 }  // namespace
@@ -44,8 +28,8 @@ void write_counters_json(std::ostream& os, const sim::CounterSet& c,
   os << "{\"name\": \"" << c.name() << "\",\n" << pad << " \"values\": {";
   const auto& vals = c.values();
   for (std::size_t i = 0; i < vals.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << vals[i].first << "\": ";
-    num(os, vals[i].second);
+    os << (i ? ", " : "") << "\"" << vals[i].first
+       << "\": " << util::json_number(vals[i].second);
   }
   os << "}";
   const auto& kids = c.children();
@@ -72,10 +56,8 @@ void write_timeseries_json(std::ostream& os, const sim::Profile& p,
     const sim::ProfileSeries& s = p.series[i];
     os << (i ? ",\n" : "\n") << pad << "  {\"track\": \"" << s.track
        << "\", \"category\": \"" << s.category << "\", \"busy_ticks\": [";
-    for (std::size_t k = 0; k < s.busy_ticks.size(); ++k) {
-      os << (k ? ", " : "");
-      num(os, s.busy_ticks[k]);
-    }
+    for (std::size_t k = 0; k < s.busy_ticks.size(); ++k)
+      os << (k ? ", " : "") << util::json_number(s.busy_ticks[k]);
     os << "]}";
   }
   if (!p.series.empty()) os << "\n" << pad << " ";
@@ -99,26 +81,22 @@ std::vector<SpeStalls> spe_stalls(const RunReport& r) {
 }
 
 void write_metrics_json(std::ostream& os, const RunReport& r) {
-  os << "{\n  \"schema\": \"" << kMetricsSchema << "\",\n  \"seconds\": ";
-  num(os, r.seconds);
-  os << ",\n  \"grind_seconds\": ";
-  num(os, r.grind_seconds);
-  os << ",\n  \"achieved_flops_per_s\": ";
-  num(os, r.achieved_flops_per_s);
-  os << ",\n  \"traffic_bytes\": ";
-  num(os, r.traffic_bytes);
+  os << "{\n  \"schema\": \"" << kMetricsSchema << "\""
+     << ",\n  \"seconds\": " << util::json_number(r.seconds)
+     << ",\n  \"grind_seconds\": " << util::json_number(r.grind_seconds)
+     << ",\n  \"achieved_flops_per_s\": "
+     << util::json_number(r.achieved_flops_per_s)
+     << ",\n  \"traffic_bytes\": " << util::json_number(r.traffic_bytes);
   os << ",\n  \"flops\": " << r.flops;
   os << ",\n  \"cell_solves\": " << r.cell_solves;
   os << ",\n  \"chunks\": " << r.chunks;
   os << ",\n  \"ls_high_water_bytes\": " << r.ls_high_water;
-  os << ",\n  \"bounds\": {\"memory_s\": ";
-  num(os, r.memory_bound_s);
-  os << ", \"compute_s\": ";
-  num(os, r.compute_bound_s);
-  os << "},\n  \"utilization\": {\"mic\": ";
-  num(os, r.mic_utilization);
-  os << ", \"eib\": ";
-  num(os, r.eib_utilization);
+  os << ",\n  \"bounds\": {\"memory_s\": "
+     << util::json_number(r.memory_bound_s)
+     << ", \"compute_s\": " << util::json_number(r.compute_bound_s)
+     << "},\n  \"utilization\": {\"mic\": "
+     << util::json_number(r.mic_utilization)
+     << ", \"eib\": " << util::json_number(r.eib_utilization);
   os << "},\n  \"dma\": {\"commands\": " << r.dma_commands
      << ", \"transfers\": " << r.dma_transfers
      << ", \"queue_occupancy_histogram\": [";
@@ -135,15 +113,11 @@ void write_metrics_json(std::ostream& os, const RunReport& r) {
     dma.add(st.dma_wait_s);
     sync.add(st.sync_wait_s);
     idle.add(st.idle_s);
-    os << (s ? ",\n    " : "\n    ") << "{\"spe\": " << s << ", \"busy_s\": ";
-    num(os, st.busy_s);
-    os << ", \"dma_wait_s\": ";
-    num(os, st.dma_wait_s);
-    os << ", \"sync_wait_s\": ";
-    num(os, st.sync_wait_s);
-    os << ", \"idle_s\": ";
-    num(os, st.idle_s);
-    os << "}";
+    os << (s ? ",\n    " : "\n    ") << "{\"spe\": " << s
+       << ", \"busy_s\": " << util::json_number(st.busy_s)
+       << ", \"dma_wait_s\": " << util::json_number(st.dma_wait_s)
+       << ", \"sync_wait_s\": " << util::json_number(st.sync_wait_s)
+       << ", \"idle_s\": " << util::json_number(st.idle_s) << "}";
   }
   os << "\n  ],\n  \"stall_stats\": {\"busy_s\": ";
   stats_object(os, busy);

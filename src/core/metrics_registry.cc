@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "sim/trace.h"
+#include "util/json.h"
 #include "util/units.h"
 
 namespace cellsweep::core {
@@ -12,20 +13,11 @@ namespace cellsweep::core {
 namespace {
 
 /// %.17g round-trips doubles exactly; identical snapshots emit
-/// identical bytes (same contract as write_metrics_json's num()).
+/// identical bytes (same contract as util::json_number).
 std::string fmt(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   return util::cformat("%.17g", v);
-}
-
-/// JSON variant: no NaN/Infinity literals, degenerate values are null.
-void jnum(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  os << util::cformat("%.17g", v);
 }
 
 }  // namespace
@@ -196,33 +188,25 @@ void write_snapshot_json(std::ostream& os,
       switch (fam.type) {
         case MetricType::kCounter:
         case MetricType::kGauge:
-          os << "\"value\": ";
-          jnum(os, e.value);
+          os << "\"value\": " << util::json_number(e.value);
           break;
         case MetricType::kHistogram: {
           const util::Histogram& h = e.hist;
-          os << "\"count\": " << h.count() << ", \"sum\": ";
-          jnum(os, h.count() == 0 ? 0.0 : h.sum());
-          os << ", \"min\": ";
-          jnum(os, h.min());
-          os << ", \"max\": ";
-          jnum(os, h.max());
-          os << ", \"p50\": ";
-          jnum(os, h.percentile(0.50));
-          os << ", \"p95\": ";
-          jnum(os, h.percentile(0.95));
-          os << ", \"p99\": ";
-          jnum(os, h.percentile(0.99));
+          os << "\"count\": " << h.count() << ", \"sum\": "
+             << util::json_number(h.count() == 0 ? 0.0 : h.sum())
+             << ", \"min\": " << util::json_number(h.min())
+             << ", \"max\": " << util::json_number(h.max())
+             << ", \"p50\": " << util::json_number(h.percentile(0.50))
+             << ", \"p95\": " << util::json_number(h.percentile(0.95))
+             << ", \"p99\": " << util::json_number(h.percentile(0.99));
           break;
         }
         case MetricType::kSeries: {
           os << "\"samples\": [";
           for (std::size_t s = 0; s < e.samples.size(); ++s) {
-            os << (s ? ", " : "") << "[";
-            jnum(os, e.samples[s].first);
-            os << ", ";
-            jnum(os, e.samples[s].second);
-            os << "]";
+            os << (s ? ", " : "") << "["
+               << util::json_number(e.samples[s].first) << ", "
+               << util::json_number(e.samples[s].second) << "]";
           }
           os << "]";
           break;

@@ -71,48 +71,59 @@ TimingEngine::TimingEngine(const CellSweepConfig& cfg,
 TimingEngine::~TimingEngine() = default;
 
 void TimingEngine::on_diagonal(const sweep::DiagonalWork& w) {
-  // Wavefront structure. Within one (octant, angle-block, K-block)
-  // block the dependency is per-line: a chunk of this diagonal needs
-  // only its neighboring chunks of the previous diagonal (the
-  // sweep_dependency policy), so execution pipelines across diagonals.
-  // Blocks are sequential (the paper's sweep() processes them in
-  // order), so a new block opens a new pipeline block: a hard barrier
-  // behind everything outstanding.
-  if (!next_) begin_block(w.octant, w.ablock, w.kblock, w.fixup);
+  // A block's diagonal 0 prices the block whole; every diagonal is
+  // then held to the block walker's next one.
+  if (!next_) {
+    on_block(w.octant, w.ablock, w.kblock, w.fixup);
+    next_ = sweep::DiagonalWork{w.octant,  w.ablock, w.kblock, 0,
+                                block_lines_[0], grid_.it, w.fixup,
+                                cfg_.sweep.kernel};
+  }
   if (!(w == *next_))
     throw std::logic_error("TimingEngine: fed diagonal " + describe(w) +
                            " where the block walker yields " +
                            describe(*next_));
-  step();
+  if (++next_->diagonal < static_cast<int>(block_lines_.size()))
+    next_->nlines = block_lines_[static_cast<std::size_t>(next_->diagonal)];
+  else
+    next_.reset();
 }
 
 void TimingEngine::on_block(int octant, int ablock, int kblock, bool fixup) {
   require_closed("on_block");
-  begin_block(octant, ablock, kblock, fixup);
-  if (skipping_)
-    end_block();  // already priced: no walk
-  else
-    while (next_) step();
-}
-
-void TimingEngine::step() {
-  sweep::DiagonalWork& w = *next_;
-  if (!skipping_) {
-    // The diagonal's chunks, in the widths the functional sweeper
-    // executes them, each priced by the trace-scheduled kernel cost
-    // model and sized by its DMA transfer plan, once per chunk shape.
-    specs_.clear();
-    for (int c = 0; c < sweep::ChunkPlan::chunk_count(w.nlines); ++c) {
-      specs_.push_back(
-          priced_shape(w.fixup, sweep::ChunkPlan::chunk_width(w.nlines, c)));
-      specs_.back().index = c;
-    }
-    pipeline_.run_batch(specs_, sweep_dependency, w.diagonal == 0);
+  if (octant == 0 && ablock == 0 && kblock == 0) {
+    // Source-moment rebuild at each iteration start: one streaming pass
+    // over flux + source + the external source field. Bandwidth-bound;
+    // the madds are fully pipelined underneath.
+    const double bytes = (2.0 * nm_ + 1.0) *
+                         static_cast<double>(grid_.cells()) *
+                         static_cast<double>(real_bytes_of(cfg_.precision));
+    pipeline_.memory_pass("source-rebuild", bytes);
   }
-  if (++w.diagonal < static_cast<int>(block_lines_.size()))
-    w.nlines = block_lines_[static_cast<std::size_t>(w.diagonal)];
-  else
-    end_block();
+  // Wavefront structure. Blocks are sequential (the paper's sweep()
+  // processes them in order), so each opens a pipeline block: a hard
+  // barrier behind everything outstanding. Within it the dependency is
+  // per-line: a chunk of one diagonal needs only its neighboring chunks
+  // of the previous diagonal (sweep_dependency), so execution pipelines
+  // across diagonals.
+  if (pipeline_.open_block({fixup})) {
+    ++skipped_;  // already priced: no walk
+  } else {
+    for (std::size_t d = 0; d < block_lines_.size(); ++d) {
+      // The diagonal's chunks, in the widths the functional sweeper
+      // executes them, each priced by the trace-scheduled kernel cost
+      // model and sized by its DMA transfer plan, once per chunk shape.
+      specs_.clear();
+      const int nlines = block_lines_[d];
+      for (int c = 0; c < sweep::ChunkPlan::chunk_count(nlines); ++c) {
+        specs_.push_back(
+            priced_shape(fixup, sweep::ChunkPlan::chunk_width(nlines, c)));
+        specs_.back().index = c;
+      }
+      pipeline_.run_batch(specs_, sweep_dependency, d == 0);
+    }
+  }
+  pipeline_.close_block();
 }
 
 const StreamChunkSpec& TimingEngine::priced_shape(bool fixup, int nlines) {
@@ -133,28 +144,6 @@ const StreamChunkSpec& TimingEngine::priced_shape(bool fixup, int nlines) {
     sc.stats = cost.stats;
   }
   return *shape;
-}
-
-void TimingEngine::begin_block(int octant, int ablock, int kblock,
-                               bool fixup) {
-  if (octant == 0 && ablock == 0 && kblock == 0) {
-    // Source-moment rebuild at each iteration start: one streaming pass
-    // over flux + source + the external source field. Bandwidth-bound;
-    // the madds are fully pipelined underneath.
-    const double bytes = (2.0 * nm_ + 1.0) *
-                         static_cast<double>(grid_.cells()) *
-                         static_cast<double>(real_bytes_of(cfg_.precision));
-    pipeline_.memory_pass("source-rebuild", bytes);
-  }
-  skipping_ = pipeline_.open_block({fixup});
-  skipped_ += skipping_ ? 1 : 0;
-  next_ = sweep::DiagonalWork{octant,   ablock, kblock, 0, block_lines_[0],
-                              grid_.it, fixup,  cfg_.sweep.kernel};
-}
-
-void TimingEngine::end_block() {
-  pipeline_.close_block();
-  next_.reset();
 }
 
 void TimingEngine::require_closed(const char* call) const {
@@ -193,43 +182,19 @@ CellSweep3D::CellSweep3D(const sweep::Problem& problem,
   nm_cap_ = nm_cap;
 }
 
-RunReport CellSweep3D::run(RunMode mode) {
-  return cfg_.use_spes ? run_on_spes(mode) : run_on_ppe(mode);
-}
-
 template <typename Real>
-void CellSweep3D::run_functional(RunReport& report,
-                                 const sweep::DiagonalObserver& obs) {
+void CellSweep3D::solve(RunReport& report) const {
   sweep::SweepState<Real> state(*problem_, *quad_, l_max_, nm_cap_);
-  report.solve = sweep::solve_source_iteration(state, cfg_.sweep, obs);
+  // A served job's cancel lands within one diagonal of the solve.
+  sweep::DiagonalObserver poll;
+  if (const std::atomic<bool>* cancel = cfg_.cancel)
+    poll = [cancel](const sweep::DiagonalWork&) {
+      if (cancel->load(std::memory_order_relaxed))
+        throw RunCancelled("run cancelled during the solve");
+    };
+  report.solve = sweep::solve_source_iteration(state, cfg_.sweep, poll);
   report.absorption = state.absorption_rate();
   report.leakage = state.leakage();
-}
-
-RunReport CellSweep3D::run_on_ppe(RunMode mode) {
-  RunReport r;
-  // Price the iterations the solve ran, as the SPE stages do: a
-  // converging solve stops before max_iterations. The PPE stages always
-  // compute in double precision (the original unported code).
-  CellSweepConfig priced = cfg_;
-  if (mode == RunMode::kFunctional) {
-    run_functional<double>(r, {});
-    priced.sweep.max_iterations = r.solve->iterations;
-  }
-  const WorkloadTotals totals =
-      audit_workload(problem_->grid(), quad_->angles_per_octant(), priced, nm_);
-
-  const perf::ProcessorModel ppe =
-      cfg_.xlc ? perf::ppe_xlc() : perf::ppe_gcc();
-  r.seconds = ppe.seconds(totals.cell_solves, totals.flops);
-  r.flops = totals.flops;
-  r.cell_solves = totals.cell_solves;
-  r.chunks = totals.chunks;
-  r.traffic_bytes =
-      static_cast<double>(totals.cell_solves) * ppe.bytes_per_solve;
-  r.achieved_flops_per_s = static_cast<double>(r.flops) / r.seconds;
-  r.grind_seconds = r.seconds / static_cast<double>(r.cell_solves);
-  return r;
 }
 
 RunReport trace_driven_run(const CellSweepConfig& cfg, const sweep::Grid& grid,
@@ -247,25 +212,40 @@ RunReport trace_driven_run(const CellSweepConfig& cfg, const sweep::Grid& grid,
   return engine.finish();
 }
 
-RunReport CellSweep3D::run_on_spes(RunMode mode) {
-  if (mode == RunMode::kTraceDriven)
-    return trace_driven_run(cfg_, problem_->grid(), nm_,
-                            quad_->angles_per_octant());
-
-  TimingEngine engine(cfg_, problem_->grid(), nm_);
-  const sweep::DiagonalObserver obs = [&](const sweep::DiagonalWork& w) {
-    engine.on_diagonal(w);
-  };
-  RunReport functional_part;
-  if (cfg_.precision == Precision::kDouble)
-    run_functional<double>(functional_part, obs);
-  else
-    run_functional<float>(functional_part, obs);
-
-  RunReport r = engine.finish();
-  r.solve = functional_part.solve;
-  r.absorption = functional_part.absorption;
-  r.leakage = functional_part.leakage;
+RunReport CellSweep3D::run(RunMode mode) {
+  // Solve, then price the iterations the solve ran: a converging solve
+  // stops before max_iterations. The PPE stages always compute in
+  // double precision (the original unported code).
+  RunReport solved;
+  CellSweepConfig priced = cfg_;
+  if (mode == RunMode::kFunctional) {
+    if (cfg_.use_spes && cfg_.precision == Precision::kSingle)
+      solve<float>(solved);
+    else
+      solve<double>(solved);
+    priced.sweep.max_iterations = solved.solve->iterations;
+  }
+  RunReport r;
+  if (cfg_.use_spes) {
+    r = trace_driven_run(priced, problem_->grid(), nm_,
+                         quad_->angles_per_octant());
+  } else {
+    const WorkloadTotals totals = audit_workload(
+        problem_->grid(), quad_->angles_per_octant(), priced, nm_);
+    const perf::ProcessorModel ppe =
+        cfg_.xlc ? perf::ppe_xlc() : perf::ppe_gcc();
+    r.seconds = ppe.seconds(totals.cell_solves, totals.flops);
+    r.flops = totals.flops;
+    r.cell_solves = totals.cell_solves;
+    r.chunks = totals.chunks;
+    r.traffic_bytes =
+        static_cast<double>(totals.cell_solves) * ppe.bytes_per_solve;
+    r.achieved_flops_per_s = static_cast<double>(r.flops) / r.seconds;
+    r.grind_seconds = r.seconds / static_cast<double>(r.cell_solves);
+  }
+  r.solve = solved.solve;
+  r.absorption = solved.absorption;
+  r.leakage = solved.leakage;
   return r;
 }
 

@@ -8,9 +8,8 @@
 // set streams
 // through the local store with single or double buffering (data
 // streaming); the chunk kernel is the scalar or the four-logical-thread
-// SIMD one (vector + pipeline levels). The TimingEngine is fed the
-// DiagonalWork stream the functional sweeper emits, or one call per
-// block, checks it against the block walker
+// SIMD one (vector + pipeline levels). The TimingEngine is fed one call
+// per block, walks it with the block walker
 // (sweep::ChunkPlan::for_each_diagonal) and translates each diagonal
 // into one core::StreamingPipeline batch: the pipeline owns the machine
 // model's clocks -- dispatch-fabric grants, MFC DMA gets/puts
@@ -21,9 +20,9 @@
 // wavefront dependency policy, the (octant, angle-block, K-block) block
 // barriers, and the per-iteration source rebuild pass.
 //
-// Two run modes produce identical timing (a test asserts it):
-//   * kFunctional  -- the physics really runs; the observer feeds the
-//     engine (execution-driven). Use for correctness and examples.
+// Two run modes share one pricing path, so they time the same:
+//   * kFunctional  -- the physics really runs first, then the sweeps it
+//     ran are priced as below. Use for correctness and examples.
 //   * kTraceDriven -- only the loop structure is replayed, one
 //     TimingEngine::on_block call per block (fast; the benches use it
 //     for big sweeps).
@@ -50,19 +49,18 @@ namespace cellsweep::core {
 /// admission all size the LS footprint from it.
 LsPlacement sweep_placement(const CellSweepConfig& cfg, int it, int nm);
 
-/// Timing engine: consumes the sweep's work in sweep order -- one
-/// DiagonalWork at a time, or one whole block at a time -- and re-hosts
-/// it on the workload-agnostic StreamingPipeline.
+/// Timing engine: prices the sweep one whole block at a time and
+/// re-hosts its work on the workload-agnostic StreamingPipeline.
 ///
 /// The block contract: block (octant, angle block, K block) with a
 /// fixup flag is the diagonal stream sweep::ChunkPlan::for_each_diagonal
 /// walks for it under cfg.sweep, the grid's line length and
-/// cfg.sweep.kernel. on_diagonal opens a block at its diagonal 0 and
-/// closes it at its last; every diagonal in between must be the
-/// walker's next one, in a replayed block and a fast-forwarded one
-/// alike, or on_diagonal throws std::logic_error and leaves the block
-/// unfinished. on_block feeds a whole block in one call. gate, on_block
-/// and finish throw std::logic_error inside an unfinished block.
+/// cfg.sweep.kernel. on_block, the only code that prices a block,
+/// prices one whole. on_diagonal prices its block through on_block at
+/// diagonal 0, throws std::logic_error at a diagonal that is not the
+/// walker's next one, leaving the block unfinished, and closes the
+/// block at its last. gate, on_block and finish throw std::logic_error
+/// inside an unfinished block.
 ///
 /// Block fast-forward: every block starts behind a hard barrier, and
 /// since MK divides KT and MMI the angle count, every block of a run
@@ -76,16 +74,16 @@ class TimingEngine {
   TimingEngine(const CellSweepConfig& cfg, const sweep::Grid& grid, int nm);
   ~TimingEngine();
 
-  /// Feed one diagonal of independent I-lines (see the block contract
-  /// above): throws std::logic_error when @p w is not the block
+  /// Holds one diagonal to the block contract above, pricing its block
+  /// at diagonal 0: throws std::logic_error when @p w is not the block
   /// walker's next diagonal -- its index, line count, block, fixup
   /// flag, line length or kernel differs.
   void on_diagonal(const sweep::DiagonalWork& w);
 
-  /// Feed block (@p octant, @p ablock, @p kblock) of a trace-driven
-  /// sweep whole: the diagonals the block walker yields for it with
-  /// @p fixup. Block (0, 0, 0) opens a source iteration. A
-  /// fast-forwarded block closes without a walk.
+  /// Prices block (@p octant, @p ablock, @p kblock) whole: the
+  /// diagonals the block walker yields for it with @p fixup. Block
+  /// (0, 0, 0) opens a source iteration. A fast-forwarded block closes
+  /// without a walk.
   void on_block(int octant, int ablock, int kblock, bool fixup);
 
   /// Drains outstanding work and returns the completed report (timing
@@ -94,8 +92,8 @@ class TimingEngine {
   /// violations were found.
   RunReport finish();
 
-  /// Current completion horizon; monotone across diagonals. Inside a
-  /// fast-forwarded block it already reads the block's end.
+  /// Current completion horizon; monotone across blocks. Inside a
+  /// block fed by diagonal it already reads the block's end.
   sim::Tick horizon() const noexcept { return pipeline_.horizon(); }
 
   /// External gate: no work fed after this call may start before
@@ -108,15 +106,6 @@ class TimingEngine {
   int blocks_fast_forwarded() const noexcept { return skipped_; }
 
  private:
-  /// Runs the source-rebuild pass if block (@p octant, @p ablock,
-  /// @p kblock) opens a source iteration, opens the block on the
-  /// pipeline and points next_ at its diagonal 0.
-  void begin_block(int octant, int ablock, int kblock, bool fixup);
-  /// Streams next_ as one batch, unless the block is fast-forwarded,
-  /// and advances it; closes the block after its last diagonal.
-  void step();
-  /// Closes the open block on the pipeline.
-  void end_block();
   /// Throws std::logic_error naming @p call inside an unfinished block.
   void require_closed(const char* call) const;
   /// Chunk spec of one (fixup, width) shape, priced on first use.
@@ -131,23 +120,22 @@ class TimingEngine {
   StreamingPipeline pipeline_;
   /// Lines on each diagonal of a block, as the block walker yields them.
   std::vector<int> block_lines_;
-  /// The block walker's next diagonal of the open block; empty between
-  /// blocks.
+  /// The block walker's next diagonal of the block on_diagonal holds
+  /// open; empty between blocks.
   std::optional<sweep::DiagonalWork> next_;
   std::array<std::array<std::optional<StreamChunkSpec>, sweep::kBundleLines>,
              2>
       shapes_{};
   std::vector<StreamChunkSpec> specs_;  ///< the diagonal's chunks (reused)
 
-  bool skipping_ = false;  ///< the pipeline fast-forwarded the block
   int skipped_ = 0;
 };
 
 /// Times cfg.sweep.max_iterations trace-driven sweeps of @p grid on one
 /// chip, every (octant, angle-block, K-block) block fed through
 /// TimingEngine::on_block; returns the timing report.
-/// CellSweep3D::run(kTraceDriven) and simulate_cluster's isolated chips
-/// run it.
+/// CellSweep3D::run on the SPE stages and simulate_cluster's isolated
+/// chips run it.
 RunReport trace_driven_run(const CellSweepConfig& cfg, const sweep::Grid& grid,
                            int nm, int angles_per_octant);
 
@@ -165,17 +153,15 @@ class CellSweep3D {
   CellSweep3D& operator=(const CellSweep3D&) = delete;
 
   /// Runs the configured stage and returns the report. kFunctional
-  /// additionally solves the physics and fills the solve fields.
+  /// first solves the physics (polling cfg.cancel after every diagonal)
+  /// and fills the solve fields, then prices the iterations it solved.
   RunReport run(RunMode mode = RunMode::kTraceDriven);
 
   const CellSweepConfig& config() const noexcept { return cfg_; }
 
  private:
-  RunReport run_on_ppe(RunMode mode);
-  RunReport run_on_spes(RunMode mode);
-
   template <typename Real>
-  void run_functional(RunReport& report, const sweep::DiagonalObserver& obs);
+  void solve(RunReport& report) const;
 
   const sweep::Problem* problem_;
   CellSweepConfig cfg_;

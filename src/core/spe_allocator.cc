@@ -9,16 +9,24 @@ namespace cellsweep::core {
 using util::MutexLock;
 
 namespace {
-/// Per-thread blocked-in-claim() seconds, bracketed by the server
-/// around each job (see reset_thread_claim_wait()).
+/// Per-thread blocked-in-claim() seconds, and when the first blocked
+/// claim() began to wait, bracketed by the server around each job (see
+/// reset_thread_claim_wait()).
 thread_local double t_claim_wait_s = 0.0;
+thread_local std::chrono::steady_clock::time_point t_claim_wait_from{};
 }  // namespace
 
 void SpeAllocator::reset_thread_claim_wait() noexcept {
   t_claim_wait_s = 0.0;
+  t_claim_wait_from = {};
 }
 
 double SpeAllocator::thread_claim_wait_s() noexcept { return t_claim_wait_s; }
+
+std::chrono::steady_clock::time_point
+SpeAllocator::thread_claim_wait_from() noexcept {
+  return t_claim_wait_from;
+}
 
 SpeAllocator::SpeAllocator(int num_spes) : num_spes_(num_spes) {
   if (num_spes < 1)
@@ -101,6 +109,8 @@ SpeAllocator::Claim SpeAllocator::claim(int min_spes, int max_spes, int weight,
     // trace. Measured around the wait only; an immediate grant records
     // a zero sample without touching the clock.
     const auto blocked_from = std::chrono::steady_clock::now();
+    if (t_claim_wait_from == std::chrono::steady_clock::time_point{})
+      t_claim_wait_from = blocked_from;
     while (free_count_locked() < lo) cv_.wait(mu_);
     waited_s = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - blocked_from)

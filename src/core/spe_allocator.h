@@ -39,6 +39,7 @@
 // -Wthread-safety.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -146,6 +147,10 @@ class SpeAllocator {
   /// Host seconds this thread has spent blocked in claim() since the
   /// last reset_thread_claim_wait().
   static double thread_claim_wait_s() noexcept;
+  /// When this thread's first blocked claim() since the last reset
+  /// began to wait (meaningful only while thread_claim_wait_s() > 0).
+  static std::chrono::steady_clock::time_point
+  thread_claim_wait_from() noexcept;
 
  private:
   /// Takes up to @p want SPEs from the largest contiguous free runs.

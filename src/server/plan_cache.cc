@@ -4,10 +4,6 @@
 
 namespace cellsweep::core {
 
-int deck_moments(const sweep::Deck& deck, const sweep::SnQuadrature& quad) {
-  return sweep::MomentTable(quad, 2, deck.nm_cap).nm();
-}
-
 PlanCache::Plan PlanCache::plan(const sweep::Deck& deck,
                                 const CellSweepConfig& cfg) {
   Plan p;
@@ -23,7 +19,7 @@ PlanCache::Plan PlanCache::plan(const sweep::Deck& deck,
     // Diagonals bundle into chunks of 1..kBundleLines lines, and the
     // fixup iterations price differently. Pricing a shape here is
     // exactly the work a run would otherwise do lazily.
-    const int nm = deck_moments(deck, *p.quadrature);
+    const int nm = sweep::deck_moments(deck, *p.quadrature);
     for (int fixup = 0; fixup < 2; ++fixup)
       for (int nlines = 1; nlines <= sweep::kBundleLines; ++nlines) {
         bool priced = false;

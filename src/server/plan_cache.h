@@ -29,9 +29,6 @@
 
 namespace cellsweep::core {
 
-/// Flux moments a deck's run carries (P2 scattering, capped).
-int deck_moments(const sweep::Deck& deck, const sweep::SnQuadrature& quad);
-
 class PlanCache {
  public:
   struct Stats {

@@ -90,8 +90,9 @@ long long JobInput::cells() const {
 
 std::size_t JobInput::ls_footprint(const CellSweepConfig& cfg) const {
   if (const sweep::Deck* d = deck())
-    return sweep_placement(cfg, d->problem.grid().it,
-                           deck_moments(*d, sweep::SnQuadrature(d->sn_order)))
+    return sweep_placement(
+               cfg, d->problem.grid().it,
+               sweep::deck_moments(*d, sweep::SnQuadrature(d->sn_order)))
         .footprint(cfg.buffers);
   return stencil::block_placement(
              stencil::plan_block(*spec(), real_bytes_of(cfg.precision),
@@ -106,7 +107,8 @@ JobResult JobInput::run(CellSweepConfig cfg, RunMode mode,
     cfg.sweep = d->sweep;
     cfg.sweep.pool = pool;
     r.report =
-        CellSweep3D(d->problem, cfg, d->sn_order, 2, d->nm_cap).run(mode);
+        CellSweep3D(d->problem, cfg, d->sn_order, sweep::kDeckLMax, d->nm_cap)
+            .run(mode);
   } else {
     const stencil::StencilReport rep =
         stencil::CellStencil(*spec(), cfg).run(mode, 1, pool);
@@ -467,6 +469,9 @@ void SolveServer::worker_loop(int tenant) {
 
 JobResult SolveServer::run_job(Job& job) {
   JobResult r;
+  // The solver claims SPEs on this thread: the thread-local
+  // accumulator attributes exactly this job's blocked time.
+  SpeAllocator::reset_thread_claim_wait();
   try {
     CellSweepConfig cfg = job_config(job);
     bool hit = false;
@@ -479,22 +484,18 @@ JobResult SolveServer::run_job(Job& job) {
       hit = plan.hit;
     }
 
-    // The solver claims SPEs on this thread: the thread-local
-    // accumulator attributes exactly this job's blocked time.
-    SpeAllocator::reset_thread_claim_wait();
     job.trace.run_start_s = clock_.now_s();
     r = job.input->run(cfg, job.req.mode, &pool_);
     job.trace.run_end_s = clock_.now_s();
-    job.trace.claim_wait_s = SpeAllocator::thread_claim_wait_s();
     r.plan_cache_hit = hit;
   } catch (const RunCancelled& e) {
-    // Cooperative mid-run cancellation: the pipeline unwound at a wave
-    // boundary and released its SPE claim on the way out. The partial
-    // trace keeps every stamp the run reached, run_end_s included.
+    // Cooperative mid-run cancellation: the solve unwound within a
+    // diagonal, or the pipeline at a wave boundary, releasing its SPE
+    // claim on the way out. The partial trace keeps every stamp the
+    // run reached, run_end_s included.
     if (JobTrace::reached(job.trace.run_start_s) &&
         !JobTrace::reached(job.trace.run_end_s))
       job.trace.run_end_s = clock_.now_s();
-    job.trace.claim_wait_s = SpeAllocator::thread_claim_wait_s();
     r.cancelled = true;
     r.error = std::string("cancelled: ") + e.what();
   } catch (const std::exception& e) {
@@ -505,6 +506,10 @@ JobResult SolveServer::run_job(Job& job) {
       job.trace.run_end_s = clock_.now_s();
     r.error = e.what();
   }
+  job.trace.claim_wait_s = SpeAllocator::thread_claim_wait_s();
+  if (job.trace.claim_wait_s > 0.0)
+    job.trace.claim_start_s =
+        clock_.at_s(SpeAllocator::thread_claim_wait_from());
   r.id = job.id;
   r.name = job.req.name;
   r.kind = job.req.kind;

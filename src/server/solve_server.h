@@ -254,10 +254,10 @@ class SolveServer {
   /// Cancels job @p id. A still-queued job is removed and published
   /// immediately (cancelled result, partial trace, flight-recorder
   /// post-mortem dumped before the result is visible). A running job
-  /// gets its cooperative flag set: the streaming pipeline aborts
-  /// between waves (chunk granularity, never mid-wave), the partial
-  /// result stamps run_end_s, and the same dump-before-publish order
-  /// holds. Returns false when the job already finished (or the id was
+  /// gets its cooperative flag set: a functional sweep's solve aborts
+  /// within one diagonal, the pricing pipeline between waves (chunk
+  /// granularity, never mid-wave), the partial result stamps
+  /// run_end_s, and the same dump-before-publish order holds. Returns false when the job already finished (or the id was
   /// never issued) -- cancel() and completion racing is benign, the
   /// published result tells which won.
   bool cancel(int id) EXCLUDES(mu_);
@@ -306,7 +306,8 @@ class SolveServer {
     JobTrace trace;
     /// Cooperative cancellation flag, created at submit() and shared
     /// with the cancel_flags_ registry so cancel() can reach a job the
-    /// worker already dequeued. The pipeline polls it between waves.
+    /// worker already dequeued. A sweep's solve polls it after every
+    /// diagonal, the pipeline between waves.
     std::shared_ptr<std::atomic<bool>> cancel_flag;
   };
 

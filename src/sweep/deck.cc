@@ -3,6 +3,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 namespace cellsweep::sweep {
@@ -152,11 +153,7 @@ Deck parse_deck(std::istream& in) {
 
   // Default MK: the largest divisor of KT not exceeding 10 (the deck's
   // MK must factor KT, as in Sweep3D).
-  if (cfg.mk == 0) {
-    cfg.mk = 1;
-    for (int d = 1; d <= 10; ++d)
-      if (grid.kt % d == 0) cfg.mk = d;
-  }
+  if (cfg.mk == 0) cfg.mk = largest_mk(grid.kt, 10);
 
   // The tail constructors (Problem, SnQuadrature, the blocking
   // validation) throw std::invalid_argument on bad values; a malformed
@@ -188,6 +185,14 @@ Deck load_deck(const std::string& path) {
   Deck deck = parse_deck(in);
   deck.source = path;
   return deck;
+}
+
+int deck_moments(const Deck& deck, const SnQuadrature& quad) {
+  const int carried = MomentTable(quad, kDeckLMax).nm();
+  if (deck.nm_cap < 1 || deck.nm_cap > carried)
+    throw std::invalid_argument("a run carries 1.." + std::to_string(carried) +
+                                " flux moments (P2 scattering)");
+  return deck.nm_cap;
 }
 
 }  // namespace cellsweep::sweep

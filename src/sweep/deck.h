@@ -21,6 +21,7 @@
 #include <string>
 
 #include "sweep/problem.h"
+#include "sweep/quadrature.h"
 #include "sweep/sweeper.h"
 
 namespace cellsweep::sweep {
@@ -35,6 +36,15 @@ struct Deck {
   /// diagnostics (e.g. the deck linter) prefix findings with it.
   std::string source = "<string>";
 };
+
+/// Legendre order every deck runs at: P2 scattering, the benchmark's
+/// (a material's higher scattering moments are not carried).
+inline constexpr int kDeckLMax = 2;
+
+/// Flux moments a run of @p deck carries: its `moments`, at most P2's;
+/// throws std::invalid_argument past them. Lint, admission, the plan
+/// cache and the run all size a deck by it.
+int deck_moments(const Deck& deck, const SnQuadrature& quad);
 
 /// Thrown with a line number and description on malformed decks.
 class DeckError : public std::runtime_error {

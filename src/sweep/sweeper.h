@@ -70,6 +70,15 @@ struct SweepConfig {
   void validate(int kt, int mm) const;
 };
 
+/// The largest MK in [1, @p cap] that divides @p kt (1 when @p cap < 1):
+/// the K blocking a deck without `mk`, the benches and the examples
+/// pick.
+inline int largest_mk(int kt, int cap) {
+  for (int mk = cap; mk > 1; --mk)
+    if (kt % mk == 0) return mk;
+  return 1;
+}
+
 /// One JK-diagonal's worth of independent I-lines, as exposed to the
 /// orchestrator. `nlines` I-lines of length `it` may run in parallel.
 struct DiagonalWork {

@@ -1,7 +1,10 @@
 #include "util/json.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstddef>
+
+#include "util/units.h"
 
 namespace cellsweep::util {
 namespace {
@@ -233,6 +236,10 @@ std::string JsonValue::string_or(std::string_view key,
                                  std::string fallback) const {
   const JsonValue* v = find(key);
   return v != nullptr && v->is_string() ? v->string_v : std::move(fallback);
+}
+
+std::string json_number(double v) {
+  return std::isfinite(v) ? cformat("%.17g", v) : "null";
 }
 
 JsonValue parse_json(std::string_view text) {

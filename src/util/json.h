@@ -63,6 +63,11 @@ class JsonValue {
   std::string string_or(std::string_view key, std::string fallback) const;
 };
 
+/// @p v as a JSON number: "%.17g", which round-trips a double exactly,
+/// so identical values write identical bytes; "null" for NaN and the
+/// infinities, which JSON has no literal for.
+std::string json_number(double v);
+
 /// Parses one JSON document (trailing whitespace allowed, nothing
 /// else). Throws JsonError on malformed input or on containers nested
 /// deeper than kMaxJsonDepth.

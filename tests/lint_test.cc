@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/lint.h"
@@ -260,6 +261,43 @@ TEST(LintAgreement, LintAdmissionAndRunnerAgreeOnLsFit) {
     // The seeded shapes land on both sides of the 256 KB budget.
     EXPECT_GT(fits, 0) << core::job_kind_name(kind);
     EXPECT_GT(overflows, 0) << core::job_kind_name(kind);
+  }
+}
+
+TEST(LintAgreement, LintAdmissionAndRunAgreeOnMomentCount) {
+  // Every deck runs at P2 (sweep::deck_moments), whatever order its
+  // material scatters at: lint, admission and the solo run accept
+  // moments 1-9 and refuse the rest, for materials with one to five
+  // scattering moments (P0-P4).
+  const char* const kScatter[] = {"0.5", "0.2", "0.05", "0.01", "0.005"};
+  for (int orders = 1; orders <= 5; ++orders) {
+    for (int moments = 1; moments <= 16; ++moments) {
+      std::string text = "it 40  jt 4  kt 4\nsn 6  moments " +
+                         std::to_string(moments) +
+                         "\niterations 1\nmaterial m 1.0";
+      for (int l = 0; l < orders; ++l) text += std::string(" ") + kScatter[l];
+      text += " source 1.0\n";
+      SCOPED_TRACE(text);
+      const bool runs = moments <= 9;
+      const FitCase c{core::JobKind::kSweep, text,
+                      core::OptimizationStage::kSpeLsPoke};
+      const core::JobInput input(c.kind, text, "<test>");
+      const core::CellSweepConfig cfg =
+          core::CellSweepConfig::from_stage(c.stage);
+      const analysis::Diagnostics diags = input.lint(cfg);
+      EXPECT_EQ(diags.has_errors(), !runs) << diags.summary();
+      EXPECT_EQ(has_rule(diags, "moments"), !runs) << diags.summary();
+      bool ran = true;
+      try {
+        input.run(cfg, core::RunMode::kFunctional, nullptr);
+      } catch (const std::invalid_argument&) {
+        ran = false;
+      }
+      EXPECT_EQ(ran, runs);
+      EXPECT_EQ(admission(c, 0),
+                runs ? std::nullopt
+                     : std::optional(core::AdmissionError::Reason::kLint));
+    }
   }
 }
 

@@ -3,11 +3,14 @@
 // local-store budget.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "cellsim/local_store.h"
 #include "core/orchestrator.h"
+#include "core/spe_allocator.h"
 #include "sim/trace.h"
 #include "sweep/deck.h"
 
@@ -64,8 +67,48 @@ TEST(Config, StageNamesDistinct) {
             std::string::npos);
 }
 
+TEST(Config, StageFromNameCoversTheCliNames) {
+  using OS = OptimizationStage;
+  EXPECT_EQ(stage_from_name("ppe"), OS::kPpeXlc);
+  EXPECT_EQ(stage_from_name("initial"), OS::kSpeInitial);
+  EXPECT_EQ(stage_from_name("simd"), OS::kSpeSimd);
+  EXPECT_EQ(stage_from_name("final"), OS::kSpeLsPoke);
+  try {
+    stage_from_name("bogus");
+    ADD_FAILURE() << "an unknown stage name was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ppe | initial | simd | final"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Orchestrator, FunctionalRunCancelsInItsSolveBeforeClaimingSpes) {
+  // A functional run solves first and builds its machine only to price
+  // what it solved: a cancel already set stops the solve at its first
+  // diagonal, before the run has claimed a single SPE.
+  const sweep::Problem p = sweep::Problem::benchmark_cube(8);
+  CellSweepConfig cfg =
+      CellSweepConfig::from_stage(OptimizationStage::kSpeLsPoke);
+  cfg.sweep.mk = 4;
+  SpeAllocator allocator(cfg.chip.num_spes);
+  const std::atomic<bool> cancel{true};
+  cfg.spe_allocator = &allocator;
+  cfg.cancel = &cancel;
+  CellSweep3D runner(p, cfg);
+  try {
+    runner.run(RunMode::kFunctional);
+    ADD_FAILURE() << "a cancelled run completed";
+  } catch (const RunCancelled& e) {
+    EXPECT_NE(std::string(e.what()).find("solve"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(allocator.stats().claims, 0u);
+  EXPECT_EQ(allocator.free_count(), cfg.chip.num_spes);
+}
+
 TEST(Orchestrator, FunctionalAndTraceDrivenTimingIdentical) {
-  // The execution-driven and trace-driven modes must produce the same
+  // The functional and trace-driven modes must produce the same
   // simulated time: the timing depends only on the workload stream.
   const sweep::Problem p = sweep::Problem::benchmark_cube(10);
   CellSweepConfig cfg =

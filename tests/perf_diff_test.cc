@@ -111,24 +111,71 @@ TEST(PerfDiff, WithinThresholdPasses) {
 
 TEST(PerfDiff, AboveThresholdRegresses) {
   const PerfDiffResult r = diff(bench_doc("1.5"), bench_doc("1.0"));
-  EXPECT_TRUE(r.regressed());
+  EXPECT_TRUE(r.moved());
   EXPECT_FALSE(r.ok());
-  EXPECT_EQ(row_for(r, "seconds")->status, DiffStatus::kRegressed);
+  EXPECT_EQ(row_for(r, "seconds")->status, DiffStatus::kMoved);
   // grind_seconds is unchanged: only the bad metric flags.
   EXPECT_EQ(row_for(r, "grind_seconds")->status, DiffStatus::kOk);
 }
 
-TEST(PerfDiff, ImprovementNeverFails) {
+TEST(PerfDiff, DropPastThresholdFails) {
+  // Two-sided rule: a metric that falls below 1 - threshold fails as
+  // surely as one that rises past 1 + threshold. The simulator is
+  // deterministic, so either way the model changed.
   const PerfDiffResult r = diff(bench_doc("0.1"), bench_doc("1.0"));
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(row_for(r, "seconds")->status, DiffStatus::kImproved);
+  EXPECT_TRUE(r.moved());
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(row_for(r, "seconds")->status, DiffStatus::kMoved);
+  EXPECT_EQ(row_for(r, "grind_seconds")->status, DiffStatus::kOk);
+}
+
+TEST(PerfDiff, BothBoundsAreInside) {
+  // -20% on a 25% threshold passes, and so do both bounds themselves.
+  for (const char* cur : {"0.8", "0.75", "1.25"}) {
+    const PerfDiffResult r = diff(bench_doc(cur), bench_doc("1.0"));
+    EXPECT_TRUE(r.ok()) << cur;
+    EXPECT_EQ(row_for(r, "seconds")->status, DiffStatus::kOk) << cur;
+  }
+}
+
+TEST(PerfDiff, ZeroThresholdFailsAnyChange) {
+  // The cluster gate runs at --threshold 0: a model error that moved
+  // grid1x1 from 8.92755312 to 8.92755099 s must fail, as must the
+  // reverse; equal values pass.
+  PerfDiffOptions opt;
+  opt.default_threshold = 0;
+  EXPECT_TRUE(
+      diff(bench_doc("8.92755099"), bench_doc("8.92755312"), opt).moved());
+  EXPECT_TRUE(
+      diff(bench_doc("8.92755312"), bench_doc("8.92755099"), opt).moved());
+  EXPECT_TRUE(
+      diff(bench_doc("8.92755312"), bench_doc("8.92755312"), opt).ok());
+}
+
+TEST(PerfDiff, HigherIsBetterMetricThatDropsFails) {
+  // The latency-vs-load gate compares capacity_jobs_per_s, which is
+  // higher-is-better: a capacity 40% lower must fail, as must one 40%
+  // higher; 10% lower passes.
+  const auto doc = [](const std::string& capacity) {
+    return "{\"schema\": \"cellsweep-bench-v2\", \"scenario\": "
+           "\"latency_load\", \"fingerprint\": {\"cube\": 20}, \"runs\": "
+           "[{\"name\": \"curve\", \"metrics\": {\"capacity_jobs_per_s\": " +
+           capacity + "}}]}";
+  };
+  PerfDiffOptions opt;
+  opt.metric_thresholds.emplace_back("capacity_jobs_per_s", 0.25);
+  const PerfDiffResult drop = diff(doc("60"), doc("100"), opt);
+  EXPECT_FALSE(drop.ok());
+  EXPECT_EQ(row_for(drop, "capacity_jobs_per_s")->status, DiffStatus::kMoved);
+  EXPECT_FALSE(diff(doc("140"), doc("100"), opt).ok());
+  EXPECT_TRUE(diff(doc("90"), doc("100"), opt).ok());
 }
 
 TEST(PerfDiff, CustomThresholdOverridesDefault) {
   PerfDiffOptions opt;
   opt.metric_thresholds.emplace_back("seconds", 0.10);
   const PerfDiffResult r = diff(bench_doc("1.2"), bench_doc("1.0"), opt);
-  EXPECT_TRUE(r.regressed());  // +20% > 10%
+  EXPECT_TRUE(r.moved());  // +20% > 10%
   EXPECT_EQ(row_for(r, "seconds")->threshold, 0.10);
   // grind_seconds keeps the default.
   EXPECT_EQ(row_for(r, "grind_seconds")->threshold, 0.25);
@@ -163,9 +210,9 @@ TEST(PerfDiff, ReportsEverySimultaneousRegression) {
   // The old behavior (first failure wins) made CI a fix-one-rerun-
   // find-the-next loop.
   const PerfDiffResult r = diff(bench_doc("2.0", "3.0"), bench_doc("1.0"));
-  EXPECT_TRUE(r.regressed());
-  EXPECT_EQ(row_for(r, "seconds")->status, DiffStatus::kRegressed);
-  EXPECT_EQ(row_for(r, "grind_seconds")->status, DiffStatus::kRegressed);
+  EXPECT_TRUE(r.moved());
+  EXPECT_EQ(row_for(r, "seconds")->status, DiffStatus::kMoved);
+  EXPECT_EQ(row_for(r, "grind_seconds")->status, DiffStatus::kMoved);
 }
 
 TEST(PerfDiff, ReportsAllGateFailuresAndRegressionsTogether) {
@@ -179,7 +226,7 @@ TEST(PerfDiff, ReportsAllGateFailuresAndRegressionsTogether) {
       "\"grind_seconds\": 1.0}}]}";
   const PerfDiffResult r = diff(cur, bench_doc("1.0"));
   EXPECT_GE(r.errors.size(), 3u);  // schema + scenario + fingerprint
-  EXPECT_EQ(row_for(r, "seconds")->status, DiffStatus::kRegressed);
+  EXPECT_EQ(row_for(r, "seconds")->status, DiffStatus::kMoved);
   EXPECT_EQ(row_for(r, "grind_seconds")->status, DiffStatus::kOk);
 }
 

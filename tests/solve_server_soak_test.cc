@@ -165,7 +165,8 @@ TEST(SolveServerSoak, SeededChaosConservesEveryJob) {
   EXPECT_EQ(cancelled, st.cancelled);
   // No tight relation between cancels_won and st.cancelled is valid:
   // a cancel() that caught a *running* job returns true yet can still
-  // lose to completion (the flag is polled between waves), and
+  // lose to completion (the flag is polled per diagonal and between
+  // waves), and
   // deadline expiries are server-side cancellations with no cancel()
   // call at all. Conservation above is the invariant; this is just a
   // breadcrumb for the log on failure.

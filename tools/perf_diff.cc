@@ -1,12 +1,12 @@
-// perf_diff: compare two BENCH_<scenario>.json files and fail on
-// performance regressions.
+// perf_diff: compare two BENCH_<scenario>.json files and fail on any
+// metric that moved past its threshold, either way.
 //
 //   $ ./perf_diff out/BENCH_fig5.json bench/baselines/BENCH_fig5.json
 //   $ ./perf_diff cur.json base.json --threshold 0.1 \
 //         --metric traffic_bytes=0.05
 //
-// Exit codes: 0 = within thresholds (improvements included), 1 = at
-// least one metric regressed, 2 = usage / schema / scenario /
+// Exit codes: 0 = every metric within its threshold, 1 = at least one
+// metric moved past it (up or down), 2 = usage / schema / scenario /
 // fingerprint error (the files are not comparable).
 #include <cstdlib>
 #include <fstream>
@@ -26,8 +26,8 @@ namespace {
 
 constexpr const char* kUsage =
     "Usage: perf_diff <current.json> <baseline.json>\n"
-    "           [--threshold X]        relative growth allowed "
-    "(default 0.25)\n"
+    "           [--threshold X]        relative change allowed, either "
+    "way (default 0.25)\n"
     "           [--metric name=X]...   add/override one metric's "
     "threshold\n"
     "           [--no-fingerprint]     skip the experiment-fingerprint "
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
 
   // One pass, full picture: the comparison table (whatever rows were
   // structurally comparable) prints first, then every gate/structure
-  // error -- so a CI log shows schema AND fingerprint AND regressed
+  // error -- so a CI log shows schema AND fingerprint AND moved
   // metrics together instead of one failure per rerun.
   if (!res.rows.empty()) {
     util::TextTable table(
@@ -137,8 +137,8 @@ int main(int argc, char** argv) {
               << " error(s); the files are not comparable\n";
     return 2;
   }
-  if (res.regressed()) {
-    std::cout << "perf_diff: REGRESSION against "
+  if (res.moved()) {
+    std::cout << "perf_diff: MOVED against "
               << paths[1] << " (threshold "
               << util::cformat("%.0f", opt.default_threshold * 100)
               << "%)\n";
